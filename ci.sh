@@ -110,7 +110,7 @@ stage_docs() {
 }
 
 stage_bench_smoke() {
-  echo "==> bench smoke (fault_tolerance + repair_granularity + correlated_faults + sim_throughput, reduced scale)"
+  echo "==> bench smoke (fault_tolerance + repair_granularity + correlated_faults + sim_throughput + repo benchmark, reduced scale)"
   # Exercises the experiment harnesses end-to-end at reduced scale and
   # leaves results/*.csv and results/*.json behind for the workflow to
   # upload as artifacts. Harnesses run with --jobs 2 to cover the
@@ -158,6 +158,13 @@ stage_bench_smoke() {
   # path runs sharded; digest-pinned tests (golden, determinism,
   # conformance) must be unaffected.
   SIRIUS_SHARDS=2 cargo test --release -q --workspace
+
+  echo "==> repo benchmark, smoke scale (benchmark/run.sh --smoke)"
+  # The seven BENCHMARK.json workloads at 1/50 the flows (~12 s): the
+  # benchmark itself fails the run unless paper_sharded's digest equals
+  # the serial one, the audited verify leg is clean, and the output
+  # carries exactly the metric names BENCHMARK.json lists.
+  benchmark/run.sh --smoke > /dev/null
 
   echo "==> parallel-equals-serial (fig9 CSVs, --jobs 1 vs --jobs 2)"
   # The executor's determinism contract, checked on the real artifacts:

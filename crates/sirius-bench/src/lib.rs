@@ -31,6 +31,8 @@
 //! | scale-out series (streaming) | `scale_series` | [`experiments::scale_series`] |
 //! | everything | `xp` | all of the above |
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod experiments;
 pub mod pool;

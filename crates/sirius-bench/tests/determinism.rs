@@ -4,15 +4,19 @@
 //!   (Fig. 9: 4 systems × 5 loads, the paper's headline figure) must
 //!   produce byte-identical CSVs and identical per-run digests whether
 //!   it runs on 1 worker or 4.
-//! * **Within a run** (the sharded slot engine): one simulation split
-//!   across shard workers — the TX phase *and* the receiver-partitioned
-//!   deliver phase with its ordered digest epilogue — must retire the
-//!   exact serial delivered-cell sequence: byte-identical digest, equal
-//!   `RunMetrics` counters, and equal FCT percentiles for shards ∈
+//! * **Within a run** (the phased slot driver): one simulation split
+//!   across shards — the TX phase *and* the receiver-partitioned
+//!   deliver phase with its ordered digest merge — must retire the
+//!   exact one-shard delivered-cell sequence: byte-identical digest,
+//!   equal `RunMetrics` counters, and equal FCT percentiles for shards ∈
 //!   {1, 2, 4} × {Protocol, Ideal} × {fault-free, classic faults,
-//!   correlated+Byzantine} × {materialized, streaming}. (Golden digests
-//!   pin serial behavior separately, unblessed, in
-//!   `tests/golden_digests.rs`.)
+//!   correlated+Byzantine} × {materialized, streaming}. Where the one
+//!   driver clamps itself to a single shard (Ideal mode, audited runs)
+//!   the rows pin that `with_shards` is behavior-inert. (Golden digests
+//!   pin one-shard behavior separately, unblessed, in
+//!   `tests/golden_digests.rs`; one row here pins lazy admission in
+//!   `run` against a digest recorded before the slice path was folded
+//!   into the stream path.)
 //!
 //! The CSV comparison catches ordering or formatting drift; the digest
 //! comparison is stronger — it compares the delivered-cell *sequence* of
@@ -120,6 +124,10 @@ fn correlated_byz_script(seed: u64) -> FaultInjector {
 type Script = Option<fn(u64) -> FaultInjector>;
 
 fn run_with_shards(mode: CcMode, shards: usize, script: Script) -> RunMetrics {
+    run_smoke(mode, shards, script, false)
+}
+
+fn run_smoke(mode: CcMode, shards: usize, script: Script, audit: bool) -> RunMetrics {
     let scale = Scale::Smoke;
     let net = scale.network();
     let wl = scale.workload(0.6, 11).generate();
@@ -127,9 +135,9 @@ fn run_with_shards(mode: CcMode, shards: usize, script: Script) -> RunMetrics {
         .sim_config(net, &wl, 11)
         .with_mode(mode)
         .with_shards(shards)
-        // Audit-enabled runs take the serial observer path by design; the
-        // matrix tests the sharded engine, so audit off explicitly.
-        .with_audit(false);
+        // An enabled audit clamps the driver to one shard by design; the
+        // matrix tests the sharded phases, so it passes audit off.
+        .with_audit(audit);
     let mut sim = SiriusSim::new(cfg);
     if let Some(script) = script {
         sim.set_faults(script(11));
@@ -179,10 +187,10 @@ fn behavior_of(m: &RunMetrics) -> impl std::fmt::Debug + PartialEq {
     )
 }
 
-/// The tentpole acceptance matrix: sharded runs are byte-identical to
-/// serial across shard counts, CC modes, and fault scripts. Ideal mode
-/// falls back to the serial loop (shared back-pressure state), so its
-/// rows additionally pin that `with_shards` is behavior-inert there.
+/// The acceptance matrix: sharded runs are byte-identical to one-shard
+/// runs across shard counts, CC modes, and fault scripts. Ideal mode
+/// runs on one shard whatever the config says (shared back-pressure
+/// state), so its rows pin that `with_shards` is behavior-inert there.
 #[test]
 fn sharded_runs_are_byte_identical_to_serial() {
     let scripts: [(&str, Script); 3] = [
@@ -229,6 +237,78 @@ fn sharded_runs_are_byte_identical_to_serial() {
         }
     }
 }
+
+/// The audit clamp in the one driver: an enabled audit pins the run to
+/// a single shard (its probes must see the serial order), so
+/// `with_shards(4)` under audit is the `with_shards(1)` run — same
+/// digest and counters, and the audit itself stays clean — and both
+/// equal the unaudited run, since probes are digest-neutral.
+#[test]
+fn audited_runs_clamp_to_one_shard() {
+    let scripts: [(&str, Script); 2] = [
+        ("classic", Some(fault_script)),
+        ("correlated+byz", Some(correlated_byz_script)),
+    ];
+    for (name, script) in scripts {
+        let one = run_smoke(CcMode::Protocol, 1, script, true);
+        let four = run_smoke(CcMode::Protocol, 4, script, true);
+        assert_eq!(
+            behavior_of(&one),
+            behavior_of(&four),
+            "audited run moved with the shard count: script={name}"
+        );
+        for (shards, m) in [(1, &one), (4, &four)] {
+            let report = m.audit.as_ref().expect("audit report missing");
+            assert!(report.epochs_checked > 0, "audit never ran");
+            assert!(
+                report.is_clean(),
+                "shards={shards} script={name}: {:?}",
+                report.violations
+            );
+        }
+        assert_eq!(
+            format!("{:?}", one.audit),
+            format!("{:?}", four.audit),
+            "audit ledgers diverged: script={name}"
+        );
+        assert_eq!(
+            behavior_of(&one),
+            behavior_of(&run_with_shards(CcMode::Protocol, 4, script)),
+            "audit probes moved the run: script={name}"
+        );
+    }
+}
+
+/// `run(&workload)` admits the slab lazily, one flow per arrival, through
+/// the same source `run_streaming` uses — admission order is the only
+/// thing standing between it and the digest the bulk-populated slab
+/// produced. Pinned against that pre-change digest, on a workload whose
+/// arrivals span many epochs.
+#[test]
+fn lazily_admitted_run_matches_the_bulk_populated_digest() {
+    let scale = Scale::Smoke;
+    let net = scale.network();
+    let wl = scale.workload(0.6, 11).generate();
+    let epochs_of_arrivals = wl.last().unwrap().arrival.as_ps() / net.epoch().as_ps();
+    assert!(
+        epochs_of_arrivals >= 3,
+        "arrivals span {epochs_of_arrivals} epochs; admission is not lazy enough to test"
+    );
+    for shards in [1usize, 2] {
+        let m = run_with_shards(CcMode::Protocol, shards, None);
+        assert_eq!(m.flows.len(), wl.len(), "a flow went unreported");
+        assert_eq!(
+            m.digest, PRE_CHANGE_SMOKE_DIGEST,
+            "shards={shards}: got {:#018x}",
+            m.digest
+        );
+    }
+}
+
+/// Digest of `Scale::Smoke` load 0.6 seed 11, Protocol, fault-free, as
+/// produced by `SiriusSim::run` when it bulk-populated the flow slab
+/// (commit 3980410).
+const PRE_CHANGE_SMOKE_DIGEST: u64 = 0x2d4e_5b98_2510_619a;
 
 /// The scale-series arm: small geometries so the matrix stays fast in
 /// debug builds (the real smoke points run in `ci.sh scale-smoke` on

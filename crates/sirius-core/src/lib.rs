@@ -39,6 +39,8 @@
 //! assert!((sched.epoch_len().as_us_f64() - 1.6).abs() < 0.01);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod cell;
 pub mod config;

@@ -28,6 +28,8 @@
 //! assert_eq!(t.reconfiguration_time().as_ns_f64(), 3.84);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agc;
 pub mod awgr;
 pub mod ber;

@@ -14,6 +14,8 @@
 //! assert!(r < 0.3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod cmos;
 pub mod copackaged;

@@ -24,12 +24,12 @@
 //! fault window up front ([`Audit::declare_window`]), and the checks then
 //! hold *with attribution* instead of being waived — every blackholed or
 //! link-lost cell must fall inside a declared window of the matching cause
-//! ([`Audit::note_blackholed`], [`Audit::note_lost`]), every detector
+//! (`note_blackholed`, `note_lost`), every detector
 //! suspicion must be justified by a window on the suspected node
-//! ([`Audit::note_suspicion`]; an unjustified one is a *false positive*
+//! (`note_suspicion`; an unjustified one is a *false positive*
 //! and a violation), and the RX-exclusivity check tolerates double-driven
 //! ports only while a declared mistuning window taints them
-//! ([`Audit::note_rx_mistuned`]). A fault-free run degenerates to the
+//! (`note_rx_mistuned`). A fault-free run degenerates to the
 //! strict checks.
 //!
 //! Violations are recorded, not panicked on, so failure-injection runs can
@@ -44,6 +44,7 @@
 //! digests; the workspace conformance suite asserts this for all three
 //! congestion-control modes.
 
+use crate::engine::SlotObserver;
 use sirius_core::cell::{Cell, FlowId};
 use sirius_core::node::SiriusNode;
 use sirius_core::topology::NodeId;
@@ -65,7 +66,7 @@ pub enum LossCause {
     /// Forged by a compromised data plane and dropped by the RX filter.
     /// Used for window declaration/attribution: forged cells were never
     /// injected, so they ride their own conservation ledger
-    /// ([`Audit::note_forged_tx`] / [`Audit::note_forged_dropped`])
+    /// (`note_forged_tx` / `note_forged_dropped`)
     /// rather than `note_lost`.
     Byzantine,
 }
@@ -259,16 +260,40 @@ impl Audit {
         }
     }
 
+    /// Consume the audit into its report.
+    pub fn finish(self) -> AuditReport {
+        AuditReport {
+            epochs_checked: self.epochs_checked,
+            cells_injected: self.injected,
+            cells_released: self.released,
+            cells_buffered: self.buffered,
+            cells_blackholed: self.blackholed,
+            cells_lost_link: self.lost_link,
+            false_suspicions: self.false_suspicions,
+            duplicate_cells: self.duplicates,
+            cells_forged: self.forged_tx,
+            cells_forged_dropped: self.forged_dropped,
+            total_violations: self.total_violations,
+            violations: self.violations,
+        }
+    }
+}
+
+/// The audit is the engine's enabled observer: the slot loop is
+/// monomorphized over it directly (see [`crate::engine::observer`]).
+impl SlotObserver for Audit {
+    const ENABLED: bool = true;
+
     /// A source node injected a cell into the fabric.
     #[inline]
-    pub fn note_injected(&mut self) {
+    fn note_injected(&mut self) {
         self.injected += 1;
     }
 
     /// A cell was dropped at crashed `node` during `epoch`. Must fall
     /// inside a declared crash window — an unattributed blackhole is a
     /// violation (cells vanishing without a scripted cause).
-    pub fn note_blackholed(&mut self, node: NodeId, epoch: u64) {
+    fn note_blackholed(&mut self, node: NodeId, epoch: u64) {
         self.blackholed += 1;
         if self.enabled && !self.covered(LossCause::Crash, node, epoch) {
             let id = node.0;
@@ -282,7 +307,7 @@ impl Audit {
     /// `node` is the faulty party (the grey sender, or the mistuned node
     /// whose signal corrupted the port). Must fall inside a declared
     /// window of the same cause.
-    pub fn note_lost(&mut self, cause: LossCause, node: NodeId, epoch: u64) {
+    fn note_lost(&mut self, cause: LossCause, node: NodeId, epoch: u64) {
         debug_assert_ne!(cause, LossCause::Crash, "crash losses use note_blackholed");
         self.lost_link += 1;
         if self.enabled && !self.covered(cause, node, epoch) {
@@ -299,7 +324,7 @@ impl Audit {
     /// Forged cells were never injected, so they go on their own ledger:
     /// conservation subtracts the outstanding (launched, not yet dropped)
     /// count from the in-flight total.
-    pub fn note_forged_tx(&mut self, node: NodeId, epoch: u64) {
+    fn note_forged_tx(&mut self, node: NodeId, epoch: u64) {
         self.forged_tx += 1;
         if self.enabled && !self.covered(LossCause::Byzantine, node, epoch) {
             let id = node.0;
@@ -312,7 +337,7 @@ impl Audit {
 
     /// The RX-side Byzantine filter caught and dropped a counterfeit.
     #[inline]
-    pub fn note_forged_dropped(&mut self) {
+    fn note_forged_dropped(&mut self) {
         self.forged_dropped += 1;
     }
 
@@ -329,7 +354,7 @@ impl Audit {
     /// the cyclic schedule that is the same collateral sender on every
     /// slot, so an innocent node genuinely goes silent on the fabric. The
     /// victim is schedule-dependent, so the window cannot name it.
-    pub fn note_suspicion(&mut self, epoch: u64, node: NodeId) {
+    fn note_suspicion(&mut self, epoch: u64, node: NodeId) {
         if !self.enabled {
             return;
         }
@@ -351,8 +376,8 @@ impl Audit {
     /// The repair layer applied a column transition: TX column
     /// (`node`, `uplink`) is now omitted from (`omitted = true`) or
     /// readmitted to (`omitted = false`) the schedule. Updates the
-    /// audit's shadow view used by [`Audit::note_data_tx`].
-    pub fn note_column_omitted(&mut self, node: NodeId, uplink: u16, omitted: bool) {
+    /// audit's shadow view used by `note_data_tx`.
+    fn note_column_omitted(&mut self, node: NodeId, uplink: u16, omitted: bool) {
         if !self.enabled {
             return;
         }
@@ -365,7 +390,7 @@ impl Audit {
     /// columns carry carrier only, and the receiver's silence bookkeeping
     /// would otherwise resurrect a link the detector already condemned.
     #[inline]
-    pub fn note_data_tx(&mut self, slot: u64, node: NodeId, uplink: u16) {
+    fn note_data_tx(&mut self, slot: u64, node: NodeId, uplink: u16) {
         if !self.enabled {
             return;
         }
@@ -381,7 +406,7 @@ impl Audit {
     /// Flags a violation if the port is already driven — the schedule's
     /// per-slot permutation property is broken.
     #[inline]
-    pub fn note_rx(&mut self, slot: u64, dst: NodeId, uplink: u16) {
+    fn note_rx(&mut self, slot: u64, dst: NodeId, uplink: u16) {
         if !self.enabled {
             return;
         }
@@ -409,7 +434,7 @@ impl Audit {
     /// drive of its own (two mistuned strays on one port are still only
     /// garbage, not a schedule bug).
     #[inline]
-    pub fn note_rx_mistuned(&mut self, _slot: u64, dst: NodeId, uplink: u16) {
+    fn note_rx_mistuned(&mut self, _slot: u64, dst: NodeId, uplink: u16) {
         if !self.enabled {
             return;
         }
@@ -426,7 +451,7 @@ impl Audit {
 
     /// Reset per-slot receive-port state (call once per slot).
     #[inline]
-    pub fn end_slot(&mut self) {
+    fn end_slot(&mut self) {
         if !self.enabled {
             return;
         }
@@ -443,7 +468,7 @@ impl Audit {
     /// The reorder buffer accepted cell `seq` of `cell.flow` and reported
     /// releasing `released_cells` cells in order. Replays the acceptance
     /// against the shadow reassembly and checks the two agree.
-    pub fn note_delivery(&mut self, cell: &Cell, released_cells: u32) {
+    fn note_delivery(&mut self, cell: &Cell, released_cells: u32) {
         if !self.enabled {
             return;
         }
@@ -486,7 +511,7 @@ impl Audit {
 
     /// Full invariant sweep at an epoch boundary. `in_flight` is the
     /// number of cells currently on the fiber (in the propagation ring).
-    pub fn epoch_check(&mut self, epoch: u64, nodes: &[SiriusNode], in_flight: u64) {
+    fn epoch_check(&mut self, epoch: u64, nodes: &[SiriusNode], in_flight: u64) {
         if !self.enabled {
             return;
         }
@@ -534,24 +559,6 @@ impl Audit {
                     }
                 }
             }
-        }
-    }
-
-    /// Consume the audit into its report.
-    pub fn finish(self) -> AuditReport {
-        AuditReport {
-            epochs_checked: self.epochs_checked,
-            cells_injected: self.injected,
-            cells_released: self.released,
-            cells_buffered: self.buffered,
-            cells_blackholed: self.blackholed,
-            cells_lost_link: self.lost_link,
-            false_suspicions: self.false_suspicions,
-            duplicate_cells: self.duplicates,
-            cells_forged: self.forged_tx,
-            cells_forged_dropped: self.forged_dropped,
-            total_violations: self.total_violations,
-            violations: self.violations,
         }
     }
 }

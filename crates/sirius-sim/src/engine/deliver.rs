@@ -11,24 +11,23 @@
 //! queues and CC counters (`receive_cell`), its servers' reorder
 //! buffers, and the flow records of flows terminating at `j` (a flow
 //! terminates at exactly one receiver). [`deliver_range`] is therefore
-//! range-parameterized over receivers — the serial engine runs it over
-//! the full range, the sharded engine runs it per shard over that
-//! shard's receiver range (see `crate::engine::shard`) — with the two
-//! classes of non-local effect deferred into a [`DeliverOut`]:
+//! range-parameterized over receivers — every shard of the driver's
+//! deliver phase runs it over its own receiver range (the full range at
+//! one shard) — with the two classes of non-local effect deferred into a
+//! [`DeliverOut`]:
 //!
 //! * **Ordered** — the FNV digest over the delivered-cell sequence and
 //!   the streaming eviction replay (`fold_and_evict` touches the global
-//!   flow-slab free list and the order-sensitive stream digest). Workers
-//!   record `(due index, cell, completed)`; the main thread k-way merges
-//!   by due index and folds in canonical sequence
-//!   ([`SiriusSim::fold_delivery`]) — byte-identical to serial by
-//!   construction.
+//!   flow-slab free list and the order-sensitive stream digest). Shards
+//!   record `(due index, cell, completed)`; [`SiriusSim::merge_deliveries`]
+//!   k-way merges by due index and folds in canonical sequence — the
+//!   same sequence at any shard count, by construction. Empty due slots
+//!   (warmup, idle tails) skip the phase entirely.
 //! * **Commutative** — loss/reroute/forgery counters, Byzantine
 //!   suspicion sums (read only at the fault boundary), Ideal's
 //!   shadow-occupancy releases (unread until the next TX phase) and
 //!   `last_delivery` (every in-order delivery in a slot writes the same
-//!   `now`). Applied per shard in shard order
-//!   ([`SiriusSim::apply_deliver_effects`]).
+//!   `now`). Applied per shard in shard order.
 
 use crate::engine::fault::ByzPlane;
 use crate::engine::observer::SlotObserver;
@@ -40,6 +39,7 @@ use sirius_core::reorder::ReorderBuffer;
 use sirius_core::repair::AdjustedSchedule;
 use sirius_core::topology::NodeId;
 use sirius_core::units::Time;
+use std::marker::PhantomData;
 
 pub(crate) struct DeliverPlane {
     /// Delivery pipeline: ring indexed by arrival slot. Each entry is
@@ -68,30 +68,36 @@ impl DeliverPlane {
     }
 }
 
-/// Raw element view over the flow slab for the deliver phase.
+/// Element view over the flow slab for the deliver phase.
 ///
 /// Arrival effects are receiver-local, but flow ids are
 /// receiver-*interleaved* in slot order, so the slab cannot be split
-/// into per-shard `&mut` ranges (two `&mut [FlowSt]` over one `Vec`
-/// would be UB even if the indices never collided). Workers instead
-/// index disjoint *elements* through this view; the receiver partition
-/// of the due list guarantees two shards never touch the same element,
-/// because a flow terminates at exactly one receiver.
-#[derive(Clone, Copy)]
-pub(crate) struct FlowSlots {
+/// into per-shard `&mut` ranges the way the node arrays are. Shards
+/// instead index disjoint *elements* through this view; the receiver
+/// partition of the due list guarantees two shards never touch the same
+/// element, because a flow terminates at exactly one receiver. The view
+/// holds the slab's `&mut` borrow, so nothing else can reach the slab
+/// while it lives.
+pub(crate) struct FlowSlots<'a> {
     ptr: *mut FlowSt,
     len: usize,
+    _slab: PhantomData<&'a mut [FlowSt]>,
 }
 
-impl FlowSlots {
-    pub(crate) fn new(ptr: *mut FlowSt, len: usize) -> FlowSlots {
-        FlowSlots { ptr, len }
-    }
+// SAFETY: sharing the view only shares the right to call `get_mut`,
+// whose contract keeps concurrent accesses element-disjoint; `FlowSt` is
+// `Send` (asserted beside its definition), so handing an element to
+// another thread is sound.
+#[allow(unsafe_code)]
+unsafe impl Sync for FlowSlots<'_> {}
 
-    pub(crate) const fn empty() -> FlowSlots {
+#[allow(unsafe_code)]
+impl<'a> FlowSlots<'a> {
+    pub(crate) fn new(slab: &'a mut [FlowSt]) -> FlowSlots<'a> {
         FlowSlots {
-            ptr: std::ptr::null_mut(),
-            len: 0,
+            ptr: slab.as_mut_ptr(),
+            len: slab.len(),
+            _slab: PhantomData,
         }
     }
 
@@ -103,19 +109,13 @@ impl FlowSlots {
     }
 
     /// # Safety
-    /// `i < len`, and the caller's shard must own flow `i`'s receiver:
-    /// no other thread may access element `i` for the duration of the
-    /// borrow.
-    unsafe fn get(&self, i: usize) -> &FlowSt {
-        debug_assert!(i < self.len);
-        &*self.ptr.add(i)
-    }
-
-    /// # Safety
-    /// As [`FlowSlots::get`], exclusively.
-    #[allow(clippy::mut_from_ref)] // raw-element view; exclusivity is the caller's claim
+    /// The caller's shard must own flow `i`'s receiver for the current
+    /// deliver phase: no other thread accesses element `i` between the
+    /// pool barrier's `go` for the phase and its `done`, and the caller
+    /// holds no other reference to element `i`.
+    #[allow(clippy::mut_from_ref)] // element view; exclusivity is the caller's claim
     unsafe fn get_mut(&self, i: usize) -> &mut FlowSt {
-        debug_assert!(i < self.len);
+        assert!(i < self.len, "flow id outside the slab");
         &mut *self.ptr.add(i)
     }
 }
@@ -149,7 +149,7 @@ pub(crate) struct DeliverOut {
 }
 
 impl DeliverOut {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.delivered.clear();
         self.delivered_bytes = 0;
         self.any_inorder = false;
@@ -161,15 +161,14 @@ impl DeliverOut {
     }
 }
 
-/// Frozen slot inputs for [`deliver_range`], shared by the serial engine
-/// (full range) and every shard worker (its receiver range). Everything
-/// here is either read-only for the slot or element-disjoint by receiver
-/// ([`FlowSlots`]).
+/// Frozen slot inputs for [`deliver_range`], shared by every shard.
+/// Everything here is either read-only for the slot or element-disjoint
+/// by receiver ([`FlowSlots`]).
 pub(crate) struct DeliverCtx<'a> {
     pub mode: CcMode,
     pub byz: Option<&'a ByzPlane>,
     pub has_link_faults: bool,
-    pub flows: FlowSlots,
+    pub flows: FlowSlots<'a>,
     pub failures: &'a FailurePlane,
     pub sched: &'a AdjustedSchedule,
     /// Servers per node: maps a receiver range `[lo, hi)` onto its
@@ -208,6 +207,13 @@ pub(crate) fn deliver_range<O: SlotObserver>(
     debug_assert_eq!(nodes.len(), (hi - lo) as usize);
     debug_assert_eq!(reorder.len(), ((hi - lo) * ctx.spn) as usize);
     let server_base = (lo * ctx.spn) as usize;
+    // SAFETY: both uses below pass the flow of a genuine cell whose final
+    // destination is the receiver `dst` being processed, and `dst` is in
+    // this shard's range `[lo, hi)` — so the flow terminates here, and
+    // flows are receiver-disjoint across shard ranges (see FlowSlots).
+    // Each returned borrow ends before the next call.
+    #[allow(unsafe_code)]
+    let flow = |fi: usize| unsafe { ctx.flows.get_mut(fi) };
     for (idx, &(dst, uplink, cell)) in due.iter().enumerate() {
         if dst.0 < lo || dst.0 >= hi {
             continue;
@@ -225,13 +231,11 @@ pub(crate) fn deliver_range<O: SlotObserver>(
                 cell.flow.0 as usize >= ctx.flows.len()
                     || if cell.dst == dst {
                         // Delivered-type: endpoints must match the flow
-                        // table's record for that flow.
-                        // SAFETY: a genuine delivered-type cell was built
-                        // from this record, whose flow terminates at this
-                        // receiver (forged headers carry an out-of-range
-                        // id and short-circuit above) — so the element is
-                        // owned by this range.
-                        let f = unsafe { ctx.flows.get(cell.flow.0 as usize) };
+                        // table's record for that flow. (A genuine
+                        // delivered-type cell was built from this record;
+                        // forged headers carry an out-of-range id and
+                        // short-circuit above.)
+                        let f = flow(cell.flow.0 as usize);
                         NodeId(f.src_server / ctx.spn) != cell.src
                             || NodeId(f.dst_server / ctx.spn) != cell.dst
                             || cell.dst_server.0 != f.dst_server
@@ -293,11 +297,7 @@ pub(crate) fn deliver_range<O: SlotObserver>(
                 if d.bytes > 0 {
                     out.delivered_bytes += d.bytes;
                     out.any_inorder = true;
-                    let fi = cell.flow.0 as usize;
-                    // SAFETY: a delivered cell's flow terminates at this
-                    // receiver; elements are receiver-disjoint across
-                    // shard ranges (see FlowSlots).
-                    let f = unsafe { ctx.flows.get_mut(fi) };
+                    let f = flow(cell.flow.0 as usize);
                     f.delivered += d.bytes;
                     if f.delivered >= f.bytes && f.completion.is_none() {
                         f.completion = Some(ctx.now);
@@ -317,7 +317,7 @@ impl SiriusSim {
     /// arrival effects that are order-sensitive *across* receivers, so
     /// they alone run serially on the main thread.
     #[inline]
-    pub(crate) fn fold_delivery(&mut self, cell: &Cell, completed: bool, now_ps: u64) {
+    fn fold_delivery(&mut self, cell: &Cell, completed: bool, now_ps: u64) {
         self.delivery.cells_delivered += 1;
         self.delivery.digest.update_cell(cell, now_ps);
         if completed {
@@ -337,7 +337,7 @@ impl SiriusSim {
     /// Apply one [`DeliverOut`]'s order-insensitive effects: commutative
     /// counters and sums, plus Ideal's deferred shadow-occupancy
     /// releases. Clears `out` (buffers keep their capacity).
-    pub(crate) fn apply_deliver_effects(&mut self, out: &mut DeliverOut, now: Time) {
+    fn apply_deliver_effects(&mut self, out: &mut DeliverOut, now: Time) {
         self.delivery.delivered_bytes += out.delivered_bytes;
         if out.any_inorder {
             self.delivery.last_delivery = now;
@@ -356,15 +356,35 @@ impl SiriusSim {
         out.clear();
     }
 
-    /// Serial epilogue for a single full-range [`deliver_range`] pass:
-    /// the records are already in due order, so the "merge" degenerates
-    /// to one linear fold.
-    pub(crate) fn apply_deliver_out(&mut self, out: &mut DeliverOut, now: Time) {
+    /// The deliver phase's ordered epilogue: k-way merge the per-shard
+    /// delivered records by due index, folding the digest — and the
+    /// streaming eviction replay — in exactly the due-list sequence, then
+    /// the order-insensitive per-shard effects in shard order. `cursors`
+    /// is one reusable merge cursor per shard.
+    pub(crate) fn merge_deliveries(
+        &mut self,
+        outs: &mut [DeliverOut],
+        cursors: &mut [usize],
+        now: Time,
+    ) {
         let now_ps = now.since(Time::ZERO).as_ps();
-        for i in 0..out.delivered.len() {
-            let (_, cell, completed) = out.delivered[i];
+        cursors.fill(0);
+        loop {
+            let mut best: Option<(u32, usize)> = None;
+            for (s, out) in outs.iter().enumerate() {
+                if let Some(&(idx, _, _)) = out.delivered.get(cursors[s]) {
+                    if best.is_none_or(|(b, _)| idx < b) {
+                        best = Some((idx, s));
+                    }
+                }
+            }
+            let Some((_, s)) = best else { break };
+            let (_, cell, completed) = outs[s].delivered[cursors[s]];
+            cursors[s] += 1;
             self.fold_delivery(&cell, completed, now_ps);
         }
-        self.apply_deliver_effects(out, now);
+        for out in outs {
+            self.apply_deliver_effects(out, now);
+        }
     }
 }

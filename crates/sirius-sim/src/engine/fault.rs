@@ -12,14 +12,48 @@
 //! boundary, whose only observable effects (detector ticks, staged
 //! updates, report entries) all require scripted faults to exist.
 
+use crate::audit::LossCause;
 use crate::engine::observer::SlotObserver;
 use crate::engine::tables::DestTable;
-use crate::faults::{ActiveFaults, FaultInjector};
+use crate::faults::{ActiveFaults, FaultEvent, FaultInjector};
 use crate::metrics::{ByzantineRecord, CorrelatedDomainRecord, FailureRecord, FaultReport};
 use crate::sirius_net::SiriusSim;
-use sirius_core::fault::FailurePlane;
+use rand::rngs::SmallRng;
+use rand::Rng;
+use sirius_core::cell::{Cell, FlowId};
+use sirius_core::fault::{FailurePlane, LinkDetector};
 use sirius_core::schedule::{Schedule, SlotInEpoch};
-use sirius_core::topology::{NodeId, UplinkId};
+use sirius_core::topology::{NodeId, ServerId, UplinkId};
+
+/// Fabricate one counterfeit cell from a Byzantine node `ni` whose slot
+/// (RX port of `j`) would otherwise idle. Two lies, chosen per forgery
+/// from the node's own stream:
+///
+/// * **Header forgery** — a fabricated origin, addressed to the slot's
+///   scheduled destination (framing another node as the sender).
+/// * **Stale-grant replay** — the node's own origin but a stale
+///   destination, replaying a long-consumed reservation.
+///
+/// Every counterfeit carries an out-of-range `FlowId`: the liar does not
+/// know the receivers' flow tables, which is exactly why the RX-side
+/// header validation is sound.
+pub(crate) fn forge_cell(rng: &mut SmallRng, ni: NodeId, j: NodeId, n: usize) -> Cell {
+    let kind = rng.gen_range(0..2u8);
+    let (src, dst) = if kind == 0 {
+        (NodeId(rng.gen_range(0..n as u32)), j)
+    } else {
+        (ni, NodeId(rng.gen_range(0..n as u32)))
+    };
+    Cell {
+        flow: FlowId(u64::MAX),
+        seq: 0,
+        payload: 0,
+        src,
+        dst,
+        dst_server: ServerId(0),
+        last: false,
+    }
+}
 
 /// RX-side Byzantine bookkeeping, armed only when the script contains a
 /// [`crate::faults::FaultEvent::Byzantine`] window.
@@ -112,12 +146,6 @@ impl FaultPlane {
         }
     }
 
-    /// Arm the RX-side Byzantine filter (called once per run when the
-    /// script contains a Byzantine window).
-    pub fn arm_byzantine(&mut self, sched: &Schedule) {
-        self.byz = Some(ByzPlane::new(sched));
-    }
-
     /// Mistune pre-pass: a wavelength shifted by `offset` follows the
     /// grating to the destination scheduled `offset` slots later, so the
     /// stray signal corrupts whatever legitimately arrives on that RX
@@ -169,6 +197,84 @@ impl FaultPlane {
 }
 
 impl SiriusSim {
+    /// Arm the attached fault script for a run: the per-node draw
+    /// streams, the per-column detector and the RX-side Byzantine filter
+    /// where the script needs them, and every scripted window declared
+    /// to the audit up front so it holds its invariants *with
+    /// attribution* — losses must fall inside a declared window of the
+    /// matching cause, and detector suspicions outside any window are
+    /// false positives. No-op without a script.
+    pub(crate) fn arm_fault_script(&mut self) {
+        let injector = &self.faults.injector;
+        if injector.is_empty() {
+            return;
+        }
+        let n = self.nodes.len();
+        self.fault_rngs = injector.node_streams(n);
+        if injector.has_link_faults() {
+            self.detect.link_det = Some(LinkDetector::new(
+                n,
+                self.sched.base().uplinks(),
+                self.cfg.fault,
+            ));
+        }
+        if injector.has_byzantine() {
+            // Precompute the schedule inverse the RX filter attributes
+            // counterfeits with (who was scheduled into this port at
+            // that slot).
+            self.faults.byz = Some(ByzPlane::new(self.sched.base()));
+        }
+        let Some(audit) = self.audit.as_mut() else {
+            return;
+        };
+        audit.set_silence_threshold(self.cfg.fault.silence_threshold);
+        let events = injector.events();
+        for e in events {
+            match *e {
+                FaultEvent::Crash { node, epoch } => {
+                    let until = events
+                        .iter()
+                        .filter_map(|e2| match *e2 {
+                            FaultEvent::Recover { node: n2, epoch: r }
+                                if n2 == node && r > epoch =>
+                            {
+                                Some(r)
+                            }
+                            _ => None,
+                        })
+                        .min()
+                        .unwrap_or(u64::MAX);
+                    audit.declare_window(LossCause::Crash, node, epoch, until);
+                }
+                FaultEvent::GreyLink {
+                    node, from, until, ..
+                } => audit.declare_window(LossCause::Grey, node, from, until),
+                FaultEvent::Mistune {
+                    node, from, until, ..
+                } => audit.declare_window(LossCause::Mistune, node, from, until),
+                // Correlated domains expand to per-node grey columns
+                // (p = 1.0 for an outright failure, a rising ramp for a
+                // drift), so the audit windows are Grey windows on every
+                // node in the blast radius. A drift's window covers the
+                // whole ramp: losses during the early (barely degraded)
+                // phase are legitimate grey losses too.
+                FaultEvent::BankFailure { from, until, .. }
+                | FaultEvent::BankDrift { from, until, .. }
+                | FaultEvent::GratingFault { from, until, .. } => {
+                    for (node, _) in e.columns(self.cfg.network.grating_ports, n) {
+                        audit.declare_window(LossCause::Grey, node, from, until);
+                    }
+                }
+                // Forgeries (and their RX-side drops) must fall inside a
+                // declared Byzantine window or the audit flags them.
+                FaultEvent::Byzantine {
+                    node, from, until, ..
+                } => audit.declare_window(LossCause::Byzantine, node, from, until),
+                FaultEvent::Recover { .. } | FaultEvent::ControlLoss { .. } => {}
+            }
+        }
+    }
+
     /// Epoch-boundary fault pipeline: scripted ground truth lands, the
     /// silence detectors tick, suspicions stage consistent updates one
     /// epoch out, and both routing planes flip the same staged set at the

@@ -1,12 +1,33 @@
-//! The slot engine: [`SiriusSim::run`]'s hot loop, decomposed into
-//! per-slot planes.
+//! The slot engine: [`SiriusSim::run`]'s hot loop.
 //!
-//! | Plane | Owns | Per-slot work |
-//! |-------|------|---------------|
-//! | [`FaultPlane`] | fault script, active windows, report | mistune pre-pass, grey draws |
-//! | [`DetectPlane`] | silence detectors (§4.5) | keepalive credit |
-//! | [`TxPlane`] | CC-mode dispatch, ideal shadow occupancy | per-(node, uplink) transmit |
-//! | [`DeliverPlane`] | propagation ring, reorder buffers, digest | arrival processing |
+//! One driver, [`SiriusSim::run_loop`], advances the fabric slot by slot:
+//! epoch boundary (serial) → deliver phase → TX phase. Each phase is "run
+//! the range function on every shard's node range, then merge in the
+//! pinned order", broadcast over a generic worker [`pool`]; a serial run
+//! is the same code at one shard, where the pool spawns nothing and a
+//! broadcast is a plain call.
+//!
+//! | Module | Owns | Per-slot work |
+//! |--------|------|---------------|
+//! | [`pool`] | generation barrier, spin/park waits, panic containment, disjoint-range hand-out | two broadcasts |
+//! | [`deliver`] | propagation ring, reorder buffers, digest | arrival processing by receiver range, ordered digest merge |
+//! | [`tx`] | CC-mode dispatch, ideal shadow occupancy | per-(node, uplink) transmit by sender range, shard-order merge |
+//! | [`fault`] | fault script, active windows, report | mistune pre-pass; per epoch, the fault boundary |
+//! | [`detect`] | silence detectors (§4.5) | keepalive credit (applied at the TX merge) |
+//! | [`observer`] | the audit's probe points | nothing unless the audit is on |
+//! | [`tables`] | precomputed schedule destinations | lookups |
+//!
+//! Sharded runs are byte-identical to one-shard runs because both phases
+//! are partitioned along the axis their effects are local to (receivers
+//! for deliver, senders for TX), the inputs they share are frozen for
+//! the phase (shared borrows — the compiler checks it), and the
+//! cross-shard effects are buffered per shard and merged in an order
+//! that reproduces the serial sequence; see [`deliver`] and [`tx`]. The
+//! barrier fires per *slot*, not per epoch: a cell launched at slot `s`
+//! is delivered at `s + prop_slots`, inside the same epoch whenever
+//! propagation is shorter than an epoch (it always is at paper scale),
+//! so one slot's TX feeds a later slot's deliver phase in the same
+//! epoch. DESIGN.md decision #10 records the measured per-slot cost.
 //!
 //! Two structural decisions buy the engine its throughput without
 //! touching behavior (the golden digests pin this):
@@ -31,32 +52,33 @@ pub(crate) mod deliver;
 pub(crate) mod detect;
 pub(crate) mod fault;
 pub(crate) mod observer;
-pub(crate) mod shard;
+#[allow(unsafe_code)]
+pub(crate) mod pool;
 pub(crate) mod tables;
 pub(crate) mod tx;
 
 pub(crate) use deliver::DeliverPlane;
 pub(crate) use detect::DetectPlane;
 pub(crate) use fault::FaultPlane;
-pub(crate) use observer::{AuditObserver, NullObserver, SlotObserver};
+pub(crate) use observer::{NullObserver, SlotObserver};
 pub(crate) use tables::DestTable;
 pub(crate) use tx::TxPlane;
 
-use crate::audit::LossCause;
-use crate::sirius_net::{CcMode, FlowSource, SiriusSim};
-use rand::Rng;
-use sirius_core::node::SlotTx;
+use crate::sirius_net::{CcMode, SiriusSim, StreamSource};
+use deliver::{deliver_range, DeliverCtx, DeliverOut};
+use pool::{lock, Disjoint};
 use sirius_core::schedule::SlotInEpoch;
-use sirius_core::topology::{NodeId, UplinkId};
 use sirius_core::units::Time;
+use sirius_workload::Flow;
+use std::sync::Mutex;
+use tx::{tx_range, ShardOut, TxCtx};
 
 /// Per-plane wall-clock accumulators, populated only when
 /// [`crate::SiriusSimConfig::plane_timing`] is on (surfaced as
 /// `tx_secs`/`deliver_secs`/`merge_secs` in [`crate::RunMetrics`]).
-/// `deliver` covers arrival processing (the parallel region on sharded
-/// runs), `merge` the serial epilogue (ordered digest fold, eviction
-/// replay, cross-shard effect application, TX-output merge), `tx` the
-/// transmit phase including barrier waits.
+/// `deliver` and `tx` cover the two broadcast phases including their
+/// barrier waits, `merge` the serial epilogues (ordered digest fold,
+/// eviction replay, cross-shard effect application, TX-output merge).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct PlaneTimes {
     pub tx: std::time::Duration,
@@ -68,13 +90,13 @@ pub(crate) struct PlaneTimes {
 /// default path never touches the clock (a syscall per slot would cost
 /// more than some planes do).
 #[inline]
-pub(crate) fn mark(timing: bool) -> Option<std::time::Instant> {
+fn mark(timing: bool) -> Option<std::time::Instant> {
     timing.then(std::time::Instant::now)
 }
 
 /// Close a mark opened by [`mark`] into an accumulator.
 #[inline]
-pub(crate) fn lap(acc: &mut std::time::Duration, m: Option<std::time::Instant>) {
+fn lap(acc: &mut std::time::Duration, m: Option<std::time::Instant>) {
     if let Some(t) = m {
         *acc += t.elapsed();
     }
@@ -85,11 +107,11 @@ impl SiriusSim {
     ///
     /// Monomorphized per observer: the audited instantiation feeds the
     /// invariant audit, the [`NullObserver`] one is the release path.
-    /// Generic over the flow source so the streaming path shares every
-    /// instruction of the slice path's loop body.
-    pub(crate) fn run_loop<S: FlowSource, O: SlotObserver>(
+    /// The shard count comes from the config, clamped to one when the
+    /// observer is enabled or the mode is Ideal (see [`tx`] for why).
+    pub(crate) fn run_loop<I: Iterator<Item = Flow>, O: SlotObserver>(
         &mut self,
-        src: &mut S,
+        src: &mut StreamSource<I>,
         obs: &mut O,
     ) -> u64 {
         let slot_ps = self.cfg.network.slot().as_ps();
@@ -97,9 +119,26 @@ impl SiriusSim {
         let ring_len = self.delivery.ring.len();
         let prop_slots = self.prop_slots as u64;
         let has_faults = !self.faults.injector.is_empty();
+        let has_link_faults = self.faults.injector.has_link_faults();
         let timing = self.cfg.plane_timing;
-        let n_nodes = self.nodes.len() as u32;
-        let spn = self.cfg.network.servers_per_node as u32;
+        let spn = self.cfg.network.servers_per_node;
+        let mode = self.tx.mode;
+        let n = self.nodes.len();
+
+        let shards = if O::ENABLED || mode == CcMode::Ideal {
+            1
+        } else {
+            self.cfg.shards.clamp(1, n.max(1))
+        };
+        // Contiguous node ranges `[cuts[s], cuts[s + 1])`; the merges
+        // visit shards in order, reproducing the serial node order.
+        let cuts: Vec<usize> = (0..=shards).map(|s| s * n / shards).collect();
+        // One output buffer per shard and phase, handed out like any
+        // other range (`[s, s + 1)` of these arrays) and reused per slot.
+        let unit: Vec<usize> = (0..=shards).collect();
+        let mut touts: Vec<ShardOut> = (0..shards).map(|_| ShardOut::default()).collect();
+        let mut douts: Vec<DeliverOut> = (0..shards).map(|_| DeliverOut::default()).collect();
+        let mut cursors = vec![0usize; shards];
 
         let mut abs_slot: u64 = 0;
         // Hoisted per-slot derivations: the epoch-slot cursor, the epoch
@@ -110,288 +149,147 @@ impl SiriusSim {
         let mut ring_idx: usize = 0;
         let mut arrive_idx: usize = (prop_slots % ring_len as u64) as usize;
 
-        while !src.finished(&self.flows, self.delivery.completed) && abs_slot < self.cfg.max_slots {
-            let now = Time::from_ps(abs_slot * slot_ps);
-            if now > src.deadline() {
-                break;
-            }
-            if t == 0 {
-                if has_faults {
-                    self.fault_boundary(cur_epoch, obs);
+        pool::scoped(shards, |pool| {
+            while !src.finished(&self.flows, self.delivery.completed)
+                && abs_slot < self.cfg.max_slots
+            {
+                let now = Time::from_ps(abs_slot * slot_ps);
+                if now > src.deadline() {
+                    break;
                 }
-                self.epoch_boundary(cur_epoch, now, src, obs);
-                if O::ENABLED {
-                    let in_flight = self.delivery.ring.iter().map(|v| v.len() as u64).sum();
-                    obs.epoch_check(cur_epoch, &self.nodes, in_flight);
+                if t == 0 {
+                    if has_faults {
+                        self.fault_boundary(cur_epoch, obs);
+                    }
+                    self.epoch_boundary(cur_epoch, now, src, obs);
+                    if O::ENABLED {
+                        let in_flight = self.delivery.ring.iter().map(|v| v.len() as u64).sum();
+                        obs.epoch_check(cur_epoch, &self.nodes, in_flight);
+                    }
                 }
-            }
 
-            // DeliverPlane: cells whose propagation completes this slot,
-            // through the same range function the shard workers run (full
-            // range here), with the ordered fold as a serial epilogue —
-            // per-receiver decisions cannot diverge between serial and
-            // sharded. Take-and-put-back so each ring slot's buffer keeps
-            // its warmed-up capacity instead of reallocating every lap.
-            // Cells draining now were launched `prop_slots` ago; their
-            // slot-in-epoch names the scheduled transmitter for the
-            // Byzantine RX filter. (Wrapping is harmless: warmup ring
-            // slots are empty.)
-            let launch_t = (abs_slot.wrapping_sub(prop_slots) % epoch_slots) as u16;
-            let mut due = std::mem::take(&mut self.delivery.ring[ring_idx]);
-            if !due.is_empty() {
-                let mut dout = std::mem::take(&mut self.deliver_scratch);
-                let m = mark(timing);
-                let ctx = deliver::DeliverCtx {
-                    mode: self.tx.mode,
-                    byz: self.faults.byz.as_ref(),
-                    has_link_faults: self.faults.injector.has_link_faults(),
-                    flows: self.flows.raw_view(),
-                    failures: &self.failure_plane,
-                    sched: &self.sched,
-                    spn,
-                    launch_t,
-                    now,
-                    epoch: cur_epoch,
-                };
-                deliver::deliver_range(
-                    &ctx,
-                    0,
-                    n_nodes,
-                    &mut self.nodes,
-                    &mut self.delivery.reorder,
-                    &due,
-                    &mut dout,
-                    obs,
-                );
-                lap(&mut self.plane_times.deliver, m);
-                let m = mark(timing);
-                self.apply_deliver_out(&mut dout, now);
-                lap(&mut self.plane_times.merge, m);
-                self.deliver_scratch = dout;
-                due.clear();
-            }
-            self.delivery.ring[ring_idx] = due;
+                // Deliver phase: cells whose propagation completes this
+                // slot, partitioned by receiver. Take-and-put-back so
+                // each ring slot's buffer keeps its warmed-up capacity
+                // instead of reallocating every lap. Cells draining now
+                // were launched `prop_slots` ago; their slot-in-epoch
+                // names the scheduled transmitter for the Byzantine RX
+                // filter. (Wrapping is harmless: warmup ring slots are
+                // empty.)
+                let launch_t = (abs_slot.wrapping_sub(prop_slots) % epoch_slots) as u16;
+                let mut due = std::mem::take(&mut self.delivery.ring[ring_idx]);
+                if !due.is_empty() {
+                    let m = mark(timing);
+                    {
+                        let ctx = DeliverCtx {
+                            mode,
+                            byz: self.faults.byz.as_ref(),
+                            has_link_faults,
+                            flows: self.flows.element_view(),
+                            failures: &self.failure_plane,
+                            sched: &self.sched,
+                            spn: spn as u32,
+                            launch_t,
+                            now,
+                            epoch: cur_epoch,
+                        };
+                        let nodes = Disjoint::new(&mut self.nodes, &cuts, 1);
+                        let reorder = Disjoint::new(&mut self.delivery.reorder, &cuts, spn);
+                        let outs = Disjoint::new(&mut douts, &unit, 1);
+                        let lead = Mutex::new(&mut *obs);
+                        pool.broadcast(&|s| {
+                            let (lo, hi) = (cuts[s] as u32, cuts[s + 1] as u32);
+                            let (nodes, reorder) = (nodes.take(s), reorder.take(s));
+                            let out = &mut outs.take(s)[0];
+                            if s == 0 {
+                                let obs = &mut **lock(&lead);
+                                deliver_range(&ctx, lo, hi, nodes, reorder, &due, out, obs);
+                            } else {
+                                let obs = &mut NullObserver;
+                                deliver_range(&ctx, lo, hi, nodes, reorder, &due, out, obs);
+                            }
+                        });
+                    }
+                    lap(&mut self.plane_times.deliver, m);
+                    let m = mark(timing);
+                    self.merge_deliveries(&mut douts, &mut cursors, now);
+                    lap(&mut self.plane_times.merge, m);
+                    due.clear();
+                }
+                self.delivery.ring[ring_idx] = due;
 
-            let slot = SlotInEpoch(t as u16);
-            let m = mark(timing);
-            if has_faults {
+                // TX phase, partitioned by sender.
+                let slot = SlotInEpoch(t as u16);
+                if has_faults && self.faults.active.any_mistune() {
+                    // Serial pre-pass: writes the corruption scratch the
+                    // TX phase then only reads.
+                    self.faults.mistune_prepass(
+                        abs_slot,
+                        slot,
+                        &self.failure_plane,
+                        &self.tables,
+                        obs,
+                    );
+                }
+                let m = mark(timing);
+                {
+                    let ctx = TxCtx {
+                        mode,
+                        tables: &self.tables,
+                        sched: &self.sched,
+                        failures: &self.failure_plane,
+                        faults: has_faults.then_some(&self.faults),
+                        abs_slot,
+                        t: slot,
+                        epoch: cur_epoch,
+                    };
+                    let nodes = Disjoint::new(&mut self.nodes, &cuts, 1);
+                    let rngs = has_faults.then(|| Disjoint::new(&mut self.fault_rngs, &cuts, 1));
+                    let outs = Disjoint::new(&mut touts, &unit, 1);
+                    let lead = Mutex::new((&mut *obs, &mut self.tx));
+                    pool.broadcast(&|s| {
+                        let nodes = nodes.take(s);
+                        let rngs = rngs.as_ref().map_or(&mut [][..], |r| r.take(s));
+                        let out = &mut outs.take(s)[0];
+                        if s == 0 {
+                            let (obs, ideal) = &mut *lock(&lead);
+                            tx_range(&ctx, cuts[s], nodes, rngs, Some(ideal), out, &mut **obs);
+                        } else {
+                            tx_range(&ctx, cuts[s], nodes, rngs, None, out, &mut NullObserver);
+                        }
+                    });
+                }
+                lap(&mut self.plane_times.tx, m);
+                let m = mark(timing);
                 // Receptions this slot reach the detectors when the light
                 // lands, one propagation later.
-                let arrival_epoch = (abs_slot + prop_slots) / epoch_slots;
-                self.slot_faulty(abs_slot, slot, arrive_idx, cur_epoch, arrival_epoch, obs);
-            } else {
-                self.slot_clean(abs_slot, slot, arrive_idx, obs);
-            }
-            lap(&mut self.plane_times.tx, m);
-            obs.end_slot();
+                self.merge_tx(
+                    &mut touts,
+                    arrive_idx,
+                    (abs_slot + prop_slots) / epoch_slots,
+                );
+                if has_faults {
+                    self.faults.end_slot();
+                }
+                lap(&mut self.plane_times.merge, m);
+                obs.end_slot();
 
-            abs_slot += 1;
-            t += 1;
-            if t == epoch_slots {
-                t = 0;
-                cur_epoch += 1;
-            }
-            ring_idx += 1;
-            if ring_idx == ring_len {
-                ring_idx = 0;
-            }
-            arrive_idx += 1;
-            if arrive_idx == ring_len {
-                arrive_idx = 0;
-            }
-        }
-        abs_slot
-    }
-
-    /// Fault-free slot: no failed nodes, no omitted columns, no erasure
-    /// or corruption, and no detector feeding (the fault boundary that
-    /// would consume the credit never runs), so each (node, uplink)
-    /// opportunity collapses to table lookup + transmit + ring push.
-    fn slot_clean<O: SlotObserver>(
-        &mut self,
-        abs_slot: u64,
-        t: SlotInEpoch,
-        arrive_idx: usize,
-        obs: &mut O,
-    ) {
-        if !O::ENABLED && self.tx.mode != CcMode::Ideal {
-            // Same range function the shard workers run — per-node
-            // decisions cannot diverge between serial and sharded.
-            shard::tx_clean_range(
-                self.tx.mode,
-                &mut self.nodes,
-                0,
-                &self.tables,
-                t,
-                &mut self.delivery.ring[arrive_idx],
-            );
-            return;
-        }
-        let uplinks = self.tables.uplinks();
-        let view = self.tables.slot_view(t);
-        let ring = &mut self.delivery.ring[arrive_idx];
-        for i in 0..self.nodes.len() {
-            // A node with nothing sendable returns Idle on every uplink;
-            // skip the per-uplink probes. The audit still wants its
-            // per-slot reception feed, so only the unobserved path skips.
-            if !O::ENABLED && self.tx.node_idle(&self.nodes[i]) {
-                continue;
-            }
-            let row = view.node(i);
-            for u in 0..uplinks as u16 {
-                let j = row.at(u as usize);
-                obs.note_rx(abs_slot, j, u);
-                let tx = self.tx.transmit(&mut self.nodes, i, j);
-                if let SlotTx::Relay(c) | SlotTx::ToIntermediate(c) = tx {
-                    obs.note_data_tx(abs_slot, NodeId(i as u32), u);
-                    ring.push((j, u, c));
+                abs_slot += 1;
+                t += 1;
+                if t == epoch_slots {
+                    t = 0;
+                    cur_epoch += 1;
+                }
+                ring_idx += 1;
+                if ring_idx == ring_len {
+                    ring_idx = 0;
+                }
+                arrive_idx += 1;
+                if arrive_idx == ring_len {
+                    arrive_idx = 0;
                 }
             }
-        }
-    }
-
-    /// Fully-armed slot: mistune corruption, grey-erasure draws, detector
-    /// credit, dead-slot (omission) checks and loss attribution — the
-    /// original monolithic loop body, phrased against the planes.
-    fn slot_faulty<O: SlotObserver>(
-        &mut self,
-        abs_slot: u64,
-        t: SlotInEpoch,
-        arrive_idx: usize,
-        cur_epoch: u64,
-        arrival_epoch: u64,
-        obs: &mut O,
-    ) {
-        let n_nodes = self.tables.nodes();
-        let uplinks = self.tables.uplinks();
-        if self.faults.active.any_mistune() {
-            self.faults
-                .mistune_prepass(abs_slot, t, &self.failure_plane, &self.tables, obs);
-        }
-        if !O::ENABLED && self.tx.mode != CcMode::Ideal {
-            // Same range function the shard workers run, over the full
-            // node range, with the effects applied in the same order the
-            // sharded merge uses — serial and sharded runs are identical
-            // by construction.
-            let mut out = std::mem::take(&mut self.fault_scratch);
-            shard::tx_faulty_range(
-                self.tx.mode,
-                &mut self.nodes,
-                &mut self.fault_rngs,
-                0,
-                &self.tables,
-                &self.sched,
-                &self.failure_plane,
-                &self.faults,
-                t,
-                &mut out,
-            );
-            self.delivery.ring[arrive_idx].append(&mut out.ring);
-            for &(ni, u, j) in &out.credits {
-                self.detect.credit(ni, u, j, arrival_epoch);
-            }
-            out.credits.clear();
-            self.faults.report.cells_lost_grey += out.lost_grey;
-            self.faults.report.cells_lost_mistune += out.lost_mistune;
-            self.faults.report.cells_forged += out.forged_tx;
-            out.lost_grey = 0;
-            out.lost_mistune = 0;
-            out.forged_tx = 0;
-            self.fault_scratch = out;
-            self.faults.end_slot();
-            return;
-        }
-        let view = self.tables.slot_view(t);
-        for i in 0..n_nodes as u32 {
-            let ni = NodeId(i);
-            if self.failure_plane.is_failed(ni) {
-                continue; // fail-stop: no data, no keepalive carrier
-            }
-            let mistuned = self.faults.active.mistune_of(ni).is_some();
-            let row = view.node(i as usize);
-            for u in 0..uplinks as u16 {
-                let j = row.at(u as usize);
-                // One erasure draw per scheduled slot on a grey link
-                // (never per cell), from the sender's own RNG stream —
-                // fault scripts leave the protocol RNG untouched, and the
-                // draw sequence is independent of the shard partition.
-                let grey_p = self.faults.active.grey_prob(ni, u, uplinks);
-                let erased = self.faults.active.any_grey()
-                    && grey_p > 0.0
-                    && self.fault_rngs[i as usize].gen_bool(grey_p);
-                let corrupted_by = self.faults.corrupted_by(j, u);
-                if !mistuned {
-                    obs.note_rx(abs_slot, j, u);
-                }
-                // §4.5 detection feeds on the carrier itself: any
-                // well-tuned, non-erased transmission — idle keepalives
-                // included — counts as "heard", which is why an alive
-                // sender can never be falsely suspected.
-                if !mistuned
-                    && !erased
-                    && corrupted_by.is_none()
-                    && !self.failure_plane.is_failed(j)
-                {
-                    self.detect.credit(ni, u, j, arrival_epoch);
-                }
-                if self.sched.is_omitted(ni)
-                    || self.sched.is_omitted(j)
-                    || self.sched.is_column_omitted(ni, UplinkId(u))
-                {
-                    continue; // dead slot: keepalive carrier only
-                }
-                let tx = self.tx.transmit(&mut self.nodes, i as usize, j);
-                let (cell, to_intermediate) = match tx {
-                    SlotTx::Relay(c) => (Some(c), false),
-                    SlotTx::ToIntermediate(c) => (Some(c), true),
-                    SlotTx::Idle => {
-                        // A Byzantine node fills its own idle slots with
-                        // counterfeits — same draw discipline as the
-                        // unobserved path in `shard::tx_faulty_range`.
-                        let byz_p = self.faults.active.byz_prob(ni);
-                        if byz_p > 0.0
-                            && !mistuned
-                            && !erased
-                            && corrupted_by.is_none()
-                            && self.fault_rngs[i as usize].gen_bool(byz_p)
-                        {
-                            let c =
-                                shard::forge_cell(&mut self.fault_rngs[i as usize], ni, j, n_nodes);
-                            obs.note_forged_tx(ni, cur_epoch);
-                            self.faults.report.cells_forged += 1;
-                            self.delivery.ring[arrive_idx].push((j, u, c));
-                        }
-                        (None, false)
-                    }
-                };
-                if let Some(c) = cell {
-                    // Safety net: the dead-slot check above must make
-                    // this unreachable for omitted columns.
-                    obs.note_data_tx(abs_slot, ni, u);
-                    let lost = if mistuned {
-                        Some((LossCause::Mistune, ni))
-                    } else if erased {
-                        Some((LossCause::Grey, ni))
-                    } else {
-                        corrupted_by.map(|m| (LossCause::Mistune, m))
-                    };
-                    match lost {
-                        None => self.delivery.ring[arrive_idx].push((j, u, c)),
-                        Some((cause, blame)) => {
-                            obs.note_lost(cause, blame, cur_epoch);
-                            match cause {
-                                LossCause::Grey => self.faults.report.cells_lost_grey += 1,
-                                LossCause::Mistune => self.faults.report.cells_lost_mistune += 1,
-                                LossCause::Crash | LossCause::Byzantine => unreachable!(),
-                            }
-                            // The launch counted into the ideal-mode
-                            // shadow occupancy never arrives.
-                            self.tx.undo_lost_launch(j, &c, to_intermediate);
-                        }
-                    }
-                }
-            }
-        }
-        self.faults.end_slot();
+            abs_slot
+        })
     }
 }

@@ -3,30 +3,27 @@
 //! The invariant audit ([`crate::audit`]) probes the hot loop at every
 //! reception, transmission and delivery. Routing those probes through a
 //! trait with a const `ENABLED` flag lets the engine monomorphize two
-//! copies of the run loop: the audited copy delegates to the real
-//! [`Audit`], and the release copy ([`NullObserver`]) compiles every
-//! probe down to nothing — not even the disabled-audit branch the old
-//! monolithic loop paid per event.
+//! copies of the run loop: the audited copy runs with the
+//! [`crate::audit::Audit`] itself as the observer, and the release copy
+//! ([`NullObserver`]) compiles every probe down to nothing.
 //!
-//! **Observation order contract:** audit-enabled runs always take the
-//! serial loop ([`crate::sirius_net::SiriusSim::run_loop`]), so every
-//! probe — including the deliver-phase ones (`note_delivery`,
-//! `note_blackholed`, `note_forged_dropped`), which
-//! [`crate::engine::deliver::deliver_range`] fires from inside the
-//! range-parameterized pass — observes events in the serial (due-index)
-//! order. Sharded runs instantiate the workers with [`NullObserver`]
-//! only; an observer with state must never be handed to a shard worker,
-//! because per-shard probe order is the shard's local order, not the
-//! global one.
+//! **Observation order contract:** an enabled observer clamps the driver
+//! to one shard and is handed to that shard only (see
+//! [`crate::engine::tx`]), so every probe — including the phase-internal
+//! ones the range functions fire — observes events in the serial order.
+//! The other shards of a sharded run always run the [`NullObserver`]
+//! instantiation: per-shard probe order is the shard's local order, not
+//! the global one.
 
-use crate::audit::{Audit, LossCause};
+use crate::audit::LossCause;
 use sirius_core::cell::Cell;
 use sirius_core::node::SiriusNode;
 use sirius_core::topology::NodeId;
 
-/// Per-slot observation points of the engine. Mirrors the [`Audit`]
-/// probe API; see the methods of the same names there for semantics.
-pub(crate) trait SlotObserver {
+/// Per-slot observation points of the engine; [`crate::audit::Audit`]'s
+/// implementation documents each probe's semantics. `Send` because the
+/// observer crosses into the phase closures the pool broadcasts.
+pub(crate) trait SlotObserver: Send {
     /// `true` only for observers that do work. The engine consults this
     /// to skip *computing probe inputs* (e.g. the in-flight sum fed to
     /// `epoch_check`); the probe calls themselves need no guard — the
@@ -80,80 +77,4 @@ impl SlotObserver for NullObserver {
     fn note_forged_dropped(&mut self) {}
     #[inline(always)]
     fn epoch_check(&mut self, _: u64, _: &[SiriusNode], _: u64) {}
-}
-
-/// The audited path: owns the run's [`Audit`] for the duration of the
-/// loop (the simulator takes it back via [`into_audit`] afterward) and
-/// forwards every probe.
-///
-/// [`into_audit`]: AuditObserver::into_audit
-pub(crate) struct AuditObserver {
-    audit: Audit,
-}
-
-impl AuditObserver {
-    pub fn new(audit: Audit) -> AuditObserver {
-        AuditObserver { audit }
-    }
-
-    pub fn into_audit(self) -> Audit {
-        self.audit
-    }
-}
-
-impl SlotObserver for AuditObserver {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn note_rx(&mut self, slot: u64, dst: NodeId, uplink: u16) {
-        self.audit.note_rx(slot, dst, uplink);
-    }
-    #[inline]
-    fn note_rx_mistuned(&mut self, slot: u64, dst: NodeId, uplink: u16) {
-        self.audit.note_rx_mistuned(slot, dst, uplink);
-    }
-    #[inline]
-    fn note_data_tx(&mut self, slot: u64, node: NodeId, uplink: u16) {
-        self.audit.note_data_tx(slot, node, uplink);
-    }
-    #[inline]
-    fn end_slot(&mut self) {
-        self.audit.end_slot();
-    }
-    #[inline]
-    fn note_injected(&mut self) {
-        self.audit.note_injected();
-    }
-    #[inline]
-    fn note_delivery(&mut self, cell: &Cell, released_cells: u32) {
-        self.audit.note_delivery(cell, released_cells);
-    }
-    #[inline]
-    fn note_lost(&mut self, cause: LossCause, node: NodeId, epoch: u64) {
-        self.audit.note_lost(cause, node, epoch);
-    }
-    #[inline]
-    fn note_blackholed(&mut self, node: NodeId, epoch: u64) {
-        self.audit.note_blackholed(node, epoch);
-    }
-    #[inline]
-    fn note_suspicion(&mut self, epoch: u64, node: NodeId) {
-        self.audit.note_suspicion(epoch, node);
-    }
-    #[inline]
-    fn note_column_omitted(&mut self, node: NodeId, uplink: u16, omitted: bool) {
-        self.audit.note_column_omitted(node, uplink, omitted);
-    }
-    #[inline]
-    fn note_forged_tx(&mut self, node: NodeId, epoch: u64) {
-        self.audit.note_forged_tx(node, epoch);
-    }
-    #[inline]
-    fn note_forged_dropped(&mut self) {
-        self.audit.note_forged_dropped();
-    }
-    #[inline]
-    fn epoch_check(&mut self, epoch: u64, nodes: &[SiriusNode], in_flight: u64) {
-        self.audit.epoch_check(epoch, nodes, in_flight);
-    }
 }

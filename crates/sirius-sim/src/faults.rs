@@ -178,6 +178,54 @@ impl FaultEvent {
             FaultEvent::Byzantine { .. } => "Byzantine",
         }
     }
+
+    /// The blast radius of a correlated-domain event in a deployment of
+    /// `n` nodes in groups of `group_size` (= AWGR ports = bank
+    /// wavelengths per group): the TX columns it degrades, one per
+    /// affected node, all on the event's uplink. A bank chip's channel
+    /// band maps through the AWGR's cyclic route relation to one output
+    /// port — one node's column — per dead channel; a grating band is
+    /// its input-port range directly. Empty for every other event.
+    pub fn columns(&self, group_size: usize, n: usize) -> Vec<(NodeId, u16)> {
+        let (group, uplink, ports) = match *self {
+            FaultEvent::BankFailure {
+                group,
+                uplink,
+                chip,
+                chip_capacity,
+                ..
+            }
+            | FaultEvent::BankDrift {
+                group,
+                uplink,
+                chip,
+                chip_capacity,
+                ..
+            } => {
+                let input = uplink % group_size as u16;
+                let ports =
+                    Awgr::new(group_size as u16).dead_outputs_for_chip(input, chip, chip_capacity);
+                (group, uplink, ports)
+            }
+            FaultEvent::GratingFault {
+                group,
+                uplink,
+                port_lo,
+                port_hi,
+                ..
+            } => {
+                let ports = (port_lo..port_hi.min(group_size as u16)).collect();
+                (group, uplink, ports)
+            }
+            _ => return Vec::new(),
+        };
+        ports
+            .into_iter()
+            .map(|port| group as usize * group_size + port as usize)
+            .filter(|&node| node < n)
+            .map(|node| (NodeId(node as u32), uplink))
+            .collect()
+    }
 }
 
 /// A malformed fault script, rejected at build time by
@@ -853,14 +901,15 @@ impl FaultInjector {
         out.byz.clear();
         out.byz_extra.clear();
         out.byz_nodes.clear();
-        let kill_column = |out: &mut ActiveFaults, node: usize, uplink: u16| {
-            if node >= n {
-                return;
-            }
+        // Compound erasure probability `p` into a TX column's accumulator
+        // (overlapping windows on one link compound). A dead column is
+        // `p = 1.0`, assigned rather than compounded so it is exactly 1.
+        let grey = |out: &mut ActiveFaults, node: NodeId, uplink: u16, p: f64| {
             if out.grey.is_empty() {
                 out.grey.resize(n * uplinks, 0.0);
             }
-            out.grey[node * uplinks + uplink as usize] = 1.0;
+            let acc = &mut out.grey[node.0 as usize * uplinks + uplink as usize];
+            *acc = if p == 1.0 { 1.0 } else { *acc + (p - *acc * p) };
         };
         for e in &self.events {
             match *e {
@@ -870,15 +919,7 @@ impl FaultInjector {
                     drop_prob,
                     from,
                     until,
-                } if (from..until).contains(&epoch) => {
-                    if out.grey.is_empty() {
-                        out.grey.resize(n * uplinks, 0.0);
-                    }
-                    let idx = node.0 as usize * uplinks + uplink as usize;
-                    // Overlapping windows on one link compound (this form
-                    // is exact when the accumulator is still zero).
-                    out.grey[idx] += drop_prob - out.grey[idx] * drop_prob;
-                }
+                } if (from..until).contains(&epoch) => grey(out, node, uplink, drop_prob),
                 FaultEvent::Mistune {
                     node,
                     offset,
@@ -900,36 +941,26 @@ impl FaultInjector {
                 } if (from..until).contains(&epoch) => {
                     out.control_loss += drop_prob - out.control_loss * drop_prob;
                 }
-                FaultEvent::BankFailure {
-                    group,
-                    uplink,
-                    chip,
-                    chip_capacity,
-                    from,
-                    until,
-                } if (from..until).contains(&epoch) => {
-                    // Each dead channel silences one AWGR output port =
-                    // one node's TX column on this uplink (a p=1.0 grey
-                    // column, so the whole detection/repair stack sees
-                    // it through the tested grey paths).
-                    let awgr = Awgr::new(group_size as u16);
-                    let input = uplink % group_size as u16;
-                    for port in awgr.dead_outputs_for_chip(input, chip, chip_capacity) {
-                        let node = group as usize * group_size + port as usize;
-                        kill_column(out, node, uplink);
+                // Each dead channel or port silences one node's TX column
+                // on this uplink: a p = 1.0 grey column, so the whole
+                // detection/repair stack sees it through the tested grey
+                // paths.
+                FaultEvent::BankFailure { from, until, .. }
+                | FaultEvent::GratingFault { from, until, .. }
+                    if (from..until).contains(&epoch) =>
+                {
+                    for (node, uplink) in e.columns(group_size, n) {
+                        grey(out, node, uplink, 1.0);
                     }
                 }
                 FaultEvent::BankDrift {
-                    group,
-                    uplink,
-                    chip,
-                    chip_capacity,
                     rx_dbm_from,
                     rx_dbm_to,
                     modulation,
                     cell_bytes,
                     from,
                     until,
+                    ..
                 } if (from..until).contains(&epoch) => {
                     // Linear power ramp across the window; the BER/FEC
                     // stack turns this epoch's power into this epoch's
@@ -939,32 +970,9 @@ impl FaultInjector {
                     let rx_dbm = rx_dbm_from + (rx_dbm_to - rx_dbm_from) * t;
                     let p = cell_drop_probability(rx_dbm, modulation, cell_bytes);
                     if p > 0.0 {
-                        let awgr = Awgr::new(group_size as u16);
-                        let input = uplink % group_size as u16;
-                        for port in awgr.dead_outputs_for_chip(input, chip, chip_capacity) {
-                            let node = group as usize * group_size + port as usize;
-                            if node >= n {
-                                continue;
-                            }
-                            if out.grey.is_empty() {
-                                out.grey.resize(n * uplinks, 0.0);
-                            }
-                            let idx = node * uplinks + uplink as usize;
-                            out.grey[idx] += p - out.grey[idx] * p;
+                        for (node, uplink) in e.columns(group_size, n) {
+                            grey(out, node, uplink, p);
                         }
-                    }
-                }
-                FaultEvent::GratingFault {
-                    group,
-                    uplink,
-                    port_lo,
-                    port_hi,
-                    from,
-                    until,
-                } if (from..until).contains(&epoch) => {
-                    for port in port_lo..port_hi.min(group_size as u16) {
-                        let node = group as usize * group_size + port as usize;
-                        kill_column(out, node, uplink);
                     }
                 }
                 FaultEvent::Byzantine {
@@ -1206,6 +1214,48 @@ mod tests {
             assert_eq!(af.grey_prob(NodeId(n), 0, 2), expect);
             assert_eq!(af.grey_prob(NodeId(n), 1, 2), 0.0);
         }
+    }
+
+    #[test]
+    fn blast_radius_is_one_column_per_node_clipped_to_the_deployment() {
+        let cols = |inj: FaultInjector, g, n| inj.events()[0].columns(g, n);
+        // The two expansions the refresh tests above see through the
+        // snapshot, named directly.
+        assert_eq!(
+            cols(
+                FaultInjector::new(1).bank_failure(1, 1, 0, 2, 10, 20),
+                4,
+                16
+            ),
+            vec![(NodeId(5), 1), (NodeId(6), 1)]
+        );
+        assert_eq!(
+            cols(FaultInjector::new(1).grating_fault(0, 0, 1, 3, 0, 5), 4, 8),
+            vec![(NodeId(1), 0), (NodeId(2), 0)]
+        );
+        // A drift has its failure's radius; nodes past the deployment's
+        // end (a partial last group) are not in it.
+        let drift = FaultInjector::new(1).bank_drift(
+            1,
+            1,
+            0,
+            2,
+            -4.0,
+            -20.0,
+            Modulation::Pam4_50,
+            562,
+            1,
+            9,
+        );
+        assert_eq!(cols(drift, 4, 6), vec![(NodeId(5), 1)]);
+        // Point faults have no correlated radius.
+        assert!(cols(
+            FaultInjector::new(1).grey_link(NodeId(2), 1, 0.5, 0, 9),
+            4,
+            16
+        )
+        .is_empty());
+        assert!(cols(FaultInjector::new(1).crash(NodeId(2), 3), 4, 16).is_empty());
     }
 
     #[test]

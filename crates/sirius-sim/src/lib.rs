@@ -29,6 +29,11 @@
 //! assert_eq!(metrics.incomplete_flows, 0);
 //! ```
 
+// Compiler-enforced budget: the only `allow`s are on `engine::pool` (the
+// broadcast's closure-lifetime erasure) and the `FlowSlots` element view
+// in `engine::deliver`.
+#![deny(unsafe_code)]
+
 pub mod audit;
 pub(crate) mod engine;
 pub mod esn;

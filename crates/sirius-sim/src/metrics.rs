@@ -161,7 +161,7 @@ impl FaultReport {
 /// factor-of-√2 relative error — sufficient for the scale series'
 /// order-of-magnitude FCT columns, while `min`/`max`/`mean` stay exact.
 ///
-/// The slice path ([`RunMetrics::fct_percentile`]) keeps every
+/// A materialized run ([`RunMetrics::fct_percentile`]) keeps every
 /// [`FlowRecord`] and sorts for exact percentiles; the streaming path
 /// evicts flow state at completion, so this histogram is the only FCT
 /// signal that survives a memory-bounded run.
@@ -277,8 +277,8 @@ pub struct RunMetrics {
     /// entry-count peak. On the streaming path
     /// ([`crate::SiriusSim::run_streaming`]) this tracks flows *in
     /// flight* and is the memory-boundedness gate the scale series
-    /// checks; on the slice path every flow stays resident, so it is ≈
-    /// total flows.
+    /// checks; under [`crate::SiriusSim::run`] every flow stays resident,
+    /// so it is ≈ total flows.
     pub resident_flows_max: u64,
     /// Cell wire size used (to convert occupancies to bytes), 0 if N/A.
     pub cell_bytes: u32,

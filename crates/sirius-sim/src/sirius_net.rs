@@ -26,14 +26,13 @@
 //!
 //! This module holds configuration, construction and the epoch-boundary
 //! congestion-control round; the per-slot hot loop lives in
-//! `crate::engine` (crate-private), decomposed into fault / detect /
-//! tx / deliver planes with the invariant audit behind a zero-cost
-//! observer.
+//! `crate::engine` (crate-private): one phased driver over a generic
+//! worker pool, with the invariant audit behind a zero-cost observer.
 
-use crate::audit::{Audit, LossCause, RunDigest};
+use crate::audit::{Audit, AuditReport, RunDigest};
+use crate::engine::deliver::FlowSlots;
 use crate::engine::{
-    AuditObserver, DeliverPlane, DestTable, DetectPlane, FaultPlane, NullObserver, SlotObserver,
-    TxPlane,
+    DeliverPlane, DestTable, DetectPlane, FaultPlane, NullObserver, SlotObserver, TxPlane,
 };
 use crate::faults::{FaultEvent, FaultInjector};
 use crate::metrics::{FctHistogram, FlowRecord, RunMetrics};
@@ -41,16 +40,16 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sirius_core::cell::{Cell, FlowId};
 use sirius_core::config::SiriusConfig;
-use sirius_core::fault::{FailurePlane, FaultConfig, LinkDetector};
+use sirius_core::fault::{FailurePlane, FaultConfig};
 use sirius_core::node::SiriusNode;
 use sirius_core::repair::AdjustedSchedule;
 use sirius_core::schedule::Schedule;
 use sirius_core::topology::{NodeId, ServerId};
 use sirius_core::units::{Duration, Time};
 use sirius_core::vlb::Vlb;
-use sirius_optics::awgr::Awgr;
 use sirius_workload::Flow;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Congestion-control mode for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,10 +87,9 @@ pub struct SiriusSimConfig {
     /// [`sirius_core::node::SiriusNode::set_relay_burst`]).
     pub relay_burst: u8,
     /// Worker shards for the slot engine (`1` = serial, the default).
-    /// Sharded runs are digest-identical to serial (see
-    /// `crate::engine::shard`); Ideal mode and audit-enabled runs fall
-    /// back to the serial loop regardless. Defaults to `SIRIUS_SHARDS`
-    /// when that is set to an integer ≥ 1.
+    /// Sharded runs are digest-identical to serial (see `crate::engine`);
+    /// Ideal mode and audit-enabled runs use one shard regardless.
+    /// Defaults to `SIRIUS_SHARDS` when that is set to an integer ≥ 1.
     pub shards: usize,
     /// Record per-plane wall-clock breakdown (`tx_secs` / `deliver_secs`
     /// / `merge_secs` in [`crate::RunMetrics`]). Off by default: the
@@ -111,7 +109,7 @@ impl SiriusSimConfig {
             audit: cfg!(debug_assertions),
             fault: FaultConfig::default(),
             relay_burst: sirius_core::node::RELAY_BURST,
-            shards: crate::engine::shard::env_default_shards(),
+            shards: env_default_shards(),
             plane_timing: false,
         }
     }
@@ -145,9 +143,8 @@ impl SiriusSimConfig {
         self.relay_burst = burst;
         self
     }
-    /// Shard the slot engine's TX phase across `shards` worker threads
-    /// (see [`SiriusSimConfig::shards`]). `1` is a true no-spawn serial
-    /// path.
+    /// Shard the slot engine's per-slot phases across `shards` threads
+    /// (see [`SiriusSimConfig::shards`]). `1` spawns nothing.
     pub fn with_shards(mut self, shards: usize) -> SiriusSimConfig {
         assert!(shards >= 1, "shards must be >= 1");
         self.shards = shards;
@@ -159,6 +156,24 @@ impl SiriusSimConfig {
         self.plane_timing = on;
         self
     }
+}
+
+/// Default shard count when [`SiriusSimConfig::with_shards`] is not
+/// called: `SIRIUS_SHARDS` if set to an integer ≥ 1, else 1 (serial).
+/// The parse is cached and a malformed value warns exactly once per
+/// process (same contract as `SIRIUS_JOBS` in the bench harness).
+fn env_default_shards() -> usize {
+    static CACHE: OnceLock<usize> = OnceLock::new();
+    *CACHE.get_or_init(|| match std::env::var("SIRIUS_SHARDS") {
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                eprintln!("warning: ignoring SIRIUS_SHARDS={v:?} (want an integer >= 1)");
+                1
+            }
+        },
+        Err(_) => 1,
+    })
 }
 
 /// Per-flow simulation state.
@@ -183,15 +198,15 @@ const _: () = {
     assert_send::<FlowSt>()
 };
 
-/// Slab of per-flow state. The slice path ([`SiriusSim::run`]) populates
-/// it once and never frees; the streaming path ([`SiriusSim::run_streaming`])
-/// allocates per admission and evicts on completion, so the slab's
+/// Slab of per-flow state, filled one admission at a time. A streaming
+/// run ([`SiriusSim::run_streaming`]) evicts on completion, so the slab's
 /// occupancy tracks flows *in flight*, not flows *ever seen* — the
 /// memory bound that lets the scale-out series push total flow counts
-/// into the millions. Slot indices are the engine's `FlowId`s; a slot is
-/// only reused after its flow completed (every cell delivered and the
-/// reorder entry retired), so a recycled id can never collide with a
-/// live cell.
+/// into the millions; a materialized run ([`SiriusSim::run`]) never
+/// evicts, so slot `i` is workload flow `i`. Slot indices are the
+/// engine's `FlowId`s; a slot is only reused after its flow completed
+/// (every cell delivered and the reorder entry retired), so a recycled
+/// id can never collide with a live cell.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
     slots: Vec<FlowSt>,
@@ -203,30 +218,14 @@ pub(crate) struct FlowTable {
 }
 
 impl FlowTable {
-    /// Bulk-load a materialized workload (slice path): slot `i` is flow
-    /// `i`, nothing is ever freed.
-    fn populate(&mut self, workload: &[Flow], payload: u32) {
-        debug_assert!(self.slots.is_empty());
-        self.slots = workload
-            .iter()
-            .map(|f| FlowSt {
-                bytes: f.bytes,
-                arrival: f.arrival,
-                src_server: f.src_server,
-                dst_server: f.dst_server,
-                cells_total: Cell::count_for(f.bytes, payload),
-                cells_injected: 0,
-                delivered: 0,
-                completion: None,
-            })
-            .collect();
-        self.occupied = vec![true; self.slots.len()];
-        self.admitted = self.slots.len() as u64;
-        self.resident = self.admitted;
-        self.resident_peak = self.admitted;
+    /// Size the slab for `n` flows that will all stay resident, so lazy
+    /// admission never pays (or keeps the slack of) `Vec` doubling.
+    fn reserve(&mut self, n: usize) {
+        self.slots.reserve_exact(n);
+        self.occupied.reserve_exact(n);
     }
 
-    /// Admit one flow into a free slot (streaming path).
+    /// Admit one flow into a free slot.
     fn alloc(&mut self, f: &Flow, payload: u32) -> u32 {
         let st = FlowSt {
             bytes: f.bytes,
@@ -265,11 +264,6 @@ impl FlowTable {
         self.resident -= 1;
     }
 
-    /// Slab size (largest flow id ever issued + 1).
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Flows admitted over the whole run.
     pub(crate) fn admitted(&self) -> u64 {
         self.admitted
@@ -280,19 +274,18 @@ impl FlowTable {
         self.resident_peak
     }
 
-    /// Raw element view of the slab for the deliver phase (see
-    /// [`crate::engine::deliver::FlowSlots`]): arrival effects are
-    /// receiver-local but flow ids are receiver-interleaved in slot
-    /// order, so shard workers index disjoint *elements*, never disjoint
-    /// ranges. The view is valid for one slot: the slab only grows (and
-    /// the `Vec` only reallocates) at epoch boundaries, and eviction is
-    /// replayed serially in the epilogue.
-    pub(crate) fn raw_view(&mut self) -> crate::engine::deliver::FlowSlots {
-        crate::engine::deliver::FlowSlots::new(self.slots.as_mut_ptr(), self.slots.len())
+    /// Element view of the slab for the deliver phase (see [`FlowSlots`]):
+    /// arrival effects are receiver-local but flow ids are
+    /// receiver-interleaved in slot order, so shards index disjoint
+    /// *elements*, never disjoint ranges. The view borrows the slab, so
+    /// growth (epoch boundaries) and eviction (replayed serially in the
+    /// merge) cannot overlap it.
+    pub(crate) fn element_view(&mut self) -> FlowSlots<'_> {
+        FlowSlots::new(&mut self.slots)
     }
 
-    /// Occupied slots in slot order (for the slice path this is every
-    /// flow in workload order, so digests and records are unchanged).
+    /// Occupied slots in slot order (without eviction: every admitted
+    /// flow, in workload order).
     pub(crate) fn iter_occupied(&self) -> impl Iterator<Item = &FlowSt> {
         self.slots
             .iter()
@@ -316,54 +309,12 @@ impl std::ops::IndexMut<usize> for FlowTable {
     }
 }
 
-/// Where the slot loop's flows come from: a pre-populated slice or a
-/// lazy stream. The loop only ever asks three questions — "has another
-/// flow arrived by `now`?", "are we done?", "when do we give up?" — so
-/// both sources stay O(1) in state beyond the [`FlowTable`] itself.
-pub(crate) trait FlowSource {
-    /// Admit the next flow with `arrival <= now` into the table,
-    /// returning its slot, or `None` if no further flow has arrived yet.
-    fn pop_arrived(&mut self, now: Time, table: &mut FlowTable) -> Option<u32>;
-    /// True once every flow this source will ever produce has completed.
-    fn finished(&self, table: &FlowTable, completed: u64) -> bool;
-    /// Absolute give-up time (last arrival + drain timeout). A stream
-    /// reports `u64::MAX` ps until it knows its last arrival.
-    fn deadline(&self) -> Time;
-}
-
-/// Slice-path source over a pre-populated [`FlowTable`]: reproduces the
-/// original admission scan exactly (slot `i` is workload flow `i`).
-pub(crate) struct SliceSource {
-    next: usize,
-    total: u64,
-    deadline: Time,
-}
-
-impl FlowSource for SliceSource {
-    fn pop_arrived(&mut self, now: Time, table: &mut FlowTable) -> Option<u32> {
-        if self.next < table.len() && table[self.next].arrival <= now {
-            let fi = self.next as u32;
-            self.next += 1;
-            Some(fi)
-        } else {
-            None
-        }
-    }
-
-    fn finished(&self, _table: &FlowTable, completed: u64) -> bool {
-        completed >= self.total
-    }
-
-    fn deadline(&self) -> Time {
-        self.deadline
-    }
-}
-
-/// Streaming source: pulls flows from an iterator one admission at a
-/// time, holding a single-flow lookahead. The lookahead refills
-/// immediately after each admission, so exhaustion (and with it the
-/// drain deadline) is discovered at the same epoch boundary the last
-/// flow is admitted — matching when the slice path would have known it.
+/// Where the slot loop's flows come from: an iterator pulled one
+/// admission at a time, holding a single-flow lookahead, so the source
+/// stays O(1) in state beyond the [`FlowTable`] itself. The lookahead
+/// refills immediately after each admission, so exhaustion (and with it
+/// the drain deadline) is discovered at the same epoch boundary the last
+/// flow is admitted.
 pub(crate) struct StreamSource<I: Iterator<Item = Flow>> {
     iter: I,
     lookahead: Option<Flow>,
@@ -375,12 +326,7 @@ pub(crate) struct StreamSource<I: Iterator<Item = Flow>> {
 }
 
 impl<I: Iterator<Item = Flow>> StreamSource<I> {
-    pub(crate) fn new(
-        mut iter: I,
-        drain: Duration,
-        payload: u32,
-        total_servers: usize,
-    ) -> StreamSource<I> {
+    fn new(mut iter: I, drain: Duration, payload: u32, total_servers: usize) -> StreamSource<I> {
         let lookahead = iter.next();
         let deadline = if lookahead.is_none() {
             Time::ZERO + drain
@@ -397,9 +343,9 @@ impl<I: Iterator<Item = Flow>> StreamSource<I> {
             total_servers,
         }
     }
-}
 
-impl<I: Iterator<Item = Flow>> FlowSource for StreamSource<I> {
+    /// Admit the next flow with `arrival <= now` into the table,
+    /// returning its slot, or `None` if no further flow has arrived yet.
     fn pop_arrived(&mut self, now: Time, table: &mut FlowTable) -> Option<u32> {
         if self.lookahead.as_ref()?.arrival > now {
             return None;
@@ -423,11 +369,14 @@ impl<I: Iterator<Item = Flow>> FlowSource for StreamSource<I> {
         Some(fi)
     }
 
-    fn finished(&self, table: &FlowTable, completed: u64) -> bool {
+    /// True once every flow this source will ever produce has completed.
+    pub(crate) fn finished(&self, table: &FlowTable, completed: u64) -> bool {
         self.lookahead.is_none() && completed >= table.admitted()
     }
 
-    fn deadline(&self) -> Time {
+    /// Absolute give-up time (last arrival + drain timeout): `u64::MAX`
+    /// ps until the last arrival is known.
+    pub(crate) fn deadline(&self) -> Time {
         self.deadline
     }
 }
@@ -476,24 +425,19 @@ pub struct SiriusSim {
     pub(crate) detect: DetectPlane,
     pub(crate) tx: TxPlane,
     pub(crate) delivery: DeliverPlane,
-    pub(crate) audit: Audit,
+    /// The invariant audit, when [`SiriusSimConfig::audit`] is on.
+    pub(crate) audit: Option<Audit>,
     /// Per-node grey-erasure RNG streams (empty until a fault script is
-    /// armed in [`SiriusSim::run`]); node `i`'s draw sequence depends
+    /// armed at the start of the run); node `i`'s draw sequence depends
     /// only on the seed and `i`, never on the shard partition.
     pub(crate) fault_rngs: Vec<SmallRng>,
-    /// Serial-path reuse buffer for the shared faulty-slot range
-    /// function's output (the sharded path keeps one per shard).
-    pub(crate) fault_scratch: crate::engine::shard::ShardOut,
-    /// Serial-path reuse buffer for the shared deliver range function's
-    /// output (the sharded path keeps one per shard).
-    pub(crate) deliver_scratch: crate::engine::deliver::DeliverOut,
     /// Per-plane wall-clock accumulators (populated only when
     /// [`SiriusSimConfig::plane_timing`] is on).
     pub(crate) plane_times: crate::engine::PlaneTimes,
     /// Streaming mode: free a flow's slab slot the moment it completes,
     /// folding its terminal state into [`SiriusSim::stream_fold`] so the
-    /// run digest still covers every flow. Slice runs keep this off and
-    /// their digests byte-identical to before.
+    /// run digest still covers every flow. [`SiriusSim::run`] keeps this
+    /// off: every flow stays resident and is reported.
     pub(crate) evict_completed: bool,
     /// Digest accumulator over evicted flows' terminal (delivered,
     /// completion) pairs, in eviction order. Eviction happens only in
@@ -558,14 +502,16 @@ impl SiriusSim {
         let epoch_credit_bytes = ((net.server_rate.as_bps() as i128 / 8)
             * net.epoch().as_ps() as i128
             / 1_000_000_000_000) as i64;
-        let audit = Audit::new(
-            cfg.audit,
-            n,
-            sched.uplinks(),
-            net.queue_threshold,
-            // The greedy ablation deliberately abandons the §4.3 bound.
-            cfg.mode != CcMode::Greedy,
-        );
+        let audit = cfg.audit.then(|| {
+            Audit::new(
+                true,
+                n,
+                sched.uplinks(),
+                net.queue_threshold,
+                // The greedy ablation deliberately abandons the §4.3 bound.
+                cfg.mode != CcMode::Greedy,
+            )
+        });
         let tables = DestTable::new(&sched);
         let total_servers = net.total_servers();
         let queue_threshold = net.queue_threshold as u32;
@@ -586,8 +532,6 @@ impl SiriusSim {
             tx: TxPlane::new(cfg.mode, n, queue_threshold),
             delivery: DeliverPlane::new(ring_len, total_servers),
             fault_rngs: Vec::new(),
-            fault_scratch: Default::default(),
-            deliver_scratch: Default::default(),
             plane_times: Default::default(),
             evict_completed: false,
             stream_fold: RunDigest::new(),
@@ -637,153 +581,13 @@ impl SiriusSim {
         NodeId(s / self.cfg.network.servers_per_node as u32)
     }
 
-    /// Run the workload to completion (or drain timeout); consumes the sim.
+    /// Run the workload (sorted by arrival) to completion or drain
+    /// timeout; consumes the sim. Every flow stays resident and is
+    /// reported in [`RunMetrics::flows`], in workload order.
     pub fn run(mut self, workload: &[Flow]) -> RunMetrics {
         let wall_start = std::time::Instant::now();
-        let total_servers = self.cfg.network.total_servers();
-        self.flows.populate(workload, self.payload);
-        assert!(
-            workload
-                .iter()
-                .all(|f| (f.src_server as usize) < total_servers
-                    && (f.dst_server as usize) < total_servers),
-            "workload references servers outside the deployment"
-        );
-        let last_arrival = workload.last().map(|f| f.arrival).unwrap_or(Time::ZERO);
-        let deadline = last_arrival + self.cfg.drain_timeout;
-
-        // Declare every scripted fault window up front so the audit holds
-        // its invariants *with attribution*: losses must fall inside a
-        // declared window of the matching cause, and detector suspicions
-        // outside any window are false positives.
-        if !self.faults.injector.is_empty() {
-            self.fault_rngs = self.faults.injector.node_streams(self.nodes.len());
-            self.audit
-                .set_silence_threshold(self.cfg.fault.silence_threshold);
-            if self.faults.injector.has_link_faults() {
-                self.detect.link_det = Some(LinkDetector::new(
-                    self.cfg.network.nodes,
-                    self.sched.base().uplinks(),
-                    self.cfg.fault,
-                ));
-            }
-            if self.faults.injector.has_byzantine() {
-                // Precompute the schedule inverse the RX filter attributes
-                // counterfeits with (who was scheduled into this port at
-                // that slot).
-                self.faults.arm_byzantine(self.sched.base());
-            }
-            let events: Vec<FaultEvent> = self.faults.injector.events().to_vec();
-            for e in &events {
-                match *e {
-                    FaultEvent::Crash { node, epoch } => {
-                        let until = events
-                            .iter()
-                            .filter_map(|e2| match *e2 {
-                                FaultEvent::Recover { node: n2, epoch: r }
-                                    if n2 == node && r > epoch =>
-                                {
-                                    Some(r)
-                                }
-                                _ => None,
-                            })
-                            .min()
-                            .unwrap_or(u64::MAX);
-                        self.audit
-                            .declare_window(LossCause::Crash, node, epoch, until);
-                    }
-                    FaultEvent::GreyLink {
-                        node, from, until, ..
-                    } => {
-                        self.audit
-                            .declare_window(LossCause::Grey, node, from, until);
-                    }
-                    FaultEvent::Mistune {
-                        node, from, until, ..
-                    } => {
-                        self.audit
-                            .declare_window(LossCause::Mistune, node, from, until);
-                    }
-                    // Correlated domains expand to per-node grey columns
-                    // (p = 1.0 for an outright failure, a rising ramp for
-                    // a drift), so the audit windows are Grey windows on
-                    // every node in the blast radius — same mapping as
-                    // `FaultInjector::refresh`. A drift's window covers
-                    // the whole ramp: losses during the early (barely
-                    // degraded) phase are legitimate grey losses too.
-                    FaultEvent::BankFailure {
-                        group,
-                        uplink,
-                        chip,
-                        chip_capacity,
-                        from,
-                        until,
-                    }
-                    | FaultEvent::BankDrift {
-                        group,
-                        uplink,
-                        chip,
-                        chip_capacity,
-                        from,
-                        until,
-                        ..
-                    } => {
-                        let g = self.cfg.network.grating_ports;
-                        let awgr = Awgr::new(g as u16);
-                        let input = uplink % g as u16;
-                        for port in awgr.dead_outputs_for_chip(input, chip, chip_capacity) {
-                            let node = group as usize * g + port as usize;
-                            if node < self.cfg.network.nodes {
-                                self.audit.declare_window(
-                                    LossCause::Grey,
-                                    NodeId(node as u32),
-                                    from,
-                                    until,
-                                );
-                            }
-                        }
-                    }
-                    FaultEvent::GratingFault {
-                        group,
-                        port_lo,
-                        port_hi,
-                        from,
-                        until,
-                        ..
-                    } => {
-                        let g = self.cfg.network.grating_ports;
-                        for port in port_lo..port_hi.min(g as u16) {
-                            let node = group as usize * g + port as usize;
-                            if node < self.cfg.network.nodes {
-                                self.audit.declare_window(
-                                    LossCause::Grey,
-                                    NodeId(node as u32),
-                                    from,
-                                    until,
-                                );
-                            }
-                        }
-                    }
-                    FaultEvent::Byzantine {
-                        node, from, until, ..
-                    } => {
-                        // Forgeries (and their RX-side drops) must fall
-                        // inside a declared Byzantine window or the audit
-                        // flags them.
-                        self.audit
-                            .declare_window(LossCause::Byzantine, node, from, until);
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        let src = SliceSource {
-            next: 0,
-            total: workload.len() as u64,
-            deadline,
-        };
-        self.dispatch(src, wall_start)
+        self.flows.reserve(workload.len());
+        self.dispatch(workload.iter().copied(), wall_start)
     }
 
     /// Run a *streamed* workload to completion (or drain timeout),
@@ -792,10 +596,9 @@ impl SiriusSim {
     /// memory tracks concurrency, not total flow count. The delivered-
     /// cell digest covers exactly what [`SiriusSim::run`] covers, but
     /// evicted flows fold into a side accumulator in eviction order, so
-    /// streaming digests are comparable only to streaming digests (the
-    /// slice path's golden digests are untouched). [`RunMetrics::flows`]
-    /// is empty — per-flow records for millions of flows are exactly the
-    /// memory this path exists to avoid.
+    /// streaming digests are comparable only to streaming digests.
+    /// [`RunMetrics::flows`] is empty — per-flow records for millions of
+    /// flows are exactly the memory this path exists to avoid.
     ///
     /// # Panics
     /// If a fault script is attached: slab slots are reused, and the
@@ -808,44 +611,39 @@ impl SiriusSim {
         );
         let wall_start = std::time::Instant::now();
         self.evict_completed = true;
-        let src = StreamSource::new(
+        self.dispatch(flows, wall_start)
+    }
+
+    /// Shared body of [`SiriusSim::run`] / [`SiriusSim::run_streaming`]:
+    /// build the source, arm the fault script, run the slot loop under
+    /// the configured observer, collect metrics.
+    fn dispatch<I: Iterator<Item = Flow>>(
+        mut self,
+        flows: I,
+        wall_start: std::time::Instant,
+    ) -> RunMetrics {
+        let mut src = StreamSource::new(
             flows,
             self.cfg.drain_timeout,
             self.payload,
             self.cfg.network.total_servers(),
         );
-        self.dispatch(src, wall_start)
-    }
-
-    /// Shared tail of [`SiriusSim::run`] / [`SiriusSim::run_streaming`]:
-    /// pick the loop instantiation and collect metrics.
-    fn dispatch<S: FlowSource>(mut self, mut src: S, wall_start: std::time::Instant) -> RunMetrics {
-        let slot_ps = self.cfg.network.slot().as_ps();
-        let epoch_slots = self.cfg.network.epoch_slots();
-        // The slot loop is monomorphized per observer: when the audit is
-        // on, it temporarily owns the `Audit` and forwards every probe;
-        // when off, the NullObserver instantiation compiles the probes
-        // away entirely (see `crate::engine::observer`).
-        let abs_slot = if self.audit.enabled() {
-            let audit = std::mem::replace(&mut self.audit, Audit::new(false, 0, 0, 0, false));
-            let mut obs = AuditObserver::new(audit);
-            let s = self.run_loop(&mut src, &mut obs);
-            self.audit = obs.into_audit();
-            s
-        } else if self.cfg.shards > 1 && self.cfg.mode != CcMode::Ideal && self.nodes.len() > 1 {
-            // Sharded TX phase, digest-identical to serial (Ideal mode's
-            // shared back-pressure state is inherently sequential, so it
-            // stays on the serial loop).
-            let shards = self.cfg.shards;
-            self.run_loop_sharded(&mut src, shards)
-        } else {
-            self.run_loop(&mut src, &mut NullObserver)
+        self.arm_fault_script();
+        // The slot loop is monomorphized per observer: the audit itself
+        // when it is on, else the NullObserver instantiation that
+        // compiles the probes away (see `crate::engine::observer`).
+        let mut audit = self.audit.take();
+        let abs_slot = match &mut audit {
+            Some(audit) => self.run_loop(&mut src, audit),
+            None => self.run_loop(&mut src, &mut NullObserver),
         };
-
+        let slot_ps = self.cfg.network.slot().as_ps();
+        let epochs = abs_slot / self.cfg.network.epoch_slots();
         self.finish(
             Time::from_ps(abs_slot * slot_ps),
-            abs_slot / epoch_slots,
+            epochs,
             wall_start.elapsed().as_secs_f64(),
+            audit.map(Audit::finish),
         )
     }
 
@@ -867,11 +665,11 @@ impl SiriusSim {
     }
 
     /// Epoch boundary: flow admission + injection, then the CC round.
-    pub(crate) fn epoch_boundary<S: FlowSource, O: SlotObserver>(
+    pub(crate) fn epoch_boundary<I: Iterator<Item = Flow>, O: SlotObserver>(
         &mut self,
         epoch: u64,
         now: Time,
-        src: &mut S,
+        src: &mut StreamSource<I>,
         obs: &mut O,
     ) {
         // 1. Admit flows that have arrived.
@@ -1070,7 +868,13 @@ impl SiriusSim {
         }
     }
 
-    fn finish(self, end: Time, epochs: u64, wall_secs: f64) -> RunMetrics {
+    fn finish(
+        self,
+        end: Time,
+        epochs: u64,
+        wall_secs: f64,
+        audit: Option<AuditReport>,
+    ) -> RunMetrics {
         let total_flows = self.flows.admitted();
         let span = if self.delivery.last_delivery > Time::ZERO {
             self.delivery.last_delivery.since(Time::ZERO)
@@ -1081,7 +885,7 @@ impl SiriusSim {
         // iff they delivered the same cells in the same order *and* ended
         // in the same aggregate state. Streaming runs fold evicted flows
         // through the side accumulator plus whatever is still resident;
-        // slice runs fold every flow in slot order, exactly as before.
+        // materialized runs fold every flow in slot (= workload) order.
         let mut digest = self.delivery.digest;
         digest.update(self.delivery.delivered_bytes);
         digest.update(span.as_ps());
@@ -1097,11 +901,6 @@ impl SiriusSim {
                     .unwrap_or(u64::MAX),
             );
         }
-        let audit = if self.audit.enabled() {
-            Some(self.audit.finish())
-        } else {
-            None
-        };
         let fault = if !self.faults.injector.is_empty() {
             let mut fr = self.faults.report;
             fr.capacity_factor_end = self.sched.capacity_factor();

@@ -23,6 +23,8 @@
 //! reference is always at most an epoch old, and a dead leader is replaced
 //! within microseconds).
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod delay;
 pub mod engine;

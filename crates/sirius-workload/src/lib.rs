@@ -10,6 +10,8 @@
 //! always generates the same flow list, which is what makes the figure
 //! harnesses in `sirius-bench` reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod burst;
 pub mod flowgen;
 pub mod packets;

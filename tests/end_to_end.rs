@@ -164,3 +164,66 @@ fn permutation_and_incast_patterns_complete() {
         assert_eq!(m.incomplete_flows, 0);
     }
 }
+
+#[test]
+fn malformed_workload_unwinds_instead_of_hanging_at_any_shard_count() {
+    // A flow naming a server outside the deployment is rejected at its
+    // admission — mid-run, inside the slot loop, with the shard workers
+    // parked at their barrier. The unwind must release them: each run
+    // goes on a helper thread and has to report its panic in bounded
+    // time, at every shard count and through both entry points.
+    use std::sync::mpsc;
+    let flows = vec![
+        Flow {
+            id: 0,
+            src_server: 0,
+            dst_server: 9,
+            bytes: 50_000,
+            arrival: Time::ZERO,
+        },
+        Flow {
+            id: 1,
+            src_server: 3,
+            dst_server: 32, // servers are 0..32
+            bytes: 50_000,
+            arrival: Time::ZERO + Duration::from_us(10),
+        },
+    ];
+    for shards in [1usize, 2, 4] {
+        for streaming in [true, false] {
+            let flows = flows.clone();
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                // Audit off: an enabled audit would clamp the run to one
+                // shard.
+                let cfg = SiriusSimConfig::new(net())
+                    .with_shards(shards)
+                    .with_audit(false);
+                let sim = SiriusSim::new(cfg);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if streaming {
+                        sim.run_streaming(flows.into_iter())
+                    } else {
+                        sim.run(&flows)
+                    }
+                }));
+                let _ = tx.send(outcome.map(|m| m.digest));
+            });
+            let outcome = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| {
+                    panic!("shards={shards} streaming={streaming}: the run hung on its own panic")
+                });
+            let payload = outcome.expect_err("an out-of-range server was accepted");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("outside the deployment"),
+                "shards={shards} streaming={streaming}: unexpected panic {msg:?}"
+            );
+        }
+    }
+}
