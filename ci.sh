@@ -150,7 +150,8 @@ stage_bench_smoke() {
   # (tx/deliver/merge) the sharded-deliver work reports per point.
   validate_bench_json results/BENCH_sim_throughput.json \
     '"bench": "sim_throughput"' '"host_parallelism"' '"shards"' \
-    '"tx_secs"' '"deliver_secs"' '"merge_secs"' '"cells_per_sec"' \
+    '"tx_secs"' '"deliver_secs"' '"merge_secs"' '"admit_secs"' '"inject_secs"' \
+    '"cc_secs"' '"cells_per_sec"' \
     '"protocol_sharded_speedup_vs_serial"' '"digest"'
 
   echo "==> test suite under SIRIUS_SHARDS=2 (release)"
@@ -196,13 +197,14 @@ stage_scale_smoke() {
   # The smoke series (128 → 512 nodes, ending in a same-geometry pair
   # with 8× the flows) on the streaming engine. The binary exits
   # non-zero itself if the in-flight flow bound is violated; the JSON
-  # carries both gate verdicts so this stage greps booleans instead of
+  # carries every gate verdict so this stage greps booleans instead of
   # re-deriving thresholds in shell. --jobs 1 on this leg: points must
   # complete in order for the process-monotonic VmHWM readings behind
   # the RSS gate to be attributable to their points.
   cargo run --release -p sirius-bench --bin scale_series -- --smoke --jobs 1 --shards 1
   validate_bench_json results/BENCH_scale_series.json \
-    '"bench": "scale_series"' '"resident_ok"' '"rss_sublinear"' '"points": \[' \
+    '"bench": "scale_series"' '"resident_ok"' '"rss_sublinear"' \
+    '"rss_subquadratic_in_nodes"' '"points": \[' \
     '"nodes"' '"grating"' '"flows"' '"cells_per_sec"' '"cells_per_sec_per_core"' \
     '"peak_rss_bytes"' '"resident_flows_max"' '"resident_bound"' \
     '"fct_p50_us": [0-9]' '"fct_p99_us": [0-9]' '"digest"'
@@ -214,6 +216,12 @@ stage_scale_smoke() {
   fi
   if ! grep -qE '"rss_sublinear": (true|null)' results/BENCH_scale_series.json; then
     echo "error: peak RSS grew super-linearly in total flows" >&2
+    exit 1
+  fi
+  # Same contract for the node axis: 4x the nodes may cost at most 6x
+  # the peak RSS (dense per-peer node state costs more).
+  if ! grep -qE '"rss_subquadratic_in_nodes": (true|null)' results/BENCH_scale_series.json; then
+    echo "error: peak RSS grew near-quadratically in nodes (128 -> 512)" >&2
     exit 1
   fi
   grep -o '"digest": "[0-9a-f]*"' results/BENCH_scale_series.json > results/.scale_digests_serial

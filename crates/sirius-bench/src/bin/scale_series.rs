@@ -20,11 +20,11 @@ fn main() {
     let shards = cli.shards.unwrap_or(1);
     eprintln!("=== scale-out series, {scale:?} scale, --jobs {jobs}, --shards {shards} ===");
     let pts = scale_series::run(scale, 1, jobs, shards);
-    let (resident_ok, rss_sublinear) = scale_series::gates(&pts);
+    let gates = scale_series::gates(&pts);
     scale_series::table(&pts).emit("scale_series");
     scale_series::emit_json(&pts, scale, jobs);
-    eprintln!("resident_ok={resident_ok} rss_sublinear={rss_sublinear:?}");
-    if !resident_ok {
+    eprintln!("{gates:?}");
+    if !gates.resident_ok {
         eprintln!("error: resident flow state exceeded its bound; see table above");
         std::process::exit(1);
     }

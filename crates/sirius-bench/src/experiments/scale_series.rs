@@ -11,7 +11,11 @@
 //!   stays far below the total flow count — [`resident_bound`];
 //! * peak RSS grows sub-linearly in total flows across a same-geometry
 //!   pair of points — the smoking gun for an accidental O(flows) or
-//!   O(N²·slots) structure creeping back in.
+//!   O(N²·slots) structure creeping back in;
+//! * peak RSS grows well below quadratically in *nodes* between the
+//!   first point and the first larger deployment — per-peer node state
+//!   is N² by nature, so what this gates is its constant: a dense
+//!   container per peer (a deque, a `Vec`) fails it.
 //!
 //! Each point also reports p50/p99 FCT from the engine's streaming
 //! histogram ([`sirius_sim::FctHistogram`]) — flow records are evicted
@@ -258,7 +262,15 @@ pub fn run(scale: Scale, seed: u64, jobs: usize, shards: usize) -> Vec<ScalePoin
     run_points(&series(scale), seed, jobs, shards)
 }
 
-/// Gate verdicts: `(resident_ok, rss_sublinear)`.
+/// Gate verdicts over a series; see [`gates`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gates {
+    pub resident_ok: bool,
+    pub rss_sublinear: Option<bool>,
+    pub rss_subquadratic_in_nodes: Option<bool>,
+}
+
+/// Gate verdicts.
 ///
 /// * `resident_ok` — every point's in-flight flow peak is under its
 ///   [`resident_bound`].
@@ -272,7 +284,17 @@ pub fn run(scale: Scale, seed: u64, jobs: usize, shards: usize) -> Vec<ScalePoin
 ///   out-of-order completion under sweep parallelism can only inflate
 ///   the earlier reading — the check degrades toward vacuous-pass,
 ///   never flaky-fail; run `--jobs 1` for the honest reading.
-pub fn gates(points: &[ScalePoint]) -> (bool, Option<bool>) {
+/// * `rss_subquadratic_in_nodes` — from the first point to the first
+///   later one with more nodes (128 → 512 in every [`series`]), peak
+///   RSS grew by at most 1.5× the node ratio: ≤ 6× for 4× the nodes,
+///   where quadratic growth at an unchanged constant would be 16×. The
+///   small point's RSS is mostly the process itself, so this bounds the
+///   larger point's per-peer state in units of a whole process — loose
+///   enough for any host, tight enough that ~200 B per peer (a deque
+///   each for LOCAL, VOQ and relay) fails where ~50 B passes. `None`
+///   like `rss_sublinear`, and inflated the same harmless way under
+///   sweep parallelism.
+pub fn gates(points: &[ScalePoint]) -> Gates {
     let resident_ok = points
         .iter()
         .all(|p| p.resident_flows_max <= p.resident_bound());
@@ -286,7 +308,16 @@ pub fn gates(points: &[ScalePoint]) -> (bool, Option<bool>) {
         (Some(r0), Some(r1)) if r0 > 0 => Some(r1 * a.flows < r0 * b.flows),
         _ => None,
     });
-    (resident_ok, rss_sublinear)
+    let rss_subquadratic_in_nodes = points.first().and_then(|a| {
+        let b = points.iter().find(|b| b.nodes > a.nodes)?;
+        let (r0, r1) = (a.peak_rss_bytes?, b.peak_rss_bytes?);
+        Some(2 * r1 * a.nodes as u64 <= 3 * r0 * b.nodes as u64)
+    });
+    Gates {
+        resident_ok,
+        rss_sublinear,
+        rss_subquadratic_in_nodes,
+    }
 }
 
 pub fn table(points: &[ScalePoint]) -> Table {
@@ -340,7 +371,12 @@ pub fn table(points: &[ScalePoint]) -> Table {
 /// of re-deriving thresholds in shell; unmeasurable values are `null`,
 /// never NaN.
 pub fn to_json(points: &[ScalePoint], scale: Scale, jobs: usize) -> String {
-    let (resident_ok, rss_sublinear) = gates(points);
+    let Gates {
+        resident_ok,
+        rss_sublinear,
+        rss_subquadratic_in_nodes,
+    } = gates(points);
+    let verdict = |v: Option<bool>| v.map_or("null".to_string(), |v| v.to_string());
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"scale_series\",\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
@@ -353,10 +389,14 @@ pub fn to_json(points: &[ScalePoint], scale: Scale, jobs: usize) -> String {
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!("  \"load\": {LOAD},\n"));
     out.push_str(&format!("  \"resident_ok\": {resident_ok},\n"));
-    match rss_sublinear {
-        Some(v) => out.push_str(&format!("  \"rss_sublinear\": {v},\n")),
-        None => out.push_str("  \"rss_sublinear\": null,\n"),
-    }
+    out.push_str(&format!(
+        "  \"rss_sublinear\": {},\n",
+        verdict(rss_sublinear)
+    ));
+    out.push_str(&format!(
+        "  \"rss_subquadratic_in_nodes\": {},\n",
+        verdict(rss_subquadratic_in_nodes)
+    ));
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let rss = p
@@ -435,9 +475,8 @@ mod tests {
             p.resident_flows_max,
             p.flows
         );
-        let (resident_ok, _) = gates(&pts);
         assert!(
-            resident_ok,
+            gates(&pts).resident_ok,
             "resident gate failed: {}",
             p.resident_flows_max
         );
@@ -493,8 +532,8 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
-        let mk = |flows: u64, rss: Option<u64>, resident: u64| ScalePoint {
-            nodes: 128,
+        let mk_at = |nodes: u32, flows: u64, rss: Option<u64>, resident: u64| ScalePoint {
+            nodes,
             grating: 16,
             flows,
             shards: 1,
@@ -508,6 +547,7 @@ mod tests {
             fct_p99_us: None,
             digest: 0xabcd,
         };
+        let mk = |flows, rss, resident| mk_at(128, flows, rss, resident);
         // Sub-linear: flows 8x, rss 2x.
         let pts = vec![mk(8_000, Some(1 << 20), 10), mk(64_000, Some(2 << 20), 20)];
         let j = to_json(&pts, Scale::Smoke, 2);
@@ -515,6 +555,8 @@ mod tests {
         assert!(j.contains("\"scale\": \"Smoke\""));
         assert!(j.contains("\"resident_ok\": true"));
         assert!(j.contains("\"rss_sublinear\": true"));
+        // One geometry: nothing to compare across node counts.
+        assert!(j.contains("\"rss_subquadratic_in_nodes\": null"));
         assert!(j.contains("\"peak_rss_bytes\": 1048576"));
         assert!(j.contains("\"resident_flows_max\": 20"));
         assert!(j.contains("\"cells_per_sec_per_core\": 2000"));
@@ -529,5 +571,18 @@ mod tests {
         assert!(j.contains("\"rss_sublinear\": null"));
         assert!(j.contains("\"resident_ok\": false"));
         assert!(j.contains("\"peak_rss_bytes\": null"));
+
+        // 4x the nodes: 6x the RSS is the last passing ratio.
+        let grown = |rss| {
+            [
+                mk_at(128, 8_000, Some(10 << 20), 10),
+                mk_at(512, 8_000, rss, 10),
+            ]
+        };
+        let ok = gates(&grown(Some(60 << 20))).rss_subquadratic_in_nodes;
+        assert_eq!(ok, Some(true));
+        let j = to_json(&grown(Some((60 << 20) + 1)), Scale::Smoke, 1);
+        assert!(j.contains("\"rss_subquadratic_in_nodes\": false"));
+        assert_eq!(gates(&grown(None)).rss_subquadratic_in_nodes, None);
     }
 }

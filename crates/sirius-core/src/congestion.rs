@@ -28,6 +28,8 @@
 //! grant delivery across the network lives in the simulator, which delivers
 //! them with one-epoch latency exactly as piggybacking would.
 
+use crate::arena::{Arena, Fifo};
+use crate::bits;
 use crate::topology::NodeId;
 use rand::Rng;
 
@@ -75,7 +77,12 @@ impl CcStats {
 
 /// Per-node state of the congestion-control protocol.
 ///
-/// Indices are destination node ids (`0..n`).
+/// Indices are destination node ids (`0..n`). What is held *per
+/// destination* is two counters and one queue header; everything whose
+/// size depends on the protocol's activity — the epoch's requests, the
+/// lapse epochs of outstanding grants — lives in per-node buffers that
+/// grow with traffic, so an idle intermediate costs the same few bytes
+/// per peer at any `Q`.
 #[derive(Debug)]
 pub struct CongestionState {
     node: NodeId,
@@ -85,22 +92,25 @@ pub struct CongestionState {
     queued: Vec<u32>,
     /// As an intermediate: grants issued whose cell has not yet arrived.
     outstanding: Vec<u32>,
-    /// Expiry bookkeeping for outstanding grants: the epoch at which each
-    /// outstanding grant lapses, FIFO per destination. `outstanding[d]`
-    /// never exceeds `q` (grants are only issued while
-    /// `queued + outstanding < q`), so each destination owns a flat ring
-    /// of `q` slots at `expiry[d*q..]` — length `outstanding[d]`, front at
-    /// `expiry_head[d]` — instead of a heap-allocated deque.
-    expiry: Vec<u64>,
-    expiry_head: Vec<u32>,
+    /// Expiry bookkeeping for outstanding grants: per destination, the
+    /// epochs at which its outstanding grants lapse, oldest first
+    /// (`outstanding[d]` long), threaded through `lapses`.
+    expiry: Vec<Fifo>,
+    lapses: Arena<u64>,
+    /// Destinations that may have outstanding grants, so the epoch
+    /// boundary walks these instead of all `n`. A destination is listed
+    /// at most once (`listed` is the membership bitmask) and leaves at the
+    /// first boundary that finds it with nothing outstanding.
+    granted: Vec<u32>,
+    listed: Vec<u64>,
     /// Requests received during the current epoch, processed next epoch:
-    /// per destination, the list of requesters.
-    inbox: Vec<Vec<NodeId>>,
-    /// Destinations with a non-empty inbox (to avoid scanning all n).
-    inbox_dirty: Vec<u32>,
+    /// `(requester, destination)` in arrival order.
+    inbox: Vec<(NodeId, NodeId)>,
     /// Requests accumulated the previous epoch, being granted this epoch.
-    pending: Vec<Vec<NodeId>>,
-    pending_dirty: Vec<u32>,
+    pending: Vec<(NodeId, NodeId)>,
+    /// Reused by the grant round to group `pending` by destination.
+    order: Vec<u64>,
+    groups: Vec<(u32, u32, u32)>,
     stats: CcStats,
 }
 
@@ -113,12 +123,14 @@ impl CongestionState {
             grant_timeout_epochs,
             queued: vec![0; n],
             outstanding: vec![0; n],
-            expiry: vec![0; n * q],
-            expiry_head: vec![0; n],
-            inbox: vec![Vec::new(); n],
-            inbox_dirty: Vec::new(),
-            pending: vec![Vec::new(); n],
-            pending_dirty: Vec::new(),
+            expiry: vec![Fifo::EMPTY; n],
+            lapses: Arena::new(),
+            granted: Vec::new(),
+            listed: vec![0; bits::words(n)],
+            inbox: Vec::new(),
+            pending: Vec::new(),
+            order: Vec::new(),
+            groups: Vec::new(),
             stats: CcStats::default(),
         }
     }
@@ -138,62 +150,54 @@ impl CongestionState {
         self.outstanding[d.0 as usize]
     }
 
-    /// Front of destination `d`'s expiry ring (undefined when
-    /// `outstanding[d] == 0` — callers gate on the counter).
-    #[inline]
-    fn expiry_front(&self, d: usize) -> u64 {
-        self.expiry[d * self.q as usize + self.expiry_head[d] as usize]
-    }
-
+    /// Drop the oldest outstanding grant of `d` (the caller gates on
+    /// `outstanding[d] > 0`).
     #[inline]
     fn expiry_pop_front(&mut self, d: usize) {
-        let h = self.expiry_head[d] + 1;
-        self.expiry_head[d] = if h == self.q { 0 } else { h };
-    }
-
-    /// Append to `d`'s ring; the caller increments `outstanding[d]` (the
-    /// ring length) right after.
-    #[inline]
-    fn expiry_push_back(&mut self, d: usize, lapse: u64) {
-        let q = self.q as usize;
-        let mut idx = self.expiry_head[d] as usize + self.outstanding[d] as usize;
-        if idx >= q {
-            idx -= q;
-        }
-        self.expiry[d * q + idx] = lapse;
+        let h = self
+            .lapses
+            .pop_front(&mut self.expiry[d])
+            .expect("an outstanding grant has a lapse entry");
+        self.lapses.remove(h);
+        self.outstanding[d] -= 1;
     }
 
     /// Epoch boundary: expire stale grants and rotate the request inbox so
     /// that requests received last epoch become grantable this epoch.
     pub fn begin_epoch(&mut self, epoch: u64) {
-        // Expire outstanding grants that were never used. Every expiry
-        // push/pop pairs with an `outstanding` increment/decrement, so the
-        // contiguous counter tells us which rings to even look at.
-        for d in 0..self.outstanding.len() {
-            while self.outstanding[d] > 0 && self.expiry_front(d) <= epoch {
+        // Expire outstanding grants that were never used. Every lapse
+        // entry pairs with an `outstanding` increment, and a destination
+        // is listed from its first grant on, so the list covers every
+        // destination with anything to expire.
+        let mut k = 0;
+        while k < self.granted.len() {
+            let d = self.granted[k] as usize;
+            while self.outstanding[d] > 0
+                && *self
+                    .lapses
+                    .get(self.expiry[d].front().expect("outstanding > 0"))
+                    <= epoch
+            {
                 self.expiry_pop_front(d);
-                self.outstanding[d] -= 1;
                 self.stats.grants_expired += 1;
+            }
+            if self.outstanding[d] == 0 {
+                self.granted.swap_remove(k);
+                bits::clear(&mut self.listed, d);
+            } else {
+                k += 1;
             }
         }
         // Unserved requests from last epoch are dropped (the source will
         // re-request); rotate inbox -> pending.
-        for &d in &self.pending_dirty {
-            self.pending[d as usize].clear();
-        }
-        self.pending_dirty.clear();
+        self.pending.clear();
         std::mem::swap(&mut self.inbox, &mut self.pending);
-        std::mem::swap(&mut self.inbox_dirty, &mut self.pending_dirty);
     }
 
     /// A request from `from` for destination `dst` arrived (piggybacked on a
     /// cell this epoch); it will be considered for a grant next epoch.
     pub fn receive_request(&mut self, from: NodeId, dst: NodeId) {
-        let d = dst.0 as usize;
-        if self.inbox[d].is_empty() {
-            self.inbox_dirty.push(dst.0);
-        }
-        self.inbox[d].push(from);
+        self.inbox.push((from, dst));
         self.stats.requests_received += 1;
     }
 
@@ -218,6 +222,10 @@ impl CongestionState {
     /// otherwise healthy, and granting such a request would queue a cell
     /// here that can never depart. Ineligible destinations' requests are
     /// denied (the sources re-roll a different intermediate next epoch).
+    ///
+    /// Destinations are served in the order their first request arrived
+    /// and each destination's requesters are drawn from in arrival order;
+    /// the draws on the shared protocol RNG depend on both.
     pub fn issue_grants_filtered<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -225,24 +233,60 @@ impl CongestionState {
         eligible: impl Fn(NodeId) -> bool,
     ) -> Vec<(NodeId, NodeId)> {
         let mut grants = Vec::new();
-        for di in 0..self.pending_dirty.len() {
-            let d = self.pending_dirty[di] as usize;
-            debug_assert!(!self.pending[d].is_empty());
+        if self.pending.is_empty() {
+            return grants;
+        }
+        // Group the arrival-ordered log by destination: sorting
+        // `destination << 32 | arrival index` makes each destination one
+        // run, still in arrival order; the runs are then visited by their
+        // first arrival index.
+        let mut order = std::mem::take(&mut self.order);
+        let mut groups = std::mem::take(&mut self.groups);
+        order.clear();
+        order.extend(
+            self.pending
+                .iter()
+                .enumerate()
+                .map(|(k, &(_, d))| (d.0 as u64) << 32 | k as u64),
+        );
+        order.sort_unstable();
+        groups.clear();
+        let mut start = 0;
+        while start < order.len() {
+            let d = order[start] >> 32;
+            let len = order[start..].iter().take_while(|&&e| e >> 32 == d).count();
+            groups.push((order[start] as u32, start as u32, len as u32));
+            start += len;
+        }
+        groups.sort_unstable();
+        for &(_, start, len) in &groups {
+            let run = &mut order[start as usize..(start + len) as usize];
+            let d = (run[0] >> 32) as usize;
+            let mut live = run.len();
             if !eligible(NodeId(d as u32)) {
-                self.stats.requests_denied += self.pending[d].len() as u64;
+                self.stats.requests_denied += live as u64;
                 continue;
             }
-            // Random service order: shuffle by swapping the pick to the end.
-            while !self.pending[d].is_empty() && self.queued[d] + self.outstanding[d] < self.q {
-                let k = rng.gen_range(0..self.pending[d].len());
-                let pick = self.pending[d].swap_remove(k);
-                self.expiry_push_back(d, epoch + self.grant_timeout_epochs);
+            // Random service order: each pick is swap-removed from the run.
+            while live > 0 && self.queued[d] + self.outstanding[d] < self.q {
+                let k = rng.gen_range(0..live);
+                let pick = self.pending[run[k] as u32 as usize].0;
+                live -= 1;
+                run[k] = run[live];
+                let h = self.lapses.insert(epoch + self.grant_timeout_epochs);
+                self.lapses.push_back(&mut self.expiry[d], h);
                 self.outstanding[d] += 1;
+                if !bits::get(&self.listed, d) {
+                    bits::set(&mut self.listed, d);
+                    self.granted.push(d as u32);
+                }
                 self.stats.grants_issued += 1;
                 grants.push((pick, NodeId(d as u32)));
             }
-            self.stats.requests_denied += self.pending[d].len() as u64;
+            self.stats.requests_denied += live as u64;
         }
+        self.order = order;
+        self.groups = groups;
         grants
     }
 
@@ -255,9 +299,8 @@ impl CongestionState {
     pub fn relay_arrived(&mut self, d: NodeId) {
         let d = d.0 as usize;
         if self.outstanding[d] > 0 {
-            // Consume the oldest grant's expiry slot.
+            // Consume the oldest grant.
             self.expiry_pop_front(d);
-            self.outstanding[d] -= 1;
         } else {
             self.stats.untracked_arrivals += 1;
         }
@@ -274,8 +317,12 @@ impl CongestionState {
     pub fn grant_declined(&mut self, d: NodeId) {
         let d = d.0 as usize;
         if self.outstanding[d] > 0 {
-            // The declined grant is the most recently issued one: shrinking
-            // the ring length (`outstanding`) drops the back entry.
+            // The declined grant is the most recently issued one.
+            let h = self
+                .lapses
+                .pop_back(&mut self.expiry[d])
+                .expect("an outstanding grant has a lapse entry");
+            self.lapses.remove(h);
             self.outstanding[d] -= 1;
             self.stats.grants_declined += 1;
         }
@@ -303,6 +350,18 @@ impl CongestionState {
     /// Upper bound the protocol enforces on any relay queue.
     pub fn q(&self) -> u32 {
         self.q
+    }
+
+    /// Heap bytes held, from buffer capacities (footprint tests).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.queued.capacity() + self.outstanding.capacity() + self.granted.capacity()) * 4
+            + self.expiry.capacity() * size_of::<Fifo>()
+            + self.lapses.heap_bytes()
+            + (self.listed.capacity() + self.order.capacity()) * 8
+            + (self.inbox.capacity() + self.pending.capacity()) * size_of::<(NodeId, NodeId)>()
+            + self.groups.capacity() * size_of::<(u32, u32, u32)>()
     }
 }
 
@@ -356,6 +415,12 @@ impl RequestRound {
     /// Number of intermediates still unclaimed.
     pub fn remaining(&self) -> usize {
         self.remaining
+    }
+
+    /// Heap bytes held, from buffer capacities (footprint tests).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.used.capacity() + self.used_list.capacity() * 4
     }
 }
 
@@ -654,6 +719,202 @@ mod tests {
                 seed in 0u64..1000,
             ) {
                 run_random_protocol(ops, q, seed)?;
+            }
+        }
+    }
+
+    mod differential {
+        //! The flat request log, sparse expiry and active-destination walk
+        //! against the dense per-destination layout they replaced.
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The previous `CongestionState`: a requester `Vec` per
+        /// destination for each of inbox and pending, visited through
+        /// first-arrival `dirty` lists, and a `q`-slot lapse ring per
+        /// destination swept over all `n` at every epoch boundary.
+        struct Dense {
+            q: u32,
+            timeout: u64,
+            queued: Vec<u32>,
+            outstanding: Vec<u32>,
+            expiry: Vec<u64>,
+            expiry_head: Vec<u32>,
+            inbox: Vec<Vec<NodeId>>,
+            inbox_dirty: Vec<u32>,
+            pending: Vec<Vec<NodeId>>,
+            pending_dirty: Vec<u32>,
+            stats: CcStats,
+        }
+
+        impl Dense {
+            fn new(n: usize, q: usize, timeout: u64) -> Dense {
+                Dense {
+                    q: q as u32,
+                    timeout,
+                    queued: vec![0; n],
+                    outstanding: vec![0; n],
+                    expiry: vec![0; n * q],
+                    expiry_head: vec![0; n],
+                    inbox: vec![Vec::new(); n],
+                    inbox_dirty: Vec::new(),
+                    pending: vec![Vec::new(); n],
+                    pending_dirty: Vec::new(),
+                    stats: CcStats::default(),
+                }
+            }
+
+            fn expiry_pop_front(&mut self, d: usize) {
+                self.expiry_head[d] = (self.expiry_head[d] + 1) % self.q;
+                self.outstanding[d] -= 1;
+            }
+
+            fn begin_epoch(&mut self, epoch: u64) {
+                let q = self.q as usize;
+                for d in 0..self.outstanding.len() {
+                    while self.outstanding[d] > 0
+                        && self.expiry[d * q + self.expiry_head[d] as usize] <= epoch
+                    {
+                        self.expiry_pop_front(d);
+                        self.stats.grants_expired += 1;
+                    }
+                }
+                for &d in &self.pending_dirty {
+                    self.pending[d as usize].clear();
+                }
+                self.pending_dirty.clear();
+                std::mem::swap(&mut self.inbox, &mut self.pending);
+                std::mem::swap(&mut self.inbox_dirty, &mut self.pending_dirty);
+            }
+
+            fn receive_request(&mut self, from: NodeId, dst: NodeId) {
+                if self.inbox[dst.0 as usize].is_empty() {
+                    self.inbox_dirty.push(dst.0);
+                }
+                self.inbox[dst.0 as usize].push(from);
+                self.stats.requests_received += 1;
+            }
+
+            fn issue_grants_filtered(
+                &mut self,
+                rng: &mut SmallRng,
+                epoch: u64,
+                eligible: impl Fn(NodeId) -> bool,
+            ) -> Vec<(NodeId, NodeId)> {
+                let q = self.q as usize;
+                let mut grants = Vec::new();
+                for di in 0..self.pending_dirty.len() {
+                    let d = self.pending_dirty[di] as usize;
+                    if !eligible(NodeId(d as u32)) {
+                        self.stats.requests_denied += self.pending[d].len() as u64;
+                        continue;
+                    }
+                    while !self.pending[d].is_empty()
+                        && self.queued[d] + self.outstanding[d] < self.q
+                    {
+                        let k = rng.gen_range(0..self.pending[d].len());
+                        let pick = self.pending[d].swap_remove(k);
+                        let back = (self.expiry_head[d] + self.outstanding[d]) as usize % q;
+                        self.expiry[d * q + back] = epoch + self.timeout;
+                        self.outstanding[d] += 1;
+                        self.stats.grants_issued += 1;
+                        grants.push((pick, NodeId(d as u32)));
+                    }
+                    self.stats.requests_denied += self.pending[d].len() as u64;
+                }
+                grants
+            }
+
+            fn relay_arrived(&mut self, d: usize) {
+                if self.outstanding[d] > 0 {
+                    self.expiry_pop_front(d);
+                } else {
+                    self.stats.untracked_arrivals += 1;
+                }
+                self.queued[d] += 1;
+                if self.queued[d] > self.q {
+                    self.stats.bound_exceeded += 1;
+                }
+            }
+
+            fn grant_declined(&mut self, d: usize) {
+                if self.outstanding[d] > 0 {
+                    self.outstanding[d] -= 1;
+                    self.stats.grants_declined += 1;
+                }
+            }
+        }
+
+        /// Each op packs three bytes: the operation and two operands.
+        fn run(ops: Vec<u32>, q: usize, timeout: u64, seed: u64) -> Result<(), TestCaseError> {
+            const N: usize = 70;
+            let mut flat = CongestionState::new(NodeId(0), N, q, timeout);
+            let mut dense = Dense::new(N, q, timeout);
+            let (mut rng_flat, mut rng_dense) =
+                (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            // Few destinations, so requests pile up per destination and
+            // the bound, the ring wrap and the lapse all come into play.
+            let dest = |x: u8| [0, 1, 2, 63, 64, 69][x as usize % 6];
+            let mut epoch = 0;
+            for &packed in &ops {
+                let [op, a, b, _] = packed.to_le_bytes();
+                match op % 8 {
+                    0..=3 => {
+                        let (from, dst) = (NodeId(1 + a as u32 % 40), NodeId(dest(b)));
+                        flat.receive_request(from, dst);
+                        dense.receive_request(from, dst);
+                    }
+                    4 => {
+                        // Sometimes skip ahead, so outstanding grants lapse.
+                        epoch += if a % 8 == 0 { timeout } else { 1 };
+                        flat.begin_epoch(epoch);
+                        dense.begin_epoch(epoch);
+                        let severed = dest(b);
+                        let eligible = |d: NodeId| a % 4 != 0 || d.0 != severed;
+                        prop_assert_eq!(
+                            flat.issue_grants_filtered(&mut rng_flat, epoch, eligible),
+                            dense.issue_grants_filtered(&mut rng_dense, epoch, eligible)
+                        );
+                        prop_assert_eq!(
+                            format!("{rng_flat:?}"),
+                            format!("{rng_dense:?}"),
+                            "the grant rounds drew differently"
+                        );
+                    }
+                    5 => {
+                        flat.relay_arrived(NodeId(dest(a)));
+                        dense.relay_arrived(dest(a) as usize);
+                    }
+                    6 => {
+                        let d = dest(a);
+                        if dense.queued[d as usize] > 0 {
+                            flat.relay_departed(NodeId(d));
+                            dense.queued[d as usize] -= 1;
+                        }
+                    }
+                    _ => {
+                        flat.grant_declined(NodeId(dest(a)));
+                        dense.grant_declined(dest(a) as usize);
+                    }
+                }
+                prop_assert_eq!(flat.stats(), dense.stats);
+                for d in 0..N {
+                    prop_assert_eq!(flat.queued(NodeId(d as u32)), dense.queued[d]);
+                    prop_assert_eq!(flat.outstanding(NodeId(d as u32)), dense.outstanding[d]);
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn flat_log_matches_the_dense_layout(
+                ops in proptest::collection::vec(0u32..1 << 24, 1..500),
+                q in 2usize..6,
+                timeout in 1u64..6,
+                seed in 0u64..1000,
+            ) {
+                run(ops, q, timeout, seed)?;
             }
         }
     }

@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
+pub mod bits;
 pub mod cell;
 pub mod config;
 pub mod congestion;

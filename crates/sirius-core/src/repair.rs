@@ -29,6 +29,7 @@
 //! path, and [`AdjustedSchedule::capacity_factor`] reports the combined
 //! proportional loss `1 - failed/N - grey_columns/(N·U)`.
 
+use crate::bits;
 use crate::schedule::{Schedule, SlotInEpoch};
 use crate::topology::{NodeId, UplinkId};
 
@@ -62,6 +63,15 @@ pub struct AdjustedSchedule {
     /// Pending updates: (activation epoch, node, column, omit?), sorted.
     /// `column == None` is a whole-node transition.
     pending: Vec<(u64, NodeId, Option<UplinkId>, bool)>,
+    /// [`pair_usable`](Self::pair_usable) tabulated as two N×N bit
+    /// matrices, one [`bits`] row per node: row `i` of `usable_from` is
+    /// `{m : pair_usable(i, m)}`, row `j` of `usable_to` is
+    /// `{m : pair_usable(m, j)}`. Empty until the first repair is applied
+    /// (every pair is usable and nobody asks), then rebuilt by each
+    /// [`advance_to`](Self::advance_to) that applies something — the only
+    /// place the answer can change.
+    usable_from: Vec<u64>,
+    usable_to: Vec<u64>,
 }
 
 impl AdjustedSchedule {
@@ -75,6 +85,8 @@ impl AdjustedSchedule {
             omitted_col: vec![false; cols],
             omitted_col_count: 0,
             pending: Vec::new(),
+            usable_from: Vec::new(),
+            usable_to: Vec::new(),
         }
     }
 
@@ -153,7 +165,49 @@ impl AdjustedSchedule {
                 }
             }
         }
+        if !applied.is_empty() {
+            self.rebuild_usable();
+        }
         applied
+    }
+
+    fn rebuild_usable(&mut self) {
+        let n = self.base.nodes();
+        let words = bits::words(n);
+        let mut from = std::mem::take(&mut self.usable_from);
+        let mut to = std::mem::take(&mut self.usable_to);
+        from.clear();
+        from.resize(n * words, 0);
+        to.clear();
+        to.resize(n * words, 0);
+        for i in 0..n {
+            for j in 0..n {
+                if self.pair_usable(NodeId(i as u32), NodeId(j as u32)) {
+                    bits::set(&mut from[i * words..(i + 1) * words], j);
+                    bits::set(&mut to[j * words..(j + 1) * words], i);
+                }
+            }
+        }
+        self.usable_from = from;
+        self.usable_to = to;
+    }
+
+    /// The nodes `src` can reach directly, as a [`bits`] set: bit `m` is
+    /// [`pair_usable`](Self::pair_usable)`(src, m)`.
+    ///
+    /// # Panics
+    /// Before any repair has been applied (the rows do not exist yet).
+    pub fn usable_from(&self, src: NodeId) -> &[u64] {
+        let words = bits::words(self.base.nodes());
+        &self.usable_from[src.0 as usize * words..][..words]
+    }
+
+    /// The nodes that can reach `dst` directly, as a [`bits`] set: bit `m`
+    /// is [`pair_usable`](Self::pair_usable)`(m, dst)`. Panics like
+    /// [`usable_from`](Self::usable_from).
+    pub fn usable_to(&self, dst: NodeId) -> &[u64] {
+        let words = bits::words(self.base.nodes());
+        &self.usable_to[dst.0 as usize * words..][..words]
     }
 
     pub fn is_omitted(&self, node: NodeId) -> bool {
@@ -461,6 +515,41 @@ mod tests {
                 assert_ne!(a.dest(src, UplinkId(u), SlotInEpoch(t)), Some(dst));
             }
         }
+    }
+
+    #[test]
+    fn usable_rows_tabulate_pair_usable_after_every_applied_repair() {
+        let mut a = adj();
+        let check = |a: &AdjustedSchedule| {
+            for i in (0..16).map(NodeId) {
+                for j in (0..16).map(NodeId) {
+                    let want = a.pair_usable(i, j);
+                    assert_eq!(bits::get(a.usable_from(i), j.0 as usize), want);
+                    assert_eq!(bits::get(a.usable_to(j), i.0 as usize), want);
+                }
+            }
+        };
+        // A column, a whole node, then both healed: the rows follow.
+        let cols: Vec<UplinkId> = a
+            .base()
+            .columns_for_group_offset(a.base().group_offset(NodeId(3), NodeId(9)))
+            .to_vec();
+        for &u in &cols {
+            a.stage_omit_column(NodeId(3), u, 1);
+        }
+        a.advance_to(1);
+        assert!(!bits::get(a.usable_from(NodeId(3)), 9));
+        check(&a);
+        a.stage_omit(NodeId(7), 2);
+        a.advance_to(2);
+        check(&a);
+        for &u in &cols {
+            a.stage_readmit_column(NodeId(3), u, 3);
+        }
+        a.stage_readmit(NodeId(7), 3);
+        a.advance_to(3);
+        assert!(bits::get(a.usable_from(NodeId(3)), 9));
+        check(&a);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Fault-free runs skip this plane entirely: credit exists only to be
 //! compared against silence at the boundary, and with an empty fault
 //! script the boundary (and its detector ticks) never runs — so the
-//! engine also never pays the 1,536 `heard_from` calls per slot that the
-//! monolithic loop performed at paper scale.
+//! engine neither builds the detectors nor pays the 1,536 `heard_from`
+//! calls per slot that the monolithic loop performed at paper scale.
 
 use sirius_core::fault::{FailureDetector, FaultConfig, LinkDetector};
 use sirius_core::topology::NodeId;
@@ -17,7 +17,9 @@ use sirius_core::topology::NodeId;
 pub(crate) struct DetectPlane {
     /// One silence detector per node, fed from actual slot receptions
     /// (data or keepalive) — `FailurePlane` exclusions are staged only
-    /// from what these observe.
+    /// from what these observe. N detectors of N peers each: built by
+    /// [`DetectPlane::arm`] when a fault script is armed, empty on the
+    /// fault-free runs that never read them.
     pub detectors: Vec<FailureDetector>,
     /// Latest reception epoch of each *sender* across all receivers
     /// (keepalives included) — drives emergent readmission.
@@ -30,13 +32,22 @@ pub(crate) struct DetectPlane {
 }
 
 impl DetectPlane {
-    pub fn new(n: usize, fault: FaultConfig) -> DetectPlane {
+    pub fn new(n: usize) -> DetectPlane {
         DetectPlane {
-            detectors: (0..n).map(|_| FailureDetector::new(n, fault)).collect(),
+            detectors: Vec::new(),
             last_heard_any: vec![0; n],
             link_det: None,
             links_suspected: Vec::new(),
         }
+    }
+
+    /// Build the detectors a fault script feeds: one per node, plus the
+    /// per-column detector when the script can produce partial-node
+    /// faults (`uplinks` is then the column count).
+    pub fn arm(&mut self, fault: FaultConfig, uplinks: Option<usize>) {
+        let n = self.last_heard_any.len();
+        self.detectors = (0..n).map(|_| FailureDetector::new(n, fault)).collect();
+        self.link_det = uplinks.map(|u| LinkDetector::new(n, u, fault));
     }
 
     /// Credit one heard reception: `sender` was heard by `receiver` on

@@ -21,7 +21,7 @@ use crate::sirius_net::SiriusSim;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use sirius_core::cell::{Cell, FlowId};
-use sirius_core::fault::{FailurePlane, LinkDetector};
+use sirius_core::fault::FailurePlane;
 use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, ServerId, UplinkId};
 
@@ -198,8 +198,8 @@ impl FaultPlane {
 
 impl SiriusSim {
     /// Arm the attached fault script for a run: the per-node draw
-    /// streams, the per-column detector and the RX-side Byzantine filter
-    /// where the script needs them, and every scripted window declared
+    /// streams and silence detectors, the per-column detector and the
+    /// RX-side Byzantine filter where the script needs them, and every scripted window declared
     /// to the audit up front so it holds its invariants *with
     /// attribution* — losses must fall inside a declared window of the
     /// matching cause, and detector suspicions outside any window are
@@ -211,13 +211,12 @@ impl SiriusSim {
         }
         let n = self.nodes.len();
         self.fault_rngs = injector.node_streams(n);
-        if injector.has_link_faults() {
-            self.detect.link_det = Some(LinkDetector::new(
-                n,
-                self.sched.base().uplinks(),
-                self.cfg.fault,
-            ));
-        }
+        self.detect.arm(
+            self.cfg.fault,
+            injector
+                .has_link_faults()
+                .then(|| self.sched.base().uplinks()),
+        );
         if injector.has_byzantine() {
             // Precompute the schedule inverse the RX filter attributes
             // counterfeits with (who was scheduled into this port at

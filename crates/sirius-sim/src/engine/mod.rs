@@ -38,11 +38,18 @@
 //! * **Fault-free fast path**: a run with an empty fault script skips
 //!   the fault boundary, the detector credit (1,536 `heard_from` calls
 //!   per slot at paper scale), the omission overlay checks and the
-//!   erasure/corruption lookups. This is sound because every one of
-//!   those mechanisms is observable only through scripted faults: with
-//!   nothing scripted, detectors are fed every slot and never ticked,
-//!   the schedule never stages an omission, and the protocol RNG stream
-//!   is untouched either way.
+//!   erasure/corruption lookups, and never builds the N×N detectors.
+//!   This is sound because every one of those mechanisms is observable
+//!   only through scripted faults: with nothing scripted, detectors
+//!   would be fed every slot and never ticked, the schedule never
+//!   stages an omission, and the protocol RNG stream is untouched either
+//!   way. What the armed path costs is small and measured — the credit
+//!   sits inside the TX merge, a few percent of a faulty run. The
+//!   expensive part of a faulty run used to be elsewhere: request
+//!   generation under a repaired schedule recounted the eligible
+//!   intermediates per request drawn (2·N reachability probes each);
+//!   that count is now a popcount over cached reachability rows
+//!   (`Vlb::pick_masked`, DESIGN.md decision #14).
 //!
 //! Per-slot invariants are hoisted: destinations come from a
 //! precomputed [`DestTable`] row instead of div/mod chains, and the
@@ -74,16 +81,23 @@ use std::sync::Mutex;
 use tx::{tx_range, ShardOut, TxCtx};
 
 /// Per-plane wall-clock accumulators, populated only when
-/// [`crate::SiriusSimConfig::plane_timing`] is on (surfaced as
-/// `tx_secs`/`deliver_secs`/`merge_secs` in [`crate::RunMetrics`]).
-/// `deliver` and `tx` cover the two broadcast phases including their
-/// barrier waits, `merge` the serial epilogues (ordered digest fold,
-/// eviction replay, cross-shard effect application, TX-output merge).
+/// [`crate::SiriusSimConfig::plane_timing`] is on (surfaced as the
+/// `*_secs` fields of [`crate::RunMetrics`]). `deliver` and `tx` cover
+/// the two broadcast phases including their barrier waits, `merge` the
+/// serial epilogues (ordered digest fold, eviction replay, cross-shard
+/// effect application, TX-output merge). The other four split the serial
+/// epoch boundary, from clock reads taken at the boundary only: the
+/// fault pipeline, flow admission, server injection, and the
+/// request/grant round.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct PlaneTimes {
     pub tx: std::time::Duration,
     pub deliver: std::time::Duration,
     pub merge: std::time::Duration,
+    pub fault_boundary: std::time::Duration,
+    pub admit: std::time::Duration,
+    pub inject: std::time::Duration,
+    pub cc: std::time::Duration,
 }
 
 /// Start a per-plane wall-clock mark. `None` when timing is off, so the
@@ -99,6 +113,17 @@ fn mark(timing: bool) -> Option<std::time::Instant> {
 fn lap(acc: &mut std::time::Duration, m: Option<std::time::Instant>) {
     if let Some(t) = m {
         *acc += t.elapsed();
+    }
+}
+
+/// Charge the time since `m` to `acc` and restart `m` from the same
+/// clock read, so consecutive stages tile an interval with one read each.
+#[inline]
+pub(crate) fn split(acc: &mut std::time::Duration, m: &mut Option<std::time::Instant>) {
+    if let Some(t) = m {
+        let now = std::time::Instant::now();
+        *acc += now - *t;
+        *t = now;
     }
 }
 
@@ -158,10 +183,12 @@ impl SiriusSim {
                     break;
                 }
                 if t == 0 {
+                    let mut clock = mark(timing);
                     if has_faults {
                         self.fault_boundary(cur_epoch, obs);
+                        split(&mut self.plane_times.fault_boundary, &mut clock);
                     }
-                    self.epoch_boundary(cur_epoch, now, src, obs);
+                    self.epoch_boundary(cur_epoch, now, src, obs, &mut clock);
                     if O::ENABLED {
                         let in_flight = self.delivery.ring.iter().map(|v| v.len() as u64).sum();
                         obs.epoch_check(cur_epoch, &self.nodes, in_flight);

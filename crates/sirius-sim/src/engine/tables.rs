@@ -22,10 +22,15 @@
 //!   a rotation: `dest(i, u, t) = col_base(i, u) + (port(i) + t) mod g`,
 //!   so per node we store one `port` and per `(node, uplink)` one column
 //!   base — O(N · uplinks) total, cache-resident at any N the series
-//!   sweeps. Construction *verifies* the rotation property against the
-//!   schedule and panics if a future schedule change breaks it, so the
+//!   sweeps. A node's columns reach every group (each pair connects at
+//!   least once per epoch), so its scheduled peers at slot `t` are
+//!   exactly the nodes `≡ (port + t) mod g`: one comb mask per rotation,
+//!   `g` masks in all, gives this form the same peer-mask AND as the
+//!   dense one. Construction *verifies* both properties against the
+//!   schedule and panics if a future schedule change breaks them, so the
 //!   compressed form can never silently diverge.
 
+use sirius_core::bits;
 use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, UplinkId};
 
@@ -52,6 +57,9 @@ enum Repr {
         port: Vec<u16>,
         /// Rotation modulus (= grating size = epoch slots).
         g: u32,
+        /// `[rotation][word]`: bit `j` set iff `j mod g == rotation` —
+        /// the scheduled peers of any node whose rotation that is.
+        comb: Vec<u64>,
     },
 }
 
@@ -86,7 +94,7 @@ impl DestTable {
         let repr = if dense_bytes <= dense_limit {
             Self::build_dense(sched, nodes, uplinks, epoch_slots, stride, words)
         } else {
-            Self::build_cyclic(sched, nodes, uplinks, epoch_slots)
+            Self::build_cyclic(sched, nodes, uplinks, epoch_slots, words)
         };
         DestTable {
             nodes,
@@ -121,7 +129,13 @@ impl DestTable {
         Repr::Dense { dests, peer_mask }
     }
 
-    fn build_cyclic(sched: &Schedule, nodes: usize, uplinks: usize, epoch_slots: u64) -> Repr {
+    fn build_cyclic(
+        sched: &Schedule,
+        nodes: usize,
+        uplinks: usize,
+        epoch_slots: u64,
+        words: usize,
+    ) -> Repr {
         let g = epoch_slots as u32;
         let mut col_base = Vec::with_capacity(nodes * uplinks);
         let mut port = Vec::with_capacity(nodes);
@@ -139,6 +153,20 @@ impl DestTable {
                 );
                 col_base.push(d - p);
             }
+            // The comb masks below name *every* node of a rotation as a
+            // peer, which holds iff this node's columns reach every group.
+            let mut reached = vec![false; nodes / g as usize];
+            for &b in &col_base[i as usize * uplinks..] {
+                reached[(b / g) as usize] = true;
+            }
+            assert!(
+                reached.iter().all(|&r| r),
+                "node {i}'s columns skip a group; cyclic DestTable peer masks invalid"
+            );
+        }
+        let mut comb = vec![0u64; g as usize * words];
+        for j in 0..nodes {
+            bits::set(&mut comb[j % g as usize * words..][..words], j);
         }
         // Verify the rotation property: exhaustively under debug builds,
         // sampled (first and last nonzero rotation) in release. A
@@ -165,7 +193,12 @@ impl DestTable {
                 }
             }
         }
-        Repr::Cyclic { col_base, port, g }
+        Repr::Cyclic {
+            col_base,
+            port,
+            g,
+            comb,
+        }
     }
 
     /// All destinations for epoch slot `t`, as a per-node view.
@@ -182,24 +215,27 @@ impl DestTable {
             Repr::Dense { dests, .. } => {
                 dests[t.0 as usize * self.stride + i.0 as usize * self.uplinks + u as usize]
             }
-            Repr::Cyclic { col_base, port, g } => {
+            Repr::Cyclic {
+                col_base, port, g, ..
+            } => {
                 let rot = (port[i.0 as usize] as u32 + t.0 as u32) % g;
                 NodeId(col_base[i.0 as usize * self.uplinks + u as usize] + rot)
             }
         }
     }
 
-    /// Bitmask of the peers node `i`'s uplinks connect to at slot `t`;
-    /// `None` under the cyclic form (callers fall back to a per-node
-    /// occupancy check).
+    /// Bitmask of the peers node `i`'s uplinks connect to at slot `t`.
     #[inline]
-    pub fn peer_mask(&self, t: SlotInEpoch, i: usize) -> Option<&[u64]> {
+    pub fn peer_mask(&self, t: SlotInEpoch, i: usize) -> &[u64] {
         match &self.repr {
             Repr::Dense { peer_mask, .. } => {
                 let base = (t.0 as usize * self.nodes + i) * self.words;
-                Some(&peer_mask[base..base + self.words])
+                &peer_mask[base..base + self.words]
             }
-            Repr::Cyclic { .. } => None,
+            Repr::Cyclic { port, g, comb, .. } => {
+                let rot = (port[i] as u32 + t.0 as u32) % g;
+                &comb[rot as usize * self.words..][..self.words]
+            }
         }
     }
 
@@ -232,7 +268,9 @@ impl<'a> SlotDests<'a> {
                 let base = self.t.0 as usize * self.table.stride + i * self.table.uplinks;
                 NodeRow::Dense(&dests[base..base + self.table.uplinks])
             }
-            Repr::Cyclic { col_base, port, g } => NodeRow::Cyclic {
+            Repr::Cyclic {
+                col_base, port, g, ..
+            } => NodeRow::Cyclic {
                 col: &col_base[i * self.table.uplinks..(i + 1) * self.table.uplinks],
                 rot: (port[i] as u32 + self.t.0 as u32) % g,
             },
@@ -274,17 +312,12 @@ mod tests {
                     let want = sched.dest(NodeId(i), UplinkId(u), SlotInEpoch(t));
                     assert_eq!(table.dest(SlotInEpoch(t), NodeId(i), u), want);
                     assert_eq!(row.at(u as usize), want);
-                    if let Some(pm) = pm {
-                        assert_ne!(pm[want.0 as usize >> 6] & (1 << (want.0 & 63)), 0);
-                    }
+                    assert_ne!(pm[want.0 as usize >> 6] & (1 << (want.0 & 63)), 0);
                 }
             }
-            // Peer masks (dense form only) hold exactly the scheduled
-            // destinations.
+            // Peer masks hold exactly the scheduled destinations.
             for i in 0..sched.nodes() {
-                let Some(pm) = table.peer_mask(SlotInEpoch(t), i) else {
-                    continue;
-                };
+                let pm = table.peer_mask(SlotInEpoch(t), i);
                 let scheduled: std::collections::HashSet<u32> = (0..sched.uplinks() as u16)
                     .map(|u| table.dest(SlotInEpoch(t), NodeId(i as u32), u).0)
                     .collect();
@@ -320,7 +353,25 @@ mod tests {
                 "limit 0 must force the cyclic form"
             );
             check_against_schedule(&cyclic, &sched);
-            assert!(cyclic.peer_mask(SlotInEpoch(0), 0).is_none());
+        }
+    }
+
+    #[test]
+    fn comb_peer_masks_equal_the_dense_tables_at_paper_scale() {
+        let sched = Schedule::new(&SiriusConfig::paper_sim());
+        assert_eq!(sched.nodes(), 128);
+        let dense = DestTable::new(&sched);
+        let cyclic = DestTable::new_with_limit(&sched, 0);
+        assert!(matches!(dense.repr, Repr::Dense { .. }));
+        assert!(matches!(cyclic.repr, Repr::Cyclic { .. }));
+        for t in 0..sched.epoch_slots() as u16 {
+            for i in 0..sched.nodes() {
+                assert_eq!(
+                    cyclic.peer_mask(SlotInEpoch(t), i),
+                    dense.peer_mask(SlotInEpoch(t), i),
+                    "peer mask differs at (t={t}, i={i})"
+                );
+            }
         }
     }
 

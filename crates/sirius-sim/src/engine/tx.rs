@@ -179,10 +179,9 @@ fn transmit(
 ///
 /// The protocol only ever sends fabric (relay + VOQ) cells, so the
 /// node's per-peer occupancy bitmask ANDed with the slot's
-/// scheduled-peer mask (dense table form) decides in a couple of word
-/// ops; the compressed (cyclic) form has no per-slot mask, and there the
-/// skip is occupancy-only. Greedy and Ideal also launch straight from
-/// LOCAL, so only an entirely empty node is idle.
+/// scheduled-peer mask decides in a couple of word ops. Greedy and Ideal
+/// also launch straight from LOCAL, so only an entirely empty node is
+/// idle.
 #[inline]
 fn node_idle(
     mode: CcMode,
@@ -193,11 +192,8 @@ fn node_idle(
 ) -> bool {
     match mode {
         CcMode::Protocol => {
-            let fm = node.fabric_mask();
-            match tables.peer_mask(t, i) {
-                Some(pm) => fm.iter().zip(pm).fold(0, |any, (f, p)| any | (f & p)) == 0,
-                None => fm.iter().all(|&w| w == 0),
-            }
+            let (fm, pm) = (node.fabric_mask(), tables.peer_mask(t, i));
+            fm.iter().zip(pm).fold(0, |any, (f, p)| any | (f & p)) == 0
         }
         CcMode::Greedy | CcMode::Ideal => node.resident_cells() == 0,
     }

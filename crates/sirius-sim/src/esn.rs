@@ -297,6 +297,10 @@ impl EsnSim {
             tx_secs: 0.0,
             deliver_secs: 0.0,
             merge_secs: 0.0,
+            fault_boundary_secs: 0.0,
+            admit_secs: 0.0,
+            inject_secs: 0.0,
+            cc_secs: 0.0,
             // Every record is kept, so exact percentiles want `flows`.
             fct_hist: None,
         }

@@ -326,6 +326,22 @@ pub struct RunMetrics {
     ///
     /// [`tx_secs`]: RunMetrics::tx_secs
     pub merge_secs: f64,
+    /// Wall-clock seconds in the epoch-boundary fault pipeline (ground
+    /// truth, detector ticks, staged repair); zero without a fault
+    /// script. With the three fields below it splits the serial epoch
+    /// boundary, so the planes, these four and a bookkeeping remainder
+    /// add up to [`wall_secs`](RunMetrics::wall_secs). Same opt-in and
+    /// caveats as [`tx_secs`](RunMetrics::tx_secs); the clock is read at
+    /// the boundary only, never per slot.
+    pub fault_boundary_secs: f64,
+    /// Wall-clock seconds admitting arrived flows at epoch boundaries.
+    pub admit_secs: f64,
+    /// Wall-clock seconds in server injection (cells into LOCAL).
+    pub inject_secs: f64,
+    /// Wall-clock seconds in the request/grant round (`begin_epoch`,
+    /// grant issue and delivery, request generation and delivery); zero
+    /// outside [`crate::CcMode::Protocol`].
+    pub cc_secs: f64,
     /// Streaming FCT histogram over every completed flow, folded at
     /// eviction time. Present on streaming runs
     /// ([`crate::SiriusSim::run_streaming`]), where per-flow records are
@@ -508,6 +524,10 @@ mod tests {
             tx_secs: 0.0,
             deliver_secs: 0.0,
             merge_secs: 0.0,
+            fault_boundary_secs: 0.0,
+            admit_secs: 0.0,
+            inject_secs: 0.0,
+            cc_secs: 0.0,
             fct_hist: None,
         };
         let p99 = m.fct_percentile(99.0, 100_000).unwrap();
@@ -538,6 +558,10 @@ mod tests {
             tx_secs: 0.0,
             deliver_secs: 0.0,
             merge_secs: 0.0,
+            fault_boundary_secs: 0.0,
+            admit_secs: 0.0,
+            inject_secs: 0.0,
+            cc_secs: 0.0,
             fct_hist: None,
         };
         // 1 Gbit in 1 ms = 1 Tbps; with 100 servers at 10 Gbps = 1 Tbps

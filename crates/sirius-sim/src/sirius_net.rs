@@ -32,12 +32,13 @@
 use crate::audit::{Audit, AuditReport, RunDigest};
 use crate::engine::deliver::FlowSlots;
 use crate::engine::{
-    DeliverPlane, DestTable, DetectPlane, FaultPlane, NullObserver, SlotObserver, TxPlane,
+    split, DeliverPlane, DestTable, DetectPlane, FaultPlane, NullObserver, SlotObserver, TxPlane,
 };
 use crate::faults::{FaultEvent, FaultInjector};
 use crate::metrics::{FctHistogram, FlowRecord, RunMetrics};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sirius_core::bits;
 use sirius_core::cell::{Cell, FlowId};
 use sirius_core::config::SiriusConfig;
 use sirius_core::fault::{FailurePlane, FaultConfig};
@@ -91,10 +92,10 @@ pub struct SiriusSimConfig {
     /// Ideal mode and audit-enabled runs use one shard regardless.
     /// Defaults to `SIRIUS_SHARDS` when that is set to an integer ≥ 1.
     pub shards: usize,
-    /// Record per-plane wall-clock breakdown (`tx_secs` / `deliver_secs`
-    /// / `merge_secs` in [`crate::RunMetrics`]). Off by default: the
-    /// clock reads cost real time on the hot path, and the breakdown is
-    /// a bench-harness concern. Never affects behavior or digests.
+    /// Record per-plane wall-clock breakdown (the `*_secs` fields of
+    /// [`crate::RunMetrics`]). Off by default: the clock reads cost real
+    /// time on the hot path, and the breakdown is a bench-harness
+    /// concern. Never affects behavior or digests.
     pub plane_timing: bool,
 }
 
@@ -528,7 +529,7 @@ impl SiriusSim {
             prop_slots: prop_slots as usize,
             failure_plane: FailurePlane::new(n),
             faults: FaultPlane::new(cfg.seed, n, uplinks, net.grating_ports),
-            detect: DetectPlane::new(n, cfg.fault),
+            detect: DetectPlane::new(n),
             tx: TxPlane::new(cfg.mode, n, queue_threshold),
             delivery: DeliverPlane::new(ring_len, total_servers),
             fault_rngs: Vec::new(),
@@ -665,12 +666,15 @@ impl SiriusSim {
     }
 
     /// Epoch boundary: flow admission + injection, then the CC round.
+    /// `clock` is the plane-timing mark the driver opened for this
+    /// boundary (`None` when timing is off); each stage charges its share.
     pub(crate) fn epoch_boundary<I: Iterator<Item = Flow>, O: SlotObserver>(
         &mut self,
         epoch: u64,
         now: Time,
         src: &mut StreamSource<I>,
         obs: &mut O,
+        clock: &mut Option<std::time::Instant>,
     ) {
         // 1. Admit flows that have arrived.
         while let Some(fi) = src.pop_arrived(now, &mut self.flows) {
@@ -696,6 +700,7 @@ impl SiriusSim {
                 self.servers[src_server as usize].active.push_back(fi);
             }
         }
+        split(&mut self.plane_times.admit, clock);
 
         // 2. Server injection: every server earns one epoch of link credit
         //    and injects cells round-robin across its active flows.
@@ -744,6 +749,8 @@ impl SiriusSim {
             }
         }
 
+        split(&mut self.plane_times.inject, clock);
+
         if self.cfg.mode != CcMode::Protocol {
             return;
         }
@@ -769,10 +776,12 @@ impl SiriusSim {
             // fault-free runs keep their exact RNG draw sequence (and
             // golden digests).
             let grants = if self.sched.has_omitted_columns() {
-                let sched = &self.sched;
+                let reachable = self.sched.usable_from(ni);
                 self.nodes[i]
                     .cc
-                    .issue_grants_filtered(&mut self.rng, epoch, |d| sched.pair_usable(ni, d))
+                    .issue_grants_filtered(&mut self.rng, epoch, |d| {
+                        bits::get(reachable, d.0 as usize)
+                    })
             } else {
                 self.nodes[i].cc.issue_grants(&mut self.rng, epoch)
             };
@@ -808,10 +817,9 @@ impl SiriusSim {
             // must be reachable from the source *and* able to reach the
             // destination through the repaired schedule.
             let reqs = if sched.has_omitted_columns() {
+                let from = sched.usable_from(ni);
                 self.nodes[i].gen_requests(&mut self.rng, |rng, src, dst| {
-                    vlb.pick_where(rng, src, dst, |m| {
-                        sched.pair_usable(src, m) && sched.pair_usable(m, dst)
-                    })
+                    vlb.pick_masked(rng, src, dst, from, sched.usable_to(dst))
                 })
             } else {
                 self.nodes[i].gen_requests(&mut self.rng, |rng, src, dst| vlb.pick(rng, src, dst))
@@ -866,6 +874,7 @@ impl SiriusSim {
                 }
             }
         }
+        split(&mut self.plane_times.cc, clock);
     }
 
     fn finish(
@@ -984,6 +993,10 @@ impl SiriusSim {
             tx_secs: self.plane_times.tx.as_secs_f64(),
             deliver_secs: self.plane_times.deliver.as_secs_f64(),
             merge_secs: self.plane_times.merge.as_secs_f64(),
+            fault_boundary_secs: self.plane_times.fault_boundary.as_secs_f64(),
+            admit_secs: self.plane_times.admit.as_secs_f64(),
+            inject_secs: self.plane_times.inject.as_secs_f64(),
+            cc_secs: self.plane_times.cc.as_secs_f64(),
             fct_hist: if self.evict_completed {
                 Some(self.fct_hist)
             } else {
