@@ -107,6 +107,20 @@ stage_audit() {
 stage_docs() {
   echo "==> cargo doc (deny warnings)"
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+  echo "==> stale-command check (binaries named in the docs and ci.sh exist)"
+  local name stale=0
+  for name in $(grep -ohE -e '--bin [A-Za-z0-9_-]+' README.md EXPERIMENTS.md DESIGN.md ci.sh |
+    awk '{print $2}' | sort -u); do
+    if ! compgen -G "crates/*/src/bin/${name}.rs" > /dev/null; then
+      echo "error: --bin ${name} is documented but no crates/*/src/bin/${name}.rs exists" >&2
+      stale=1
+    fi
+  done
+  if (( stale )); then
+    exit 1
+  fi
+  echo "documented binaries all exist"
 }
 
 stage_bench_smoke() {
@@ -118,14 +132,14 @@ stage_bench_smoke() {
   # are too noisy for the paper-scale speedup gate (that number is
   # measured locally and recorded in EXPERIMENTS.md), but the harness
   # path — including the BENCH_sim_throughput.json emitter — is covered.
-  cargo run --release -p sirius-bench --bin fault_tolerance -- --smoke --jobs 2
-  cargo run --release -p sirius-bench --bin repair_granularity -- --smoke --jobs 2
+  cargo run --release -p sirius-bench --bin xp -- fault_tolerance --smoke --jobs 2
+  cargo run --release -p sirius-bench --bin xp -- repair_granularity --smoke --jobs 2
 
   echo "==> correlated_faults --smoke under SIRIUS_SHARDS=2"
   # The correlated-domain + Byzantine evaluation end to end, with every
   # run's slot engine sharded (the digest contract makes this free), then
   # schema/sanity validation of the JSON artifact.
-  SIRIUS_SHARDS=2 cargo run --release -p sirius-bench --bin correlated_faults -- --smoke --jobs 2
+  SIRIUS_SHARDS=2 cargo run --release -p sirius-bench --bin xp -- correlated_faults --smoke --jobs 2
   validate_bench_json results/BENCH_correlated_faults.json \
     '"bench": "correlated_faults"' '"silence_bound_epochs"' '"bank": \[' \
     '"byzantine": \[' '"drop_rate"' '"max_forged_per_epoch"' '"domains"' \
@@ -135,13 +149,13 @@ stage_bench_smoke() {
   # The slot-engine sharding contract — now covering the
   # receiver-partitioned deliver phase as well as TX — checked on the
   # real artifacts: a quick-scale run with --shards 2 must report the
-  # same per-mode run digests as --shards 1. (The bin also asserts this
-  # in-process when --shards > 1; the cross-invocation compare below
+  # same per-mode run digests as --shards 1. (The experiment also asserts
+  # this in-process when --shards > 1; the cross-invocation compare below
   # additionally pins that the serial engine itself didn't drift between
   # the two runs.)
-  cargo run --release -p sirius-bench --bin sim_throughput -- --quick --jobs 2 --shards 1
+  cargo run --release -p sirius-bench --bin xp -- sim_throughput --quick --jobs 2 --shards 1
   grep -o '"digest": "[0-9a-f]*"' results/BENCH_sim_throughput.json > results/.digests_serial
-  cargo run --release -p sirius-bench --bin sim_throughput -- --quick --jobs 2 --shards 2
+  cargo run --release -p sirius-bench --bin xp -- sim_throughput --quick --jobs 2 --shards 2
   grep -o '"digest": "[0-9a-f]*"' results/BENCH_sim_throughput.json | head -n 3 > results/.digests_sharded_serialleg
   cmp results/.digests_serial results/.digests_sharded_serialleg
   rm -f results/.digests_serial results/.digests_sharded_serialleg
@@ -172,10 +186,10 @@ stage_bench_smoke() {
   # the fig9 CSVs from a serial run and a 2-worker run must be
   # byte-identical. (cargo test covers the same property in-process; this
   # checks the full binary → results/ path.)
-  cargo run --release -p sirius-bench --bin fig9 -- --smoke --jobs 1
+  cargo run --release -p sirius-bench --bin xp -- fig9 --smoke --jobs 1
   mkdir -p results/.serial
   cp results/fig9a.csv results/fig9b.csv results/.serial/
-  cargo run --release -p sirius-bench --bin fig9 -- --smoke --jobs 2
+  cargo run --release -p sirius-bench --bin xp -- fig9 --smoke --jobs 2
   cmp results/.serial/fig9a.csv results/fig9a.csv
   cmp results/.serial/fig9b.csv results/fig9b.csv
   rm -rf results/.serial
@@ -195,13 +209,14 @@ stage_bench_smoke() {
 stage_scale_smoke() {
   echo "==> scale-out series smoke (streaming engine, memory gates)"
   # The smoke series (128 → 512 nodes, ending in a same-geometry pair
-  # with 8× the flows) on the streaming engine. The binary exits
-  # non-zero itself if the in-flight flow bound is violated; the JSON
+  # with 8× the flows) on the streaming engine. The experiment exits
+  # non-zero itself if the in-flight flow bound is violated (xp passes an
+  # entry's status through, and set -e fails the stage on it); the JSON
   # carries every gate verdict so this stage greps booleans instead of
   # re-deriving thresholds in shell. --jobs 1 on this leg: points must
   # complete in order for the process-monotonic VmHWM readings behind
   # the RSS gate to be attributable to their points.
-  cargo run --release -p sirius-bench --bin scale_series -- --smoke --jobs 1 --shards 1
+  cargo run --release -p sirius-bench --bin xp -- scale_series --smoke --jobs 1 --shards 1
   validate_bench_json results/BENCH_scale_series.json \
     '"bench": "scale_series"' '"resident_ok"' '"rss_sublinear"' \
     '"rss_subquadratic_in_nodes"' '"points": \[' \
@@ -231,7 +246,7 @@ stage_scale_smoke() {
   # path: per-point digests from a sharded, parallel-sweep run must
   # match the serial single-worker leg above (this doubles as the
   # jobs-determinism check on the real artifact).
-  cargo run --release -p sirius-bench --bin scale_series -- --smoke --jobs 2 --shards 2
+  cargo run --release -p sirius-bench --bin xp -- scale_series --smoke --jobs 2 --shards 2
   grep -o '"digest": "[0-9a-f]*"' results/BENCH_scale_series.json > results/.scale_digests_sharded
   cmp results/.scale_digests_serial results/.scale_digests_sharded
   rm -f results/.scale_digests_serial results/.scale_digests_sharded
@@ -241,7 +256,7 @@ stage_scale_smoke() {
 stage_live_smoke() {
   echo "==> live-process sync smoke (sirius-sync-node over UDP loopback)"
   # The same SyncEngine that runs in-sim, as 4 real OS processes over
-  # UDP/loopback. The bin exits non-zero unless the cluster locks: every
+  # UDP/loopback. xp exits non-zero unless the cluster locks: every
   # node reports, nobody is deaf, and the worst p99 applied-correction
   # magnitude stays inside one epoch. Loopback measures the host's
   # scheduler wakeup latency (tens of µs), not the paper's ps-scale
@@ -254,7 +269,7 @@ stage_live_smoke() {
   # against the wall-clock bound below.
   cargo build --release -p sirius-sync -p sirius-bench
   local t0=$SECONDS
-  cargo run --release -p sirius-bench --bin live_sync -- --smoke
+  cargo run --release -p sirius-bench --bin xp -- live_sync --smoke
   local elapsed=$((SECONDS - t0))
   # Smoke preset paces 1500 epochs x 2 ms + calibration ≈ 3-4 s once
   # built; the orchestrator kills the cluster at its internal deadline,

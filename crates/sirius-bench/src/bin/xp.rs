@@ -1,238 +1,82 @@
-//! Runs every experiment in sequence (the full paper reproduction).
+//! The harness binary: `xp [name ...]` runs the named experiments from
+//! [`sirius_bench::registry`]; with no name it runs every experiment of
+//! the reproduction in sequence. The first experiment to fail ends the
+//! run with its exit status; an unknown name exits 2 and lists the valid
+//! ones.
 //!
-//! * `--full` — paper scale;
-//! * `--jobs N` — sweep workers per experiment (env `SIRIUS_JOBS`,
-//!   default: all cores); every sweep collects results in submission
-//!   order, so the tables and CSVs are byte-identical to `--jobs 1`;
-//! * `--timing` — run the whole suite twice, serial then parallel, and
-//!   emit `results/BENCH_xp_wall.json` with per-experiment wall-clock
-//!   and the end-to-end speedup;
-//! * `--live` — also run the live-process sync measurement (spawns real
-//!   `sirius-sync-node` processes over UDP loopback). Off by default:
-//!   it measures the host's scheduling latency, so it is neither
-//!   deterministic nor machine-independent like the rest of the suite.
-use sirius_bench::experiments::*;
+//! The flags — scale, `--jobs`, `--shards`, `--timing`, `--live` — are
+//! [`sirius_bench::cli`]'s.
+use sirius_bench::registry::{self, Entry};
 use sirius_bench::wall::{ExperimentWall, WallReport};
-use sirius_bench::{Cli, Scale};
+use sirius_bench::Cli;
 use std::time::Instant;
 
-/// One named experiment: the closure takes the sweep worker count.
-type Experiment = (&'static str, Box<dyn Fn(usize)>);
-
-/// The suite as named closures so the driver can time each experiment.
-/// Analytic tables (fig2/fig6/fig8/tuning) and the single-run sync
-/// measurement have no sweep to fan out, but are timed all the same so
-/// the wall report covers the entire reproduction. `shards` (from
-/// `--shards`) reaches the experiments whose wall clock is dominated by
-/// a few long runs rather than sweep width — today that is fig13.
-fn suite(scale: Scale, shards: Option<usize>, live: bool) -> Vec<Experiment> {
-    let mut xs: Vec<Experiment> = Vec::new();
-    xs.push((
-        "analytic",
-        Box::new(|_| {
-            fig2::fig2a_table().emit("fig2a");
-            fig2::fig2b_table().emit("fig2b");
-            fig6::fig6a_table().emit("fig6a");
-            fig6::fig6b_table().emit("fig6b");
-            fig6::variants_table().emit("s5_variants");
-            fig8::fig8a_table(7).emit("fig8a");
-            fig8::fig8b_table(7).emit("fig8b");
-            fig8::fig8c_table(7).emit("fig8c");
-            fig8::fig8d_table().emit("fig8d");
-            tuning::tuning_table(7).emit("tuning");
-            tuning::dsdbr_cdf_table().emit("tuning_cdf");
-            tuning::bank_sizing_table().emit("bank_sizing");
-        }),
-    ));
-    xs.push((
-        "sync",
-        Box::new(move |_| {
-            let epochs = if scale == Scale::Paper {
-                2_000_000
-            } else {
-                200_000
-            };
-            sync::sync_table(epochs).emit("sync");
-        }),
-    ));
-    xs.push((
-        "fig9",
-        Box::new(move |jobs| {
-            let points = fig9::run(scale, 1, jobs);
-            let (fct, gp) = fig9::tables(&points);
-            fct.emit("fig9a");
-            gp.emit("fig9b");
-        }),
-    ));
-    xs.push((
-        "fig10",
-        Box::new(move |jobs| fig10::table(&fig10::run(scale, &fig9::LOADS, 1, jobs)).emit("fig10")),
-    ));
-    xs.push((
-        "fig11",
-        Box::new(move |jobs| {
-            fig11::table(&fig11::run(scale, 1.0, 1, jobs)).emit("fig11");
-            fig11::table(&fig11::run(scale, 0.75, 1, jobs)).emit("fig11_l75");
-        }),
-    ));
-    xs.push((
-        "fig12",
-        Box::new(move |jobs| fig12::table(&fig12::run(scale, &fig9::LOADS, 1, jobs)).emit("fig12")),
-    ));
-    xs.push((
-        "fig13",
-        Box::new(move |jobs| fig13::table(&fig13::run(scale, 0.5, 1, jobs, shards)).emit("fig13")),
-    ));
-    xs.push((
-        "ablation",
-        Box::new(move |jobs| {
-            ablation::table(&ablation::run(scale, &fig9::LOADS, 1, jobs)).emit("ablation")
-        }),
-    ));
-    xs.push((
-        "fault_tolerance",
-        Box::new(move |jobs| {
-            let ft = fault_tolerance::run(scale, 1, jobs);
-            let (det, gp, grey) = fault_tolerance::tables(&ft);
-            det.emit("fault_detect");
-            gp.emit("fault_goodput");
-            grey.emit("fault_grey");
-        }),
-    ));
-    xs.push((
-        "repair_granularity",
-        Box::new(move |jobs| {
-            let n = scale.network().nodes as u32;
-            let rg = repair_granularity::run(scale, 1, &repair_granularity::k_sweep(n), jobs);
-            repair_granularity::table(&rg).emit("repair_granularity");
-        }),
-    ));
-    xs.push((
-        "correlated_faults",
-        Box::new(move |jobs| {
-            let pts = correlated_faults::run(scale, 1, jobs);
-            correlated_faults::emit(&pts, scale);
-        }),
-    ));
-    xs.push((
-        "relay_burst",
-        Box::new(move |jobs| {
-            let fct = relay_burst::run_fct(
-                scale,
-                0.75,
-                1,
-                &relay_burst::BURSTS,
-                &relay_burst::GUARDS_NS,
-                jobs,
+/// Run `entries` once, returning per-experiment wall-clock seconds in
+/// order; the first non-zero status ends the process with it.
+fn run_all(entries: &[&Entry], cli: &Cli) -> Vec<(&'static str, f64)> {
+    entries
+        .iter()
+        .map(|e| {
+            eprintln!(
+                "running {} at {:?} scale, --jobs {}, shards {:?}...",
+                e.name, cli.scale, cli.jobs, cli.shards
             );
-            relay_burst::fct_table(&fct).emit("relay_burst_fct");
-            let sat = relay_burst::run_saturation(scale, 1, &relay_burst::BURSTS, jobs);
-            relay_burst::sat_table(&sat).emit("relay_burst_sat");
-        }),
-    ));
-    xs.push((
-        "sim_throughput",
-        Box::new(move |jobs| {
-            let tp = sim_throughput::run(scale, 1, jobs, 1);
-            sim_throughput::table(&tp).emit("sim_throughput");
-            sim_throughput::emit_json(&tp, scale);
-        }),
-    ));
-    xs.push((
-        "scale_series",
-        Box::new(move |jobs| {
-            // High-memory sweep: each concurrent point holds a full
-            // deployment's node state, so the suite-wide --jobs is
-            // capped here rather than letting the largest points
-            // multiply.
-            let jobs = jobs.min(scale_series::jobs_cap(scale));
-            let pts = scale_series::run(scale, 1, jobs, shards.unwrap_or(1));
-            scale_series::table(&pts).emit("scale_series");
-            scale_series::emit_json(&pts, scale, jobs);
-        }),
-    ));
-    if live {
-        xs.push((
-            "live_sync",
-            Box::new(move |_| {
-                // Opt-in (--live): spawns real OS processes and measures
-                // wall-clock latency, so it is neither deterministic nor
-                // machine-independent like the rest of the suite.
-                let cfg = live_sync::LiveConfig::for_scale(scale);
-                match live_sync::run(&cfg) {
-                    Ok(res) => {
-                        live_sync::table(&res).emit("live_sync");
-                        live_sync::emit_json(&res, scale);
-                    }
-                    Err(e) => eprintln!("warning: live_sync skipped: {e}"),
-                }
-            }),
-        ));
-    }
-    xs
-}
-
-/// Run the whole suite once at a worker count, returning per-experiment
-/// wall-clock seconds in suite order.
-fn run_suite(
-    scale: Scale,
-    jobs: usize,
-    shards: Option<usize>,
-    live: bool,
-) -> Vec<(&'static str, f64)> {
-    suite(scale, shards, live)
-        .into_iter()
-        .map(|(name, exp)| {
             let t0 = Instant::now();
-            exp(jobs);
-            (name, t0.elapsed().as_secs_f64())
+            let status = (e.run)(cli);
+            if status != 0 {
+                std::process::exit(status);
+            }
+            (e.name, t0.elapsed().as_secs_f64())
         })
         .collect()
 }
 
 fn main() {
     let cli = Cli::parse();
-    let scale = cli.scale;
-    if cli.timing {
-        eprintln!(
-            "=== Sirius paper reproduction, {scale:?} scale: timing serial vs --jobs {} ===",
-            cli.jobs
-        );
-        let serial = run_suite(scale, 1, cli.shards, cli.live);
-        let parallel = run_suite(scale, cli.jobs, cli.shards, cli.live);
-        let report = WallReport {
-            scale,
-            jobs: cli.jobs,
-            host_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            experiments: serial
-                .into_iter()
-                .zip(parallel)
-                .map(|((name, s), (_, p))| ExperimentWall {
-                    name,
-                    serial_secs: s,
-                    parallel_secs: p,
-                })
-                .collect(),
-        };
-        report.emit();
-        eprintln!(
-            "=== done; serial {:.1}s vs --jobs {} {:.1}s ({}x); CSVs + BENCH_xp_wall.json under results/ ===",
-            report.serial_total_secs(),
-            report.jobs,
-            report.parallel_total_secs(),
-            report
-                .total_speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "-".into()),
-        );
-    } else {
-        eprintln!(
-            "=== Sirius paper reproduction, {scale:?} scale, --jobs {} ===",
-            cli.jobs
-        );
-        run_suite(scale, cli.jobs, cli.shards, cli.live);
+    let entries = registry::select(&cli.rest, cli.live).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    // --timing puts a serial leg in front of the requested one.
+    let serial = cli.timing.then(|| {
+        run_all(
+            &entries,
+            &Cli {
+                jobs: 1,
+                ..cli.clone()
+            },
+        )
+    });
+    let parallel = run_all(&entries, &cli);
+    let Some(serial) = serial else {
         eprintln!("=== done; CSVs under results/ ===");
-    }
+        return;
+    };
+    let report = WallReport {
+        scale: cli.scale,
+        jobs: cli.jobs,
+        host_parallelism: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        experiments: serial
+            .into_iter()
+            .zip(parallel)
+            .map(|((name, s), (_, p))| ExperimentWall {
+                name,
+                serial_secs: s,
+                parallel_secs: p,
+            })
+            .collect(),
+    };
+    report.emit();
+    eprintln!(
+        "=== done; serial {:.1}s vs --jobs {} {:.1}s ({}x); CSVs + BENCH_xp_wall.json under results/ ===",
+        report.serial_total_secs(),
+        report.jobs,
+        report.parallel_total_secs(),
+        report
+            .total_speedup()
+            .map(|s| format!("{s:.2}"))
+            .unwrap_or_else(|| "-".into()),
+    );
 }

@@ -1,7 +1,4 @@
-//! Shared argument parsing for every harness binary.
-//!
-//! Each bin used to hand-roll `Scale::from_args` plus ad-hoc flags; this
-//! module is the single parser for the common surface:
+//! Argument parsing for the harness binary (`xp`):
 //!
 //! * `--full` / `--quick` / `--smoke` — experiment scale (default quick);
 //! * `--jobs N` / `--jobs=N` — sweep workers (default `SIRIUS_JOBS`, then
@@ -9,16 +6,17 @@
 //! * `--shards N` / `--shards=N` — slot-engine worker shards *within* one
 //!   run (default: the simulator's own `SIRIUS_SHARDS`-or-1 default;
 //!   sharded runs are digest-identical to `--shards 1`);
-//! * `--timing` — `xp` only: run the suite serially and in parallel and
-//!   emit `results/BENCH_xp_wall.json`;
-//! * `--live` — `xp` only: also run the live-process sync measurement
-//!   (spawns real `sirius-sync-node` processes over UDP loopback; off by
-//!   default so `xp` stays deterministic and machine-independent).
+//! * `--timing` — run the selection serially and in parallel and emit
+//!   `results/BENCH_xp_wall.json`;
+//! * `--live` — also run the live-process sync measurement (spawns real
+//!   `sirius-sync-node` processes over UDP loopback; off by default so
+//!   `xp` stays deterministic and machine-independent).
 //!
 //! Unknown `--flags` are an error (a typo'd `--job 4` silently running a
 //! serial sweep would be worse); bare operands are collected into
-//! [`Cli::rest`] for bins with positional arguments (`fig9_point`'s load
-//! percent).
+//! [`Cli::rest`], wherever they sit among the flags: the experiment
+//! names [`crate::registry::select`] resolves, and `fig9_point`'s load
+//! percent.
 
 use crate::pool;
 use crate::scale::Scale;
@@ -30,7 +28,7 @@ use crate::scale::Scale;
 /// small enough that fanning out across every core is safe. A
 /// `HighMemory` experiment (the scale-out series, whose largest point is
 /// a 4096-node deployment) must not be multiplied blindly by `--jobs`:
-/// each concurrent job duplicates the whole per-node state. Binaries
+/// each concurrent job duplicates the whole per-node state. Experiments
 /// pass their class to [`Cli::effective_jobs`], which caps the worker
 /// count and says so, instead of silently letting `--jobs 8` allocate
 /// eight 4096-node simulators.
@@ -58,9 +56,9 @@ pub struct Cli {
     ///
     /// [`SiriusSimConfig::with_shards`]: sirius_sim::SiriusSimConfig::with_shards
     pub shards: Option<usize>,
-    /// `xp --timing`: measure serial vs parallel wall-clock.
+    /// `--timing`: measure serial vs parallel wall-clock.
     pub timing: bool,
-    /// `xp --live`: include the live-process sync measurement.
+    /// `--live`: include the live-process sync measurement.
     pub live: bool,
     /// Positional (non-flag) arguments, in order.
     pub rest: Vec<String>,
@@ -210,6 +208,10 @@ mod tests {
         assert!(parse(&["--live"]).unwrap().live);
         // Repeating the same scale flag is harmless.
         assert!(parse(&["--smoke", "--smoke"]).is_ok());
+        // Operands on either side of a flag keep their order.
+        let cli = parse(&["fig9", "--smoke", "fig13"]).unwrap();
+        assert_eq!(cli.scale, Scale::Smoke);
+        assert_eq!(cli.rest, vec!["fig9".to_string(), "fig13".to_string()]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   with the protocol, the idealized back-pressure bound, and no control
 //!   at all.
 //! * **Uniform vs skewed VLB** is covered by Fig. 12 (uplink factor), and
-//!   the sync/PLL ablation by the `sync_xp` harness.
+//!   the sync/PLL ablation by `xp sync`.
 
 use crate::experiments::fig9::SHORT_FLOW_BYTES;
 use crate::pool::Sweep;

@@ -491,7 +491,7 @@ mod tests {
     /// The dead chip's wavelength count and the Byzantine damage bound,
     /// end to end at smoke scale. One bank size (the whole grating, so a
     /// correlated domain fires) and one liar keep this test's runtime in
-    /// line with its siblings; the full sweep is the bin's job.
+    /// line with its siblings; the full sweep is `xp correlated_faults`'s job.
     #[test]
     fn full_chip_is_one_domain_and_forgeries_are_contained() {
         let net = fabric_limited_net(Scale::Smoke);

@@ -1,14 +1,11 @@
 //! The §4.1 deployment-sizing table: the paper's headline deployment
 //! points reproduced by the planner in `sirius_core::deployment`.
-use sirius_bench::Cli;
-use sirius_bench::Table;
+
+use crate::table::Table;
 use sirius_core::deployment::{plan, DeploymentKind};
 use sirius_core::units::{Duration, Rate};
 
-fn main() {
-    // Fixed table — no sweep; parse the standard flags anyway so the
-    // CLI surface is uniform across every harness binary.
-    let _ = Cli::parse();
+pub fn table() -> Table {
     let slot = Duration::from_ps(99_920);
     let mut t = Table::new(
         "S4.1 deployment points (50 Gbps channels, 100 ns slots, 8-way laser sharing)",
@@ -52,5 +49,5 @@ fn main() {
             format!("{:.1}", p.bisection.as_gbps_f64() / 1000.0),
         ]);
     }
-    t.emit("deployments");
+    t
 }

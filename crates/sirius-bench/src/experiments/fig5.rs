@@ -1,15 +1,12 @@
-//! Prints the paper's Fig. 5b network schedule table for the four-node
-//! example topology (and any other geometry via --nodes/--gratings).
-use sirius_bench::Cli;
-use sirius_bench::Table;
+//! The paper's Fig. 5b network schedule table for the four-node example
+//! topology.
+
+use crate::table::Table;
 use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, Topology, UplinkId};
 use sirius_core::SiriusConfig;
 
-fn main() {
-    // Fixed table — no sweep; parse the standard flags anyway so the
-    // CLI surface is uniform across every harness binary.
-    let _ = Cli::parse();
+pub fn table() -> Table {
     let cfg = SiriusConfig::four_node_prototype();
     let topo = Topology::new(&cfg);
     let sched = Schedule::new(&cfg);
@@ -36,5 +33,5 @@ fn main() {
             t_out.row(row);
         }
     }
-    t_out.emit("fig5b");
+    t_out
 }

@@ -1,14 +1,16 @@
-//! One module per paper figure/table; each exposes `run`/`*_table`
-//! functions used by both the harness binaries and the criterion benches.
+//! One module per paper figure/table; each exposes the `run`/`*table`
+//! functions its [`crate::registry`] entry drives.
 
 pub mod ablation;
 pub mod correlated_faults;
+pub mod deploy;
 pub mod fault_tolerance;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig2;
+pub mod fig5;
 pub mod fig6;
 pub mod fig8;
 pub mod fig9;

@@ -143,7 +143,7 @@ pub fn run_mode(
 /// of the harness path, but concurrent modes contend for cores and
 /// inflate each other's wall clock, so the longitudinal series (the
 /// paper-scale best-of-3 in `BENCH_sim_throughput.json`) is always
-/// measured at `jobs = 1`; the `sim_throughput` bin enforces that.
+/// measured at `jobs = 1`; the `sim_throughput` registry entry enforces that.
 pub fn run(scale: Scale, seed: u64, jobs: usize, shards: usize) -> Vec<ThroughputPoint> {
     let mut sweep = Sweep::new();
     for &(mode, name) in &MODES {

@@ -2,7 +2,7 @@
 //!
 //! `Paper` is the exact §7 setup (128 racks x 24 servers, ~200k flows) —
 //! minutes of wall-clock per figure. `Quick` is a proportionally reduced
-//! deployment for CI and criterion benches — the same ratios (uplinks =
+//! deployment for CI — the same ratios (uplinks =
 //! nodes/grating-ports, uplink factor 1.5, 50 Gbps channels), one quarter
 //! the racks, and fewer flows. `Smoke` is for unit tests of the harness
 //! itself.
@@ -17,7 +17,7 @@ use sirius_workload::{Pareto, Pattern, WorkloadSpec};
 pub enum Scale {
     /// Tiny: harness self-tests.
     Smoke,
-    /// Reduced: default for the harness binaries and criterion benches.
+    /// Reduced: the harness default.
     Quick,
     /// The paper's full §7 setup (`--full`).
     Paper,

@@ -53,7 +53,10 @@
 //!
 //! Per-slot invariants are hoisted: destinations come from a
 //! precomputed [`DestTable`] row instead of div/mod chains, and the
-//! epoch-slot cursor and both ring indices advance incrementally.
+//! epoch-slot cursor and both ring indices advance incrementally. The
+//! table has one form at every scale — a column base per uplink plus a
+//! per-node rotation — because the §4.2 schedule *is* a rotation;
+//! construction proves that against `Schedule::dest` or panics.
 
 pub(crate) mod deliver;
 pub(crate) mod detect;

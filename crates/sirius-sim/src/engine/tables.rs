@@ -1,67 +1,31 @@
-//! Precomputed schedule tables for the slot engine.
+//! The precomputed schedule table for the slot engine.
 //!
 //! [`Schedule::dest`] derives its answer from a div/mod chain over the
 //! grating geometry. The schedule is static — the paper's whole design
-//! rests on that — so the engine flattens it at construction and the hot
+//! rests on that — so the engine reduces it at construction and the hot
 //! loop reads destinations without re-deriving the chain per lookup.
 //! Fault repair never mutates the base schedule (omissions are overlay
 //! checks on [`sirius_core::repair::AdjustedSchedule`]), so the table
 //! stays valid for the whole run.
 //!
-//! Two representations, selected by footprint:
-//!
-//! * **Dense** — one epoch of destinations flattened to a contiguous
-//!   `[slot][node * uplinks + uplink]` array, plus one bitmask of
-//!   scheduled peers per `(slot, node)`: ANDed against a node's
-//!   fabric-occupancy mask ([`sirius_core::node::SiriusNode::fabric_mask`])
-//!   it answers "can this node send *anything* this slot?" in a couple
-//!   of word ops. Fastest, but O(N² · slots): ~25 MB at N = 2048 and
-//!   ~100 MB at N = 4096, which stops being cache-resident long before
-//!   that.
-//! * **Cyclic** — the compressed permutation form. The AWGR schedule is
-//!   a rotation: `dest(i, u, t) = col_base(i, u) + (port(i) + t) mod g`,
-//!   so per node we store one `port` and per `(node, uplink)` one column
-//!   base — O(N · uplinks) total, cache-resident at any N the series
-//!   sweeps. A node's columns reach every group (each pair connects at
-//!   least once per epoch), so its scheduled peers at slot `t` are
-//!   exactly the nodes `≡ (port + t) mod g`: one comb mask per rotation,
-//!   `g` masks in all, gives this form the same peer-mask AND as the
-//!   dense one. Construction *verifies* both properties against the
-//!   schedule and panics if a future schedule change breaks them, so the
-//!   compressed form can never silently diverge.
+//! There is one form at every scale, because the schedule *is* a
+//! rotation (§4.2): an AWGR routes wavelength `t` from port `p` to port
+//! `(p + t) mod g`, so `dest(i, u, t) = col_base(i, u) + (port(i) + t)
+//! mod g`. The table stores one `port` per node and one column base per
+//! `(node, uplink)` — O(N · uplinks) in total, cache-resident from the
+//! 16-node unit tests to 4096 nodes. A node's columns reach every group
+//! (each pair connects at least once per epoch), so its scheduled peers
+//! at slot `t` are exactly the nodes `≡ (port + t) mod g`: one comb mask
+//! per rotation, `g` masks in all. ANDed against a node's
+//! fabric-occupancy mask ([`sirius_core::node::SiriusNode::fabric_mask`])
+//! a comb answers "can this node send *anything* this slot?" in a couple
+//! of word ops. Construction *proves* both properties against
+//! [`Schedule::dest`] or panics, so a future schedule change cannot make
+//! the table silently diverge.
 
 use sirius_core::bits;
 use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, UplinkId};
-
-/// Footprint threshold for the dense form: below this the flattened
-/// epoch (destinations + peer masks) comfortably fits in L2/L3 and wins
-/// on raw speed; above it the cyclic form wins by staying cache-resident.
-/// N = 512 paper-geometry tables are ~2.5 MB (dense); N = 1024 crosses.
-const DENSE_LIMIT_BYTES: usize = 8 << 20;
-
-enum Repr {
-    Dense {
-        /// `[slot][node * uplinks + uplink] -> destination`.
-        dests: Vec<NodeId>,
-        /// `[slot][node][word]`: bit `j` set iff some uplink of `node`
-        /// connects to `j` at that slot.
-        peer_mask: Vec<u64>,
-    },
-    Cyclic {
-        /// `[node * uplinks + uplink] -> dst_group * g` (the rotation-
-        /// independent part of the destination).
-        col_base: Vec<u32>,
-        /// `[node] -> port within group`; the rotation at slot `t` is
-        /// `(port + t) mod g`.
-        port: Vec<u16>,
-        /// Rotation modulus (= grating size = epoch slots).
-        g: u32,
-        /// `[rotation][word]`: bit `j` set iff `j mod g == rotation` —
-        /// the scheduled peers of any node whose rotation that is.
-        comb: Vec<u64>,
-    },
-}
 
 /// Schedule lookup table covering one epoch of the base schedule
 /// (epochs repeat).
@@ -69,73 +33,27 @@ pub(crate) struct DestTable {
     nodes: usize,
     uplinks: usize,
     epoch_slots: u64,
-    /// Entries per slot: `nodes * uplinks`.
-    stride: usize,
-    /// Bitmask words per `(slot, node)` entry: `nodes.div_ceil(64)`.
+    /// Bitmask words per comb: `nodes.div_ceil(64)`.
     words: usize,
-    repr: Repr,
+    /// `[node * uplinks + uplink] -> dst_group * g` (the rotation-
+    /// independent part of the destination).
+    col_base: Vec<u32>,
+    /// `[node] -> port within group`; the rotation at slot `t` is
+    /// `(port + t) mod g`.
+    port: Vec<u16>,
+    /// Rotation modulus (= grating size = epoch slots).
+    g: u32,
+    /// `[rotation][word]`: bit `j` set iff `j mod g == rotation` — the
+    /// scheduled peers of any node whose rotation that is.
+    comb: Vec<u64>,
 }
 
 impl DestTable {
     pub fn new(sched: &Schedule) -> DestTable {
-        DestTable::new_with_limit(sched, DENSE_LIMIT_BYTES)
-    }
-
-    /// As [`DestTable::new`] with an explicit dense-footprint limit;
-    /// tests pass 0 to force the cyclic form at tiny N.
-    pub fn new_with_limit(sched: &Schedule, dense_limit: usize) -> DestTable {
         let nodes = sched.nodes();
         let uplinks = sched.uplinks();
         let epoch_slots = sched.epoch_slots();
-        let stride = nodes * uplinks;
         let words = nodes.div_ceil(64);
-        let dense_bytes = stride * epoch_slots as usize * std::mem::size_of::<NodeId>()
-            + epoch_slots as usize * nodes * words * 8;
-        let repr = if dense_bytes <= dense_limit {
-            Self::build_dense(sched, nodes, uplinks, epoch_slots, stride, words)
-        } else {
-            Self::build_cyclic(sched, nodes, uplinks, epoch_slots, words)
-        };
-        DestTable {
-            nodes,
-            uplinks,
-            epoch_slots,
-            stride,
-            words,
-            repr,
-        }
-    }
-
-    fn build_dense(
-        sched: &Schedule,
-        nodes: usize,
-        uplinks: usize,
-        epoch_slots: u64,
-        stride: usize,
-        words: usize,
-    ) -> Repr {
-        let mut dests = Vec::with_capacity(stride * epoch_slots as usize);
-        let mut peer_mask = vec![0u64; epoch_slots as usize * nodes * words];
-        for t in 0..epoch_slots as u16 {
-            for i in 0..nodes as u32 {
-                let base = (t as usize * nodes + i as usize) * words;
-                for u in 0..uplinks as u16 {
-                    let j = sched.dest(NodeId(i), UplinkId(u), SlotInEpoch(t));
-                    dests.push(j);
-                    peer_mask[base + (j.0 as usize >> 6)] |= 1 << (j.0 & 63);
-                }
-            }
-        }
-        Repr::Dense { dests, peer_mask }
-    }
-
-    fn build_cyclic(
-        sched: &Schedule,
-        nodes: usize,
-        uplinks: usize,
-        epoch_slots: u64,
-        words: usize,
-    ) -> Repr {
         let g = epoch_slots as u32;
         let mut col_base = Vec::with_capacity(nodes * uplinks);
         let mut port = Vec::with_capacity(nodes);
@@ -149,7 +67,7 @@ impl DestTable {
                 assert_eq!(
                     d % g,
                     p,
-                    "schedule is not a per-node rotation; cyclic DestTable invalid"
+                    "schedule is not a per-node rotation; DestTable invalid"
                 );
                 col_base.push(d - p);
             }
@@ -161,7 +79,7 @@ impl DestTable {
             }
             assert!(
                 reached.iter().all(|&r| r),
-                "node {i}'s columns skip a group; cyclic DestTable peer masks invalid"
+                "node {i}'s columns skip a group; DestTable peer masks invalid"
             );
         }
         let mut comb = vec![0u64; g as usize * words];
@@ -188,17 +106,27 @@ impl DestTable {
                     assert_eq!(
                         got, want.0,
                         "schedule is not cyclic at (i={i}, u={u}, t={t}); \
-                         cyclic DestTable invalid"
+                         DestTable invalid"
                     );
                 }
             }
         }
-        Repr::Cyclic {
+        DestTable {
+            nodes,
+            uplinks,
+            epoch_slots,
+            words,
             col_base,
             port,
             g,
             comb,
         }
+    }
+
+    /// Node `i`'s rotation at epoch slot `t`.
+    #[inline]
+    fn rot(&self, t: SlotInEpoch, i: usize) -> u32 {
+        (self.port[i] as u32 + t.0 as u32) % self.g
     }
 
     /// All destinations for epoch slot `t`, as a per-node view.
@@ -211,32 +139,14 @@ impl DestTable {
     /// shifted-slot reads, not a whole row).
     #[inline]
     pub fn dest(&self, t: SlotInEpoch, i: NodeId, u: u16) -> NodeId {
-        match &self.repr {
-            Repr::Dense { dests, .. } => {
-                dests[t.0 as usize * self.stride + i.0 as usize * self.uplinks + u as usize]
-            }
-            Repr::Cyclic {
-                col_base, port, g, ..
-            } => {
-                let rot = (port[i.0 as usize] as u32 + t.0 as u32) % g;
-                NodeId(col_base[i.0 as usize * self.uplinks + u as usize] + rot)
-            }
-        }
+        let i = i.0 as usize;
+        NodeId(self.col_base[i * self.uplinks + u as usize] + self.rot(t, i))
     }
 
     /// Bitmask of the peers node `i`'s uplinks connect to at slot `t`.
     #[inline]
     pub fn peer_mask(&self, t: SlotInEpoch, i: usize) -> &[u64] {
-        match &self.repr {
-            Repr::Dense { peer_mask, .. } => {
-                let base = (t.0 as usize * self.nodes + i) * self.words;
-                &peer_mask[base..base + self.words]
-            }
-            Repr::Cyclic { port, g, comb, .. } => {
-                let rot = (port[i] as u32 + t.0 as u32) % g;
-                &comb[rot as usize * self.words..][..self.words]
-            }
-        }
+        &self.comb[self.rot(t, i) as usize * self.words..][..self.words]
     }
 
     pub fn nodes(&self) -> usize {
@@ -263,34 +173,24 @@ impl<'a> SlotDests<'a> {
     /// Node `i`'s destination row for this slot.
     #[inline]
     pub fn node(&self, i: usize) -> NodeRow<'a> {
-        match &self.table.repr {
-            Repr::Dense { dests, .. } => {
-                let base = self.t.0 as usize * self.table.stride + i * self.table.uplinks;
-                NodeRow::Dense(&dests[base..base + self.table.uplinks])
-            }
-            Repr::Cyclic {
-                col_base, port, g, ..
-            } => NodeRow::Cyclic {
-                col: &col_base[i * self.table.uplinks..(i + 1) * self.table.uplinks],
-                rot: (port[i] as u32 + self.t.0 as u32) % g,
-            },
+        let uplinks = self.table.uplinks;
+        NodeRow {
+            col: &self.table.col_base[i * uplinks..(i + 1) * uplinks],
+            rot: self.table.rot(self.t, i),
         }
     }
 }
 
 /// One node's destinations at one slot; `at(u)` resolves an uplink.
-pub(crate) enum NodeRow<'a> {
-    Dense(&'a [NodeId]),
-    Cyclic { col: &'a [u32], rot: u32 },
+pub(crate) struct NodeRow<'a> {
+    col: &'a [u32],
+    rot: u32,
 }
 
 impl NodeRow<'_> {
     #[inline]
     pub fn at(&self, u: usize) -> NodeId {
-        match self {
-            NodeRow::Dense(d) => d[u],
-            NodeRow::Cyclic { col, rot } => NodeId(col[u] + rot),
-        }
+        NodeId(self.col[u] + self.rot)
     }
 }
 
@@ -299,92 +199,46 @@ mod tests {
     use super::*;
     use sirius_core::config::SiriusConfig;
 
-    fn check_against_schedule(table: &DestTable, sched: &Schedule) {
-        assert_eq!(table.nodes(), sched.nodes());
-        assert_eq!(table.uplinks(), sched.uplinks());
-        assert_eq!(table.epoch_slots(), sched.epoch_slots());
-        for t in 0..sched.epoch_slots() as u16 {
-            let view = table.slot_view(SlotInEpoch(t));
-            for i in 0..sched.nodes() as u32 {
-                let row = view.node(i as usize);
-                let pm = table.peer_mask(SlotInEpoch(t), i as usize);
-                for u in 0..sched.uplinks() as u16 {
-                    let want = sched.dest(NodeId(i), UplinkId(u), SlotInEpoch(t));
-                    assert_eq!(table.dest(SlotInEpoch(t), NodeId(i), u), want);
-                    assert_eq!(row.at(u as usize), want);
-                    assert_ne!(pm[want.0 as usize >> 6] & (1 << (want.0 & 63)), 0);
+    /// [`Schedule::dest`] is the reference: every lookup path must agree
+    /// with it at every (slot, node, uplink), and a peer mask must hold
+    /// exactly the scheduled destinations.
+    #[test]
+    fn table_matches_schedule_exhaustively() {
+        for cfg in [
+            SiriusConfig::scaled(16, 4),
+            SiriusConfig::scaled(64, 8),
+            SiriusConfig::paper_sim(),
+        ] {
+            let sched = Schedule::new(&cfg);
+            let table = DestTable::new(&sched);
+            assert_eq!(table.nodes(), sched.nodes());
+            assert_eq!(table.uplinks(), sched.uplinks());
+            assert_eq!(table.epoch_slots(), sched.epoch_slots());
+            for t in (0..sched.epoch_slots() as u16).map(SlotInEpoch) {
+                let view = table.slot_view(t);
+                for i in 0..sched.nodes() {
+                    let row = view.node(i);
+                    let pm = table.peer_mask(t, i);
+                    let mut scheduled = std::collections::HashSet::new();
+                    for u in 0..sched.uplinks() as u16 {
+                        let want = sched.dest(NodeId(i as u32), UplinkId(u), t);
+                        assert_eq!(table.dest(t, NodeId(i as u32), u), want);
+                        assert_eq!(row.at(u as usize), want);
+                        assert!(bits::get(pm, want.0 as usize));
+                        scheduled.insert(want);
+                    }
+                    let popcount: u32 = pm.iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(popcount as usize, scheduled.len(), "(t={t:?}, i={i})");
                 }
             }
-            // Peer masks hold exactly the scheduled destinations.
-            for i in 0..sched.nodes() {
-                let pm = table.peer_mask(SlotInEpoch(t), i);
-                let scheduled: std::collections::HashSet<u32> = (0..sched.uplinks() as u16)
-                    .map(|u| table.dest(SlotInEpoch(t), NodeId(i as u32), u).0)
-                    .collect();
-                let popcount: u32 = pm.iter().map(|w| w.count_ones()).sum();
-                assert_eq!(popcount as usize, scheduled.len());
-            }
         }
     }
 
     #[test]
-    fn dense_table_matches_schedule_exhaustively() {
-        let cfg = SiriusConfig::scaled(16, 4);
-        let sched = Schedule::new(&cfg);
-        let table = DestTable::new(&sched);
-        assert!(
-            matches!(table.repr, Repr::Dense { .. }),
-            "16-node table should select the dense form"
-        );
-        check_against_schedule(&table, &sched);
-    }
-
-    #[test]
-    fn cyclic_table_matches_schedule_exhaustively() {
-        // Force the compressed form at a size small enough to check
-        // every (slot, node, uplink) against the schedule and the dense
-        // form.
-        for (n, g) in [(16usize, 4usize), (64, 8)] {
-            let cfg = SiriusConfig::scaled(n, g);
-            let sched = Schedule::new(&cfg);
-            let cyclic = DestTable::new_with_limit(&sched, 0);
-            assert!(
-                matches!(cyclic.repr, Repr::Cyclic { .. }),
-                "limit 0 must force the cyclic form"
-            );
-            check_against_schedule(&cyclic, &sched);
-        }
-    }
-
-    #[test]
-    fn comb_peer_masks_equal_the_dense_tables_at_paper_scale() {
-        let sched = Schedule::new(&SiriusConfig::paper_sim());
-        assert_eq!(sched.nodes(), 128);
-        let dense = DestTable::new(&sched);
-        let cyclic = DestTable::new_with_limit(&sched, 0);
-        assert!(matches!(dense.repr, Repr::Dense { .. }));
-        assert!(matches!(cyclic.repr, Repr::Cyclic { .. }));
-        for t in 0..sched.epoch_slots() as u16 {
-            for i in 0..sched.nodes() {
-                assert_eq!(
-                    cyclic.peer_mask(SlotInEpoch(t), i),
-                    dense.peer_mask(SlotInEpoch(t), i),
-                    "peer mask differs at (t={t}, i={i})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn large_tables_select_cyclic_form() {
+    fn thousand_node_table_spot_checks_against_schedule() {
         let cfg = SiriusConfig::scaled(1024, 32);
         let sched = Schedule::new(&cfg);
         let table = DestTable::new(&sched);
-        assert!(
-            matches!(table.repr, Repr::Cyclic { .. }),
-            "N=1024 dense table exceeds the cache-residency limit"
-        );
-        // Spot-check the compressed lookups against the schedule.
         for t in [0u16, 1, 31] {
             for i in [0u32, 511, 1023] {
                 for u in 0..sched.uplinks() as u16 {

@@ -41,11 +41,9 @@ pub mod faults;
 pub mod metrics;
 pub mod packet_layer;
 pub mod sirius_net;
-pub mod telemetry;
 
 pub use audit::{Audit, AuditReport, LossCause, RunDigest};
 pub use esn::{EsnConfig, EsnSim};
 pub use faults::{cell_drop_probability, FaultEvent, FaultInjector};
 pub use metrics::{FailureRecord, FaultReport, FctHistogram, FlowRecord, RunMetrics};
 pub use sirius_net::{CcMode, ScheduledFailure, SiriusSim, SiriusSimConfig};
-pub use telemetry::{Sample, Telemetry};
