@@ -167,6 +167,14 @@ stage_bench_smoke() {
     '"tx_secs"' '"deliver_secs"' '"merge_secs"' '"admit_secs"' '"inject_secs"' \
     '"cc_secs"' '"cells_per_sec"' \
     '"protocol_sharded_speedup_vs_serial"' '"digest"'
+  # The only ratio the artifact may carry is the one measured inside this
+  # run on this host; a speedup against a number recorded on some other
+  # host is not a measurement (benchmark/run.sh --compare is the authority
+  # for commit-to-commit claims).
+  if grep -q 'protocol_speedup_vs_baseline' results/BENCH_sim_throughput.json; then
+    echo "error: BENCH_sim_throughput.json carries a cross-host baseline ratio again" >&2
+    exit 1
+  fi
 
   echo "==> test suite under SIRIUS_SHARDS=2 (release)"
   # Every simulation in the suite that reaches the release NullObserver

@@ -8,9 +8,10 @@
 //! number that says whether a refactor moved toward it.
 //!
 //! Besides the usual CSV, the harness emits
-//! `results/BENCH_sim_throughput.json` with the measured points plus the
-//! recorded pre-refactor baseline, so CI artifacts carry the speedup
-//! ratio itself.
+//! `results/BENCH_sim_throughput.json` with the measured points and the
+//! one ratio taken inside a single run on a single host: sharded vs
+//! serial Protocol. Comparing commits is `benchmark/run.sh --compare`'s
+//! job, not this artifact's.
 
 use crate::pool::Sweep;
 use crate::scale::Scale;
@@ -23,12 +24,6 @@ pub const MODES: [(CcMode, &str); 3] = [
     (CcMode::Ideal, "ideal"),
     (CcMode::Greedy, "greedy"),
 ];
-
-/// Pre-refactor Protocol-mode throughput at paper_sim scale (cells/sec),
-/// measured at commit a34a54c with this same harness (`--full`, seed 1,
-/// load 0.5, 20000 flows) — the denominator of the ≥2× acceptance bar.
-/// See EXPERIMENTS.md, "Simulator throughput".
-pub const BASELINE_PAPER_PROTOCOL_CELLS_PER_SEC: f64 = 625_101.0;
 
 /// One (mode, shards, scale) throughput measurement.
 #[derive(Debug, Clone)]
@@ -224,13 +219,10 @@ pub fn table(points: &[ThroughputPoint]) -> Table {
 }
 
 /// Hand-rolled JSON (the workspace is offline — no serde): the measured
-/// points, the recorded pre-refactor baseline, the Protocol speedup
-/// against it when the run is at paper scale (always taken from the
-/// serial point so the longitudinal series stays comparable), and the
-/// sharded-vs-serial Protocol ratio when both shard counts were
-/// measured. `host_parallelism` makes the artifact self-describing: a
-/// sharded run on a 1-core container is honest about why it shows no
-/// speedup.
+/// points and the sharded-vs-serial Protocol ratio when both shard
+/// counts were measured. `host_parallelism` makes the artifact
+/// self-describing: a sharded run on a 1-core container is honest about
+/// why it shows no speedup.
 pub fn to_json(points: &[ThroughputPoint], scale: Scale) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"sim_throughput\",\n");
@@ -241,20 +233,9 @@ pub fn to_json(points: &[ThroughputPoint], scale: Scale) -> String {
             .map(|n| n.get())
             .unwrap_or(1)
     ));
-    out.push_str(&format!(
-        "  \"baseline_paper_protocol_cells_per_sec\": {:.0},\n",
-        BASELINE_PAPER_PROTOCOL_CELLS_PER_SEC
-    ));
     let serial_protocol = points
         .iter()
         .find(|p| p.mode == "protocol" && p.shards == 1);
-    let speedup = serial_protocol
-        .filter(|_| scale == Scale::Paper && BASELINE_PAPER_PROTOCOL_CELLS_PER_SEC > 0.0)
-        .map(|p| p.cells_per_sec() / BASELINE_PAPER_PROTOCOL_CELLS_PER_SEC);
-    match speedup {
-        Some(s) => out.push_str(&format!("  \"protocol_speedup_vs_baseline\": {s:.3},\n")),
-        None => out.push_str("  \"protocol_speedup_vs_baseline\": null,\n"),
-    }
     let sharded_protocol = points.iter().find(|p| p.mode == "protocol" && p.shards > 1);
     let sharded_speedup = match (serial_protocol, sharded_protocol) {
         (Some(serial), Some(sharded)) if serial.cells_per_sec() > 0.0 => {
@@ -392,9 +373,8 @@ mod tests {
         assert!(j.contains("\"host_parallelism\":"));
         assert!(j.contains("\"shards\": 2"));
         assert!(j.contains("\"digest\": \"000000000000abcd\""));
-        // Smoke scale never claims a paper-scale speedup...
-        assert!(j.contains("\"protocol_speedup_vs_baseline\": null"));
-        // ...but the sharded-vs-serial ratio is scale-independent.
+        // The only ratio is the one measured inside this run.
+        assert!(!j.contains("baseline"));
         assert!(j.contains("\"protocol_sharded_speedup_vs_serial\": 2.000"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

@@ -10,7 +10,12 @@
 //!   exact one-shard delivered-cell sequence: byte-identical digest,
 //!   equal `RunMetrics` counters, and equal FCT percentiles for shards ∈
 //!   {1, 2, 4} × {Protocol, Ideal} × {fault-free, classic faults,
-//!   correlated+Byzantine} × {materialized, streaming}. Where the one
+//!   correlated+Byzantine} materialized, and shards {1, 2, 4} ×
+//!   {fault-free, classic faults, correlated+Byzantine} streaming
+//!   (Protocol). The two entry points differ by eviction alone, so one
+//!   row pins streamed ≡ materialized on everything eviction cannot
+//!   touch: delivered bytes, cells, epochs, incomplete flows and the
+//!   whole `FaultReport`, under each script. Where the one
 //!   driver clamps itself to a single shard (Ideal mode, audited runs)
 //!   the rows pin that `with_shards` is behavior-inert. (Golden digests
 //!   pin one-shard behavior separately, unblessed, in
@@ -128,6 +133,24 @@ fn run_with_shards(mode: CcMode, shards: usize, script: Script) -> RunMetrics {
 }
 
 fn run_smoke(mode: CcMode, shards: usize, script: Script, audit: bool) -> RunMetrics {
+    let (sim, wl) = smoke_sim(mode, shards, script, audit);
+    sim.run(&wl)
+}
+
+/// The same run through the streaming entry point (Protocol, unaudited).
+fn stream_smoke(shards: usize, script: Script) -> RunMetrics {
+    let (sim, _) = smoke_sim(CcMode::Protocol, shards, script, false);
+    sim.run_streaming(Scale::Smoke.workload(0.6, 11).stream())
+}
+
+/// The Smoke-scale simulator (load 0.6, seed 11) with `script` attached,
+/// and the workload its drain window was sized for.
+fn smoke_sim(
+    mode: CcMode,
+    shards: usize,
+    script: Script,
+    audit: bool,
+) -> (SiriusSim, Vec<sirius_workload::Flow>) {
     let scale = Scale::Smoke;
     let net = scale.network();
     let wl = scale.workload(0.6, 11).generate();
@@ -142,7 +165,7 @@ fn run_smoke(mode: CcMode, shards: usize, script: Script, audit: bool) -> RunMet
     if let Some(script) = script {
         sim.set_faults(script(11));
     }
-    sim.run(&wl)
+    (sim, wl)
 }
 
 /// Everything in `RunMetrics` that describes simulated behavior (i.e.
@@ -360,7 +383,9 @@ fn streaming_digest_matches_materialized_workload() {
 /// processing under streaming admission — where completed-flow eviction
 /// and the FCT histogram fold ride the ordered digest epilogue — must
 /// match the serial streaming run exactly, including the histogram
-/// percentiles the scale series reports as `fct_p50_us`/`fct_p99_us`.
+/// percentiles the scale series reports as `fct_p50_us`/`fct_p99_us`;
+/// fault-free at a scale-series geometry, and under both fault scripts
+/// at the scale they were written for.
 #[test]
 fn streaming_sharded_matches_serial_including_fct_percentiles() {
     let geom = ScaleGeom {
@@ -375,6 +400,18 @@ fn streaming_sharded_matches_serial_including_fct_percentiles() {
         .with_seed(5)
         .with_audit(false);
     cfg.drain_timeout = sirius_core::units::Duration::from_us(200).max(span / 2);
+    let scale_point = |shards: usize| {
+        SiriusSim::new(cfg.clone().with_shards(shards)).run_streaming(spec.stream())
+    };
+    let arms: [(&str, &dyn Fn(usize) -> RunMetrics); 3] = [
+        ("fault-free n=64", &scale_point),
+        ("classic", &|shards| {
+            stream_smoke(shards, Some(fault_script))
+        }),
+        ("correlated+byz", &|shards| {
+            stream_smoke(shards, Some(correlated_byz_script))
+        }),
+    ];
     let hist_pcts = |m: &RunMetrics| {
         let h = m
             .fct_hist
@@ -382,20 +419,59 @@ fn streaming_sharded_matches_serial_including_fct_percentiles() {
             .expect("streaming run lost its FCT histogram");
         (h.percentile_ps(50.0), h.percentile_ps(99.0))
     };
-    let serial = SiriusSim::new(cfg.clone()).run_streaming(spec.stream());
-    assert_ne!(serial.digest, 0, "serial digest vacuous");
-    assert!(hist_pcts(&serial).0.is_some(), "serial FCT p50 vacuous");
-    for shards in [2usize, 4] {
-        let sharded = SiriusSim::new(cfg.clone().with_shards(shards)).run_streaming(spec.stream());
-        assert_eq!(
-            behavior_of(&serial),
-            behavior_of(&sharded),
-            "streaming behavior diverged at shards={shards}"
+    for (name, run) in arms {
+        let serial = run(1);
+        assert_ne!(serial.digest, 0, "{name}: serial digest vacuous");
+        assert!(
+            hist_pcts(&serial).0.is_some(),
+            "{name}: serial FCT p50 vacuous"
         );
+        for shards in [2usize, 4] {
+            let sharded = run(shards);
+            assert_eq!(
+                behavior_of(&serial),
+                behavior_of(&sharded),
+                "{name}: streaming behavior diverged at shards={shards}"
+            );
+            assert_eq!(
+                hist_pcts(&serial),
+                hist_pcts(&sharded),
+                "{name}: FCT percentiles diverged at shards={shards}"
+            );
+        }
+    }
+}
+
+/// `run` and `run_streaming` differ by eviction and nothing else, fault
+/// scripts included: a recycled flow id aliases nothing (a slot is reused
+/// only after its flow's last cell was delivered; forged cells carry an
+/// id no slab reaches), so everything eviction cannot touch — what was
+/// delivered, how long it took, what was left over, and every line of
+/// the fault report — is equal under each script. (The digests are not
+/// comparable: the streamed one folds flows in eviction order.)
+#[test]
+fn streamed_fault_runs_agree_with_the_slice_run() {
+    let scripts: [(&str, Script); 2] = [
+        ("classic", Some(fault_script)),
+        ("correlated+byz", Some(correlated_byz_script)),
+    ];
+    for (name, script) in scripts {
+        let slice = run_with_shards(CcMode::Protocol, 1, script);
+        let streamed = stream_smoke(1, script);
+        let counters = |m: &RunMetrics| {
+            (
+                m.delivered_bytes,
+                m.cells_delivered,
+                m.epochs_simulated,
+                m.incomplete_flows,
+            )
+        };
+        assert_eq!(counters(&slice), counters(&streamed), "script={name}");
+        assert!(slice.fault.is_some(), "script={name}: no fault report");
         assert_eq!(
-            hist_pcts(&serial),
-            hist_pcts(&sharded),
-            "FCT percentiles diverged at shards={shards}"
+            format!("{:?}", slice.fault),
+            format!("{:?}", streamed.fault),
+            "fault reports diverged: script={name}"
         );
     }
 }

@@ -208,20 +208,14 @@ impl CongestionState {
     /// absorb colliding requesters instead of starving them — the bound,
     /// not the grant cadence, is what keeps queues small. Returns
     /// `(requester, destination)` pairs.
-    pub fn issue_grants<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        epoch: u64,
-    ) -> Vec<(NodeId, NodeId)> {
-        self.issue_grants_filtered(rng, epoch, |_| true)
-    }
-
-    /// [`issue_grants`](Self::issue_grants) restricted to destinations this
-    /// intermediate can still forward to: under link-granular repair
-    /// (§4.5) an omitted TX column can sever `self -> D` while `self` stays
-    /// otherwise healthy, and granting such a request would queue a cell
-    /// here that can never depart. Ineligible destinations' requests are
-    /// denied (the sources re-roll a different intermediate next epoch).
+    ///
+    /// `eligible` restricts the grants to destinations this intermediate
+    /// can still forward to (`|_| true` on a healthy schedule): under
+    /// link-granular repair (§4.5) an omitted TX column can sever
+    /// `self -> D` while `self` stays otherwise healthy, and granting such
+    /// a request would queue a cell here that can never depart. Ineligible
+    /// destinations' requests are denied (the sources re-roll a different
+    /// intermediate next epoch).
     ///
     /// Destinations are served in the order their first request arrived
     /// and each destination's requesters are drawn from in arrival order;
@@ -448,7 +442,7 @@ mod tests {
         c.begin_epoch(0);
         c.receive_request(NodeId(1), d);
         c.begin_epoch(1);
-        let g = c.issue_grants(&mut rng, 1);
+        let g = c.issue_grants_filtered(&mut rng, 1, |_| true);
         assert_eq!(g, vec![(NodeId(1), d)]);
         assert_eq!(c.outstanding(d), 1);
         c.relay_arrived(d);
@@ -468,7 +462,7 @@ mod tests {
             c.receive_request(NodeId(s), d);
         }
         c.begin_epoch(1);
-        let g = c.issue_grants(&mut rng, 1);
+        let g = c.issue_grants_filtered(&mut rng, 1, |_| true);
         // 6 requests, bound Q=4 with nothing queued: exactly 4 granted.
         assert_eq!(g.len(), 4, "grants must fill the Q budget, no more");
         assert!(g.iter().all(|&(_, dst)| dst == d));
@@ -511,7 +505,7 @@ mod tests {
             c.begin_epoch(2 * epoch);
             c.receive_request(NodeId(1), d);
             c.begin_epoch(2 * epoch + 1);
-            let g = c.issue_grants(&mut rng, 2 * epoch + 1);
+            let g = c.issue_grants_filtered(&mut rng, 2 * epoch + 1, |_| true);
             assert_eq!(g.len(), 1);
             c.relay_arrived(d);
         }
@@ -520,13 +514,13 @@ mod tests {
         c.begin_epoch(10);
         c.receive_request(NodeId(1), d);
         c.begin_epoch(11);
-        assert!(c.issue_grants(&mut rng, 11).is_empty());
+        assert!(c.issue_grants_filtered(&mut rng, 11, |_| true).is_empty());
         // Drain one cell -> grants flow again.
         c.relay_departed(d);
         c.begin_epoch(12);
         c.receive_request(NodeId(1), d);
         c.begin_epoch(13);
-        assert_eq!(c.issue_grants(&mut rng, 13).len(), 1);
+        assert_eq!(c.issue_grants_filtered(&mut rng, 13, |_| true).len(), 1);
     }
 
     #[test]
@@ -540,14 +534,18 @@ mod tests {
             c.begin_epoch(2 * epoch);
             c.receive_request(NodeId(1), d);
             c.begin_epoch(2 * epoch + 1);
-            assert_eq!(c.issue_grants(&mut rng, 2 * epoch + 1).len(), 1);
+            assert_eq!(
+                c.issue_grants_filtered(&mut rng, 2 * epoch + 1, |_| true)
+                    .len(),
+                1
+            );
         }
         assert_eq!(c.outstanding(d), 2);
         // Third request denied even though queue is empty.
         c.begin_epoch(4);
         c.receive_request(NodeId(1), d);
         c.begin_epoch(5);
-        assert!(c.issue_grants(&mut rng, 5).is_empty());
+        assert!(c.issue_grants_filtered(&mut rng, 5, |_| true).is_empty());
     }
 
     #[test]
@@ -558,7 +556,7 @@ mod tests {
         c.begin_epoch(0);
         c.receive_request(NodeId(2), d);
         c.begin_epoch(1);
-        assert_eq!(c.issue_grants(&mut rng, 1).len(), 1);
+        assert_eq!(c.issue_grants_filtered(&mut rng, 1, |_| true).len(), 1);
         assert_eq!(c.outstanding(d), 1);
         // Grant never used; expires at epoch 1+3=4.
         c.begin_epoch(4);
@@ -577,7 +575,7 @@ mod tests {
         // must have been dropped (sources re-request each epoch).
         c.begin_epoch(1);
         c.begin_epoch(2);
-        assert!(c.issue_grants(&mut rng, 2).is_empty());
+        assert!(c.issue_grants_filtered(&mut rng, 2, |_| true).is_empty());
     }
 
     #[test]
@@ -591,7 +589,7 @@ mod tests {
         c.begin_epoch(0);
         c.receive_request(NodeId(1), d);
         c.begin_epoch(1);
-        assert_eq!(c.issue_grants(&mut rng, 1).len(), 1);
+        assert_eq!(c.issue_grants_filtered(&mut rng, 1, |_| true).len(), 1);
         c.relay_arrived(d);
         let mut wins = [0u32; 4];
         for epoch in 1..4000u64 {
@@ -600,7 +598,7 @@ mod tests {
                 c.receive_request(NodeId(s), d);
             }
             c.begin_epoch(2 * epoch + 1);
-            let g = c.issue_grants(&mut rng, 2 * epoch + 1);
+            let g = c.issue_grants_filtered(&mut rng, 2 * epoch + 1, |_| true);
             assert_eq!(g.len(), 1, "queued=1, Q=2: one grant fits");
             wins[g[0].0 .0 as usize] += 1;
             // The granted cell arrives and the old one departs: queue
@@ -654,7 +652,7 @@ mod tests {
                         for (d, v) in deliverable.iter_mut().enumerate() {
                             *v = (*v).min(cc.outstanding(NodeId(d as u32)));
                         }
-                        let grants = cc.issue_grants(&mut rng, epoch);
+                        let grants = cc.issue_grants_filtered(&mut rng, epoch, |_| true);
                         for (_, d) in grants {
                             deliverable[d.0 as usize] += 1;
                         }
@@ -928,7 +926,7 @@ mod tests {
         c.receive_request(NodeId(1), NodeId(3));
         c.receive_request(NodeId(4), NodeId(5));
         c.begin_epoch(1);
-        let mut g = c.issue_grants(&mut rng, 1);
+        let mut g = c.issue_grants_filtered(&mut rng, 1, |_| true);
         g.sort_by_key(|(_, d)| d.0);
         assert_eq!(g.len(), 3);
         assert_eq!(g[0].1, NodeId(2));

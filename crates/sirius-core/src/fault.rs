@@ -9,12 +9,11 @@
 //! failures that only show up on specific paths.
 //!
 //! This module implements that detector: per-peer "last heard" epochs, a
-//! configurable silence threshold, and a network-wide failure view that the
-//! VLB picker consumes. Bandwidth after a failure degrades proportionally
-//! (1/N per failed node) as the paper describes.
+//! configurable silence threshold, and the ground truth of which nodes are
+//! down. What routing does about a suspicion — the staged omission every
+//! node applies at the same epoch — lives in [`crate::repair`].
 
 use crate::topology::NodeId;
-use crate::vlb::Vlb;
 
 /// Configuration of the failure detector.
 #[derive(Debug, Clone, Copy)]
@@ -134,30 +133,21 @@ impl FailureDetector {
     }
 }
 
-/// Network-wide failure bookkeeping: ground truth (which nodes are actually
-/// down) kept strictly apart from the *routing view* (which nodes the VLB
-/// picker detours around).
+/// Network-wide failure bookkeeping — **ground truth only**: which nodes
+/// are actually down, and since when. It changes the instant a node dies
+/// or reboots and never touches routing.
 ///
-/// Ground truth changes the instant a node dies or reboots; the routing
-/// view only changes through **staged updates** applied at an epoch
-/// boundary, mirroring the consistent-update model of
-/// [`crate::repair::AdjustedSchedule`] — all nodes flip together, one epoch
-/// after the detector (or operator) decides. `visible_at` records the epoch
-/// each exclusion actually took effect: it is a *measurement* of the
-/// detection + dissemination pipeline, not an input to it.
+/// The *routing view* (which nodes the schedule omits and the VLB picker
+/// detours around) is [`crate::repair::AdjustedSchedule`]: exclusion must be
+/// detected and staged there, and only moves at an update epoch, so a
+/// ground-truth [`recover`](Self::recover) cannot resurrect a peer
+/// out-of-band mid-detection.
 #[derive(Debug)]
 pub struct FailurePlane {
     /// Ground-truth failed nodes.
     failed: Vec<bool>,
     /// Ground truth: epoch of the current (or last) failure.
     fail_epoch: Vec<Option<u64>>,
-    /// Routing view: nodes currently excluded from VLB detours.
-    excluded: Vec<bool>,
-    /// Measured epoch at which the current exclusion took effect.
-    visible_at: Vec<Option<u64>>,
-    /// Staged routing updates `(apply_epoch, node, exclude)`, kept sorted
-    /// by apply epoch.
-    staged: Vec<(u64, NodeId, bool)>,
 }
 
 impl FailurePlane {
@@ -165,22 +155,16 @@ impl FailurePlane {
         FailurePlane {
             failed: vec![false; n],
             fail_epoch: vec![None; n],
-            excluded: vec![false; n],
-            visible_at: vec![None; n],
-            staged: Vec::new(),
         }
     }
 
-    /// Ground truth: `node` dies at `epoch`. Routing is *not* touched —
-    /// exclusion must be detected and staged.
+    /// `node` dies at `epoch`.
     pub fn fail(&mut self, node: NodeId, epoch: u64) {
         self.failed[node.0 as usize] = true;
         self.fail_epoch[node.0 as usize] = Some(epoch);
     }
 
-    /// Ground truth: `node` comes back up. Routing is *not* touched —
-    /// readmission must be observed (the node heard again) and staged, so a
-    /// recover cannot resurrect a peer out-of-band mid-detection.
+    /// `node` comes back up.
     pub fn recover(&mut self, node: NodeId) {
         self.failed[node.0 as usize] = false;
     }
@@ -192,73 +176,6 @@ impl FailurePlane {
     /// Epoch of the node's current (or most recent) ground-truth failure.
     pub fn fail_epoch(&self, node: NodeId) -> Option<u64> {
         self.fail_epoch[node.0 as usize]
-    }
-
-    /// Routing view: is `node` currently excluded from detours?
-    pub fn is_excluded(&self, node: NodeId) -> bool {
-        self.excluded[node.0 as usize]
-    }
-
-    /// Measured epoch the current exclusion became routing-visible.
-    pub fn visible_at(&self, node: NodeId) -> Option<u64> {
-        self.visible_at[node.0 as usize]
-    }
-
-    /// Stage exclusion of `node` from routing at epoch `at`.
-    pub fn stage_exclude(&mut self, node: NodeId, at: u64) {
-        self.staged.push((at, node, true));
-        self.staged.sort_by_key(|&(e, n, _)| (e, n.0));
-    }
-
-    /// Stage readmission of `node` into routing at epoch `at`.
-    pub fn stage_restore(&mut self, node: NodeId, at: u64) {
-        self.staged.push((at, node, false));
-        self.staged.sort_by_key(|&(e, n, _)| (e, n.0));
-    }
-
-    /// The direction of the latest still-pending staged update for `node`,
-    /// if any (`true` = exclude).
-    pub fn pending(&self, node: NodeId) -> Option<bool> {
-        self.staged
-            .iter()
-            .rev()
-            .find(|&&(_, n, _)| n == node)
-            .map(|&(_, _, x)| x)
-    }
-
-    /// Apply all staged updates due at `epoch` to the routing view and the
-    /// VLB picker. Returns the applied transitions `(node, excluded)` in
-    /// apply order; `visible_at` is stamped with the epoch an exclusion
-    /// actually activated.
-    pub fn sync_to_vlb(&mut self, vlb: &mut Vlb, epoch: u64) -> Vec<(NodeId, bool)> {
-        let mut applied = Vec::new();
-        while let Some(&(at, node, exclude)) = self.staged.first() {
-            if at > epoch {
-                break;
-            }
-            self.staged.remove(0);
-            let slot = &mut self.excluded[node.0 as usize];
-            if *slot == exclude {
-                continue; // duplicate stage; already in that state
-            }
-            *slot = exclude;
-            if exclude {
-                vlb.mark_failed(node);
-                self.visible_at[node.0 as usize] = Some(epoch);
-            } else {
-                vlb.mark_recovered(node);
-                self.visible_at[node.0 as usize] = None;
-            }
-            applied.push((node, exclude));
-        }
-        applied
-    }
-
-    /// Fraction of per-node uplink bandwidth lost: failing one of N nodes
-    /// removes 1/N of every node's detour capacity (§4.5).
-    pub fn bandwidth_loss_fraction(&self) -> f64 {
-        let n = self.failed.len() as f64;
-        self.failed.iter().filter(|&&f| f).count() as f64 / n
     }
 }
 
@@ -414,64 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn failure_plane_staged_exclusion() {
-        let mut fp = FailurePlane::new(8);
-        let mut vlb = Vlb::new(8);
-        fp.fail(NodeId(3), 10);
-        assert!(fp.is_failed(NodeId(3)));
-        assert_eq!(fp.fail_epoch(NodeId(3)), Some(10));
-        // Ground-truth failure alone changes nothing in routing.
-        assert!(fp.sync_to_vlb(&mut vlb, 12).is_empty());
-        assert!(vlb.is_alive(NodeId(3)));
-        // A detector stages the exclusion for epoch 14; it applies there
-        // and the activation epoch is the measured visibility.
-        fp.stage_exclude(NodeId(3), 14);
-        assert!(fp.sync_to_vlb(&mut vlb, 13).is_empty());
-        assert_eq!(fp.sync_to_vlb(&mut vlb, 14), vec![(NodeId(3), true)]);
-        assert!(!vlb.is_alive(NodeId(3)));
-        assert!(fp.is_excluded(NodeId(3)));
-        assert_eq!(fp.visible_at(NodeId(3)), Some(14));
-        // Recovery is ground truth only; routing waits for a staged
-        // readmission.
-        fp.recover(NodeId(3));
-        assert!(fp.sync_to_vlb(&mut vlb, 15).is_empty());
-        assert!(!vlb.is_alive(NodeId(3)));
-        fp.stage_restore(NodeId(3), 16);
-        assert_eq!(fp.sync_to_vlb(&mut vlb, 16), vec![(NodeId(3), false)]);
-        assert!(vlb.is_alive(NodeId(3)));
-        assert_eq!(fp.visible_at(NodeId(3)), None);
-    }
-
-    #[test]
-    fn fail_recover_fail_flap_does_not_resurrect_mid_detection() {
-        // Regression: the old plane unconditionally `mark_recovered` any
-        // not-failed node on every sync, so a fail -> recover -> fail flap
-        // (or a recover racing an in-progress detection) could resurrect a
-        // peer in the routing view out-of-band. Now routing only moves
-        // through staged updates.
-        let mut fp = FailurePlane::new(4);
-        let mut vlb = Vlb::new(4);
-        fp.fail(NodeId(1), 5);
-        fp.stage_exclude(NodeId(1), 7); // detector in flight
-        assert!(fp.sync_to_vlb(&mut vlb, 6).is_empty());
-        // The node blips back up and immediately dies again, before the
-        // staged exclusion even applied.
-        fp.recover(NodeId(1));
-        fp.fail(NodeId(1), 6);
-        // Routing must NOT have resurrected it in between...
-        assert!(fp.sync_to_vlb(&mut vlb, 6).is_empty());
-        assert!(vlb.is_alive(NodeId(1)));
-        // ...and the staged exclusion still lands at its boundary.
-        assert_eq!(fp.sync_to_vlb(&mut vlb, 7), vec![(NodeId(1), true)]);
-        assert!(!vlb.is_alive(NodeId(1)));
-        // A duplicate staged exclusion is a no-op, not a double-kill.
-        fp.stage_exclude(NodeId(1), 8);
-        assert!(fp.sync_to_vlb(&mut vlb, 8).is_empty());
-        assert!(!vlb.is_alive(NodeId(1)));
-        assert_eq!(fp.visible_at(NodeId(1)), Some(7));
-    }
-
-    #[test]
     fn detector_reset_grants_a_grace_period() {
         let mut fd = FailureDetector::new(
             3,
@@ -585,14 +444,5 @@ mod tests {
         let cfg = FaultConfig::default();
         assert!(ld.column_suspected_nodes(1) >= cfg.correlation_threshold);
         assert!(ld.column_suspected_nodes(0) < cfg.correlation_threshold);
-    }
-
-    #[test]
-    fn bandwidth_loss_matches_paper_rule() {
-        let mut fp = FailurePlane::new(128);
-        fp.fail(NodeId(0), 0);
-        assert!((fp.bandwidth_loss_fraction() - 1.0 / 128.0).abs() < 1e-12);
-        fp.fail(NodeId(1), 0);
-        assert!((fp.bandwidth_loss_fraction() - 2.0 / 128.0).abs() < 1e-12);
     }
 }

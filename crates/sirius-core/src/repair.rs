@@ -61,7 +61,10 @@ pub struct AdjustedSchedule {
     omitted_col: Vec<bool>,
     omitted_col_count: usize,
     /// Pending updates: (activation epoch, node, column, omit?), sorted.
-    /// `column == None` is a whole-node transition.
+    /// `column == None` is a whole-node transition. This is the only
+    /// staged set: the VLB picker follows the node transitions
+    /// [`advance_to`](Self::advance_to) reports, so it holds none of its
+    /// own.
     pending: Vec<(u64, NodeId, Option<UplinkId>, bool)>,
     /// [`pair_usable`](Self::pair_usable) tabulated as two N×N bit
     /// matrices, one [`bits`] row per node: row `i` of `usable_from` is
@@ -226,12 +229,22 @@ impl AdjustedSchedule {
         self.omitted_col_count > 0
     }
 
+    /// The newest pending whole-node transition for `node`, if any
+    /// (`true` = omit).
+    pub fn pending_node(&self, node: NodeId) -> Option<bool> {
+        self.newest_pending(node, None)
+    }
+
     /// The newest pending transition for this column, if any.
     pub fn pending_column(&self, node: NodeId, uplink: UplinkId) -> Option<bool> {
+        self.newest_pending(node, Some(uplink))
+    }
+
+    fn newest_pending(&self, node: NodeId, col: Option<UplinkId>) -> Option<bool> {
         self.pending
             .iter()
             .rev()
-            .find(|&&(_, n, c, _)| n == node && c == Some(uplink))
+            .find(|&&(_, n, c, _)| n == node && c == col)
             .map(|&(_, _, _, omit)| omit)
     }
 
@@ -320,6 +333,7 @@ impl AdjustedSchedule {
 mod tests {
     use super::*;
     use crate::config::SiriusConfig;
+    use crate::fault::FailurePlane;
 
     fn adj() -> AdjustedSchedule {
         AdjustedSchedule::new(Schedule::new(&SiriusConfig::scaled(16, 4)))
@@ -550,6 +564,82 @@ mod tests {
         a.advance_to(3);
         assert!(bits::get(a.usable_from(NodeId(3)), 9));
         check(&a);
+    }
+
+    #[test]
+    fn ground_truth_alone_never_moves_the_routing_view() {
+        let mut a = adj();
+        let mut fp = FailurePlane::new(16);
+        fp.fail(NodeId(3), 10);
+        assert!(fp.is_failed(NodeId(3)));
+        assert_eq!(fp.fail_epoch(NodeId(3)), Some(10));
+        // A ground-truth failure alone changes nothing in routing.
+        assert!(a.advance_to(12).is_empty());
+        assert!(!a.is_omitted(NodeId(3)));
+        // A detector stages the omission for epoch 14; nothing applies
+        // before its epoch.
+        a.stage_omit(NodeId(3), 14);
+        assert_eq!(a.pending_node(NodeId(3)), Some(true));
+        assert!(a.advance_to(13).is_empty());
+        assert_eq!(a.advance_to(14).nodes, vec![(NodeId(3), true)]);
+        assert!(a.is_omitted(NodeId(3)));
+        assert_eq!(a.pending_node(NodeId(3)), None);
+        // Recovery is ground truth only; routing waits for a staged
+        // readmission.
+        fp.recover(NodeId(3));
+        assert!(!fp.is_failed(NodeId(3)));
+        assert!(a.advance_to(15).is_empty());
+        assert!(a.is_omitted(NodeId(3)));
+        a.stage_readmit(NodeId(3), 16);
+        assert_eq!(a.advance_to(16).nodes, vec![(NodeId(3), false)]);
+        assert!(!a.is_omitted(NodeId(3)));
+    }
+
+    #[test]
+    fn fail_recover_fail_flap_does_not_resurrect_mid_detection() {
+        // A recover racing an in-progress detection must neither cancel
+        // the pending omission nor readmit the node: routing only moves
+        // through staged updates.
+        let mut a = adj();
+        let mut fp = FailurePlane::new(16);
+        fp.fail(NodeId(1), 5);
+        a.stage_omit(NodeId(1), 7); // detector in flight
+        assert!(a.advance_to(6).is_empty());
+        // The node blips back up and immediately dies again, before the
+        // staged omission even applied.
+        fp.recover(NodeId(1));
+        fp.fail(NodeId(1), 6);
+        assert_eq!(fp.fail_epoch(NodeId(1)), Some(6));
+        assert_eq!(a.pending_node(NodeId(1)), Some(true));
+        assert!(a.advance_to(6).is_empty());
+        assert!(!a.is_omitted(NodeId(1)));
+        // The staged omission still lands at its boundary.
+        assert_eq!(a.advance_to(7).nodes, vec![(NodeId(1), true)]);
+        // A duplicate staged omission is a no-op, not a double-kill.
+        a.stage_omit(NodeId(1), 8);
+        assert!(a.advance_to(8).is_empty());
+        assert!(a.is_omitted(NodeId(1)));
+        assert!((a.capacity_factor() - 15.0 / 16.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pending_node_reports_the_newest_direction() {
+        let mut a = adj();
+        let n = NodeId(4);
+        assert_eq!(a.pending_node(n), None);
+        a.stage_omit(n, 5);
+        assert_eq!(a.pending_node(n), Some(true));
+        a.stage_readmit(n, 9);
+        assert_eq!(a.pending_node(n), Some(false));
+        // A column staging on the same node is a different grain.
+        a.stage_omit_column(n, UplinkId(1), 12);
+        assert_eq!(a.pending_node(n), Some(false));
+        assert_eq!(a.pending_column(n, UplinkId(1)), Some(true));
+        assert_eq!(a.pending_node(NodeId(5)), None);
+        a.advance_to(5);
+        assert_eq!(a.pending_node(n), Some(false));
+        a.advance_to(9);
+        assert_eq!(a.pending_node(n), None);
     }
 
     #[test]

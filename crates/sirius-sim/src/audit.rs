@@ -155,6 +155,8 @@ pub struct Audit {
     epochs_checked: u64,
     total_violations: u64,
     violations: Vec<String>,
+    /// Per-flow shadow reassembly; an entry lives exactly as long as the
+    /// flow's id does (see `note_evicted`).
     shadow: HashMap<FlowId, FlowShadow>,
     /// Receive ports driven this slot, indexed `dst * uplinks + uplink`.
     rx_busy: Vec<bool>,
@@ -509,6 +511,15 @@ impl SlotObserver for Audit {
         }
     }
 
+    /// A streaming run freed `flow`'s slab slot — every cell delivered,
+    /// reorder entry retired — so the id is reusable from here on: drop
+    /// its shadow with it. A slice run never evicts, so there the shadow
+    /// keeps flagging duplicates of a completed flow to the end of the
+    /// run.
+    fn note_evicted(&mut self, flow: FlowId) {
+        self.shadow.remove(&flow);
+    }
+
     /// Full invariant sweep at an epoch boundary. `in_flight` is the
     /// number of cells currently on the fiber (in the propagation ring).
     fn epoch_check(&mut self, epoch: u64, nodes: &[SiriusNode], in_flight: u64) {
@@ -823,6 +834,30 @@ mod tests {
         let r = a.finish();
         assert_eq!(r.duplicate_cells, 1);
         assert!(!r.is_clean());
+    }
+
+    #[test]
+    fn a_recycled_flow_id_is_a_new_flow_only_after_its_eviction() {
+        // Streaming: the slab frees id 9 after its last cell, then hands
+        // it to a new flow whose seq 0 must be accepted.
+        let mut a = Audit::new(true, 4, 2, 4, false);
+        a.note_injected();
+        a.note_injected();
+        a.note_delivery(&cell(9, 0), 1);
+        a.note_evicted(FlowId(9));
+        a.note_delivery(&cell(9, 0), 1);
+        a.epoch_check(0, &[], 0);
+        let r = a.finish();
+        assert!(r.is_clean(), "{:?}", r.violations);
+        assert_eq!(r.cells_released, 2);
+        // The slice path never evicts: the same sequence without the
+        // probe is still a duplicate.
+        let mut a = Audit::new(true, 4, 2, 4, false);
+        a.note_delivery(&cell(9, 0), 1);
+        a.note_delivery(&cell(9, 0), 1);
+        let r = a.finish();
+        assert_eq!(r.duplicate_cells, 1);
+        assert!(r.violations[0].contains("delivered twice"));
     }
 
     #[test]

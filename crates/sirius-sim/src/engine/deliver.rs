@@ -317,7 +317,13 @@ impl SiriusSim {
     /// arrival effects that are order-sensitive *across* receivers, so
     /// they alone run serially on the main thread.
     #[inline]
-    fn fold_delivery(&mut self, cell: &Cell, completed: bool, now_ps: u64) {
+    fn fold_delivery<O: SlotObserver>(
+        &mut self,
+        cell: &Cell,
+        completed: bool,
+        now_ps: u64,
+        obs: &mut O,
+    ) {
         self.delivery.cells_delivered += 1;
         self.delivery.digest.update_cell(cell, now_ps);
         if completed {
@@ -329,7 +335,7 @@ impl SiriusSim {
             // future flow-id allocation) and the order-sensitive stream
             // digest.
             if self.evict_completed {
-                self.fold_and_evict(cell.flow.0 as u32);
+                self.fold_and_evict(cell.flow.0 as u32, obs);
             }
         }
     }
@@ -361,11 +367,12 @@ impl SiriusSim {
     /// streaming eviction replay — in exactly the due-list sequence, then
     /// the order-insensitive per-shard effects in shard order. `cursors`
     /// is one reusable merge cursor per shard.
-    pub(crate) fn merge_deliveries(
+    pub(crate) fn merge_deliveries<O: SlotObserver>(
         &mut self,
         outs: &mut [DeliverOut],
         cursors: &mut [usize],
         now: Time,
+        obs: &mut O,
     ) {
         let now_ps = now.since(Time::ZERO).as_ps();
         cursors.fill(0);
@@ -381,7 +388,7 @@ impl SiriusSim {
             let Some((_, s)) = best else { break };
             let (_, cell, completed) = outs[s].delivered[cursors[s]];
             cursors[s] += 1;
-            self.fold_delivery(&cell, completed, now_ps);
+            self.fold_delivery(&cell, completed, now_ps, obs);
         }
         for out in outs {
             self.apply_deliver_effects(out, now);

@@ -16,8 +16,8 @@ use sirius_core::topology::NodeId;
 
 pub(crate) struct DetectPlane {
     /// One silence detector per node, fed from actual slot receptions
-    /// (data or keepalive) — `FailurePlane` exclusions are staged only
-    /// from what these observe. N detectors of N peers each: built by
+    /// (data or keepalive) — schedule omissions are staged only from
+    /// what these observe. N detectors of N peers each: built by
     /// [`DetectPlane::arm`] when a fault script is armed, empty on the
     /// fault-free runs that never read them.
     pub detectors: Vec<FailureDetector>,
@@ -27,8 +27,6 @@ pub(crate) struct DetectPlane {
     /// Per-(sender, TX column) silence detector for grey-failure
     /// localization; only maintained when the script has link faults.
     pub link_det: Option<LinkDetector>,
-    /// (sender, column) pairs ever suspected by the link detector.
-    pub links_suspected: Vec<(NodeId, u16)>,
 }
 
 impl DetectPlane {
@@ -37,7 +35,6 @@ impl DetectPlane {
             detectors: Vec::new(),
             last_heard_any: vec![0; n],
             link_det: None,
-            links_suspected: Vec::new(),
         }
     }
 

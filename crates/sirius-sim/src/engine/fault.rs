@@ -22,6 +22,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use sirius_core::cell::{Cell, FlowId};
 use sirius_core::fault::FailurePlane;
+use sirius_core::repair::AdjustedSchedule;
 use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, ServerId, UplinkId};
 
@@ -65,7 +66,9 @@ pub(crate) fn forge_cell(rng: &mut SmallRng, ni: NodeId, j: NodeId, n: usize) ->
 /// accumulates per epoch and is reset at every fault boundary: the
 /// quarantine threshold therefore bounds the liar's damage *per epoch*
 /// (mirroring the §4.4 slew clamp), after which whole-node exclusion is
-/// staged and held sticky.
+/// staged and held sticky (the report's quarantine records are the list a
+/// resumed keepalive is checked against: the liar's laser works fine — its
+/// *software* lies).
 pub(crate) struct ByzPlane {
     /// `src_table[(t * nodes + j) * uplinks + u]` = the unique scheduled
     /// transmitter into RX column `u` of node `j` at epoch slot `t`.
@@ -74,9 +77,6 @@ pub(crate) struct ByzPlane {
     uplinks: usize,
     /// Forged cells attributed to each node during the current epoch.
     pub suspicion: Vec<u64>,
-    /// Sticky quarantine flags: a quarantined node is never readmitted by
-    /// resumed keepalives (its laser works fine — its *software* lies).
-    pub quarantined: Vec<bool>,
 }
 
 impl ByzPlane {
@@ -97,7 +97,6 @@ impl ByzPlane {
             nodes,
             uplinks,
             suspicion: vec![0; nodes],
-            quarantined: vec![false; nodes],
         }
     }
 
@@ -124,8 +123,6 @@ pub(crate) struct FaultPlane {
     uplinks: usize,
     /// Nodes per group (= AWGR ports); drives correlated-domain expansion.
     group_size: usize,
-    /// Uplink columns already logged as a correlated domain this run.
-    domain_logged: Vec<bool>,
     /// Reused scratch for `FaultInjector::node_events_at`.
     node_scratch: Vec<(NodeId, bool)>,
 }
@@ -141,7 +138,6 @@ impl FaultPlane {
             corrupt_touched: Vec::new(),
             uplinks,
             group_size,
-            domain_logged: vec![false; uplinks],
             node_scratch: Vec::new(),
         }
     }
@@ -193,6 +189,23 @@ impl FaultPlane {
             self.corrupt[idx as usize] = None;
         }
         self.corrupt_touched.clear();
+    }
+}
+
+/// Stage whole-node omission of `p` at the next update epoch (one epoch of
+/// dissemination riding the cyclic schedule), unless `p` is already
+/// omitted or on its way out.
+fn stage_node_omit(sched: &mut AdjustedSchedule, p: NodeId, epoch: u64) {
+    if !sched.is_omitted(p) && sched.pending_node(p) != Some(true) {
+        sched.stage_omit(p, epoch + 1);
+    }
+}
+
+/// Stage readmission of an omitted `p` at the next update epoch, unless it
+/// is already on its way back.
+fn stage_node_readmit(sched: &mut AdjustedSchedule, p: NodeId, epoch: u64) {
+    if sched.is_omitted(p) && sched.pending_node(p) != Some(false) {
+        sched.stage_readmit(p, epoch + 1);
     }
 }
 
@@ -276,8 +289,9 @@ impl SiriusSim {
 
     /// Epoch-boundary fault pipeline: scripted ground truth lands, the
     /// silence detectors tick, suspicions stage consistent updates one
-    /// epoch out, and both routing planes flip the same staged set at the
-    /// same boundary.
+    /// epoch out, and the schedule overlay — the one routing view —
+    /// applies the staged set at the boundary, the VLB picker following
+    /// it.
     pub(crate) fn fault_boundary<O: SlotObserver>(&mut self, epoch: u64, obs: &mut O) {
         // 1. Ground-truth transitions (routing is NOT told). The event
         //    list is collected into a reused scratch buffer — the engine
@@ -338,10 +352,12 @@ impl SiriusSim {
             None => Vec::new(),
         };
         for (peer, col) in ticked {
-            let link = (peer, col as u16);
-            if !self.detect.links_suspected.contains(&link) {
-                self.detect.links_suspected.push(link);
-                self.faults.report.links.push(crate::metrics::LinkRecord {
+            let links = &mut self.faults.report.links;
+            if !links
+                .iter()
+                .any(|r| r.node == peer && r.uplink == col as u16)
+            {
+                links.push(crate::metrics::LinkRecord {
                     node: peer,
                     uplink: col as u16,
                     first_suspected: epoch,
@@ -370,16 +386,13 @@ impl SiriusSim {
                 0
             };
             let correlated = corr_nodes >= self.cfg.fault.correlation_threshold;
-            if correlated && !self.faults.domain_logged[col] {
-                self.faults.domain_logged[col] = true;
-                self.faults
-                    .report
-                    .correlated_domains
-                    .push(CorrelatedDomainRecord {
-                        uplink: col as u16,
-                        nodes: corr_nodes as u32,
-                        detected_at: epoch,
-                    });
+            let domains = &mut self.faults.report.correlated_domains;
+            if correlated && !domains.iter().any(|d| d.uplink == col as u16) {
+                domains.push(CorrelatedDomainRecord {
+                    uplink: col as u16,
+                    nodes: corr_nodes as u32,
+                    detected_at: epoch,
+                });
             }
             let escalated = !correlated
                 && self
@@ -388,12 +401,7 @@ impl SiriusSim {
                     .as_ref()
                     .is_some_and(|ld| ld.suspected_count(peer) >= thresh);
             if escalated {
-                if !self.failure_plane.is_excluded(peer)
-                    && self.failure_plane.pending(peer) != Some(true)
-                {
-                    self.sched.stage_omit(peer, epoch + 1);
-                    self.failure_plane.stage_exclude(peer, epoch + 1);
-                }
+                stage_node_omit(&mut self.sched, peer, epoch);
             } else if !self.sched.is_column_omitted(peer, UplinkId(col as u16))
                 && self.sched.pending_column(peer, UplinkId(col as u16)) != Some(true)
             {
@@ -403,8 +411,7 @@ impl SiriusSim {
         }
 
         // 3b. Node-level silence detection: every live node's detector
-        //    ticks; a new suspicion stages exclusion at `epoch + 1` (one
-        //    epoch of dissemination riding the cyclic schedule). A
+        //    ticks; a new suspicion stages exclusion at `epoch + 1`. A
         //    grey node below the escalation threshold keeps its healthy
         //    columns — the column omission above already repaired the
         //    schedule, so the node-level suspicion (receivers served
@@ -438,12 +445,8 @@ impl SiriusSim {
                 // would exclude a whole node for a single grey column.
                 // Node-level suspicions then only feed the record books;
                 // exclusion comes from column escalation above.
-                if self.detect.link_det.is_none()
-                    && !self.failure_plane.is_excluded(p)
-                    && self.failure_plane.pending(p) != Some(true)
-                {
-                    self.sched.stage_omit(p, epoch + 1);
-                    self.failure_plane.stage_exclude(p, epoch + 1);
+                if self.detect.link_det.is_none() {
+                    stage_node_omit(&mut self.sched, p, epoch);
                 }
             }
         }
@@ -456,31 +459,22 @@ impl SiriusSim {
         //    §4.4 slew-clamp shape: lie a little, tolerated; lie past the
         //    clamp, evicted).
         let byz_thresh = self.cfg.fault.byz_quarantine_threshold;
-        let mut quarantine_now: Vec<NodeId> = Vec::new();
-        {
-            let FaultPlane { byz, report, .. } = &mut self.faults;
-            if let Some(bz) = byz {
-                for p in 0..n {
-                    let s = bz.suspicion[p];
-                    if s > report.max_forged_per_epoch {
-                        report.max_forged_per_epoch = s;
-                    }
-                    if s >= byz_thresh && !bz.quarantined[p] {
-                        bz.quarantined[p] = true;
-                        report.byz_quarantined.push(ByzantineRecord {
-                            node: NodeId(p as u32),
-                            quarantined_at: epoch,
-                        });
-                        quarantine_now.push(NodeId(p as u32));
-                    }
-                    bz.suspicion[p] = 0;
+        let FaultPlane { byz, report, .. } = &mut self.faults;
+        if let Some(bz) = byz {
+            for p in 0..n {
+                let s = bz.suspicion[p];
+                if s > report.max_forged_per_epoch {
+                    report.max_forged_per_epoch = s;
                 }
-            }
-        }
-        for p in quarantine_now {
-            if !self.failure_plane.is_excluded(p) && self.failure_plane.pending(p) != Some(true) {
-                self.sched.stage_omit(p, epoch + 1);
-                self.failure_plane.stage_exclude(p, epoch + 1);
+                let node = NodeId(p as u32);
+                if s >= byz_thresh && !report.byz_quarantined.iter().any(|r| r.node == node) {
+                    report.byz_quarantined.push(ByzantineRecord {
+                        node,
+                        quarantined_at: epoch,
+                    });
+                    stage_node_omit(&mut self.sched, node, epoch);
+                }
+                bz.suspicion[p] = 0;
             }
         }
 
@@ -494,12 +488,8 @@ impl SiriusSim {
         //    would instantly resurrect them.
         for p in 0..n as u32 {
             let p = NodeId(p);
-            if self
-                .faults
-                .byz
-                .as_ref()
-                .is_some_and(|b| b.quarantined[p.0 as usize])
-            {
+            let quarantined = &self.faults.report.byz_quarantined;
+            if quarantined.iter().any(|r| r.node == p) {
                 continue;
             }
             let still_escalated = self
@@ -507,13 +497,8 @@ impl SiriusSim {
                 .link_det
                 .as_ref()
                 .is_some_and(|ld| ld.suspected_count(p) >= thresh);
-            if self.failure_plane.is_excluded(p)
-                && self.failure_plane.pending(p) != Some(false)
-                && !still_escalated
-                && self.detect.last_heard_any[p.0 as usize] + 1 >= epoch
-            {
-                self.sched.stage_readmit(p, epoch + 1);
-                self.failure_plane.stage_restore(p, epoch + 1);
+            if !still_escalated && self.detect.last_heard_any[p.0 as usize] + 1 >= epoch {
+                stage_node_readmit(&mut self.sched, p, epoch);
             }
         }
 
@@ -532,16 +517,13 @@ impl SiriusSim {
             }
         }
 
-        // 5. Update epoch: the data plane (dead slots) and the VLB view
-        //    must apply the identical staged set at the identical boundary.
+        // 5. Update epoch: the schedule applies the staged set, and the
+        //    VLB picker follows the node transitions it reports — one set,
+        //    one boundary, so dead slots and detours cannot disagree.
         let applied = self.sched.advance_to(epoch);
-        let routed = self.failure_plane.sync_to_vlb(&mut self.vlb, epoch);
-        debug_assert_eq!(
-            applied.nodes, routed,
-            "schedule and VLB routing views diverged at epoch {epoch}"
-        );
         for &(node, excluded) in &applied.nodes {
             if excluded {
+                self.vlb.mark_failed(node);
                 self.faults.report.exclusions += 1;
                 // Granted cells queued for the now-dead-slot intermediate
                 // would strand until grant expiry; pull them back to LOCAL
@@ -562,6 +544,7 @@ impl SiriusSim {
                     rec.excluded_at = Some(epoch);
                 }
             } else {
+                self.vlb.mark_recovered(node);
                 self.faults.report.readmissions += 1;
                 if let Some(rec) = self
                     .faults

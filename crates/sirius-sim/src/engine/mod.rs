@@ -12,7 +12,7 @@
 //! | [`pool`] | generation barrier, spin/park waits, panic containment, disjoint-range hand-out | two broadcasts |
 //! | [`deliver`] | propagation ring, reorder buffers, digest | arrival processing by receiver range, ordered digest merge |
 //! | [`tx`] | CC-mode dispatch, ideal shadow occupancy | per-(node, uplink) transmit by sender range, shard-order merge |
-//! | [`fault`] | fault script, active windows, report | mistune pre-pass; per epoch, the fault boundary |
+//! | [`fault`] | fault script, active windows, report; stages repairs into the schedule overlay (the one routing view) | mistune pre-pass; per epoch, the fault boundary |
 //! | [`detect`] | silence detectors (§4.5) | keepalive credit (applied at the TX merge) |
 //! | [`observer`] | the audit's probe points | nothing unless the audit is on |
 //! | [`tables`] | precomputed schedule destinations | lookups |
@@ -242,7 +242,7 @@ impl SiriusSim {
                     }
                     lap(&mut self.plane_times.deliver, m);
                     let m = mark(timing);
-                    self.merge_deliveries(&mut douts, &mut cursors, now);
+                    self.merge_deliveries(&mut douts, &mut cursors, now, obs);
                     lap(&mut self.plane_times.merge, m);
                     due.clear();
                 }

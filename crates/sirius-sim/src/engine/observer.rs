@@ -16,7 +16,7 @@
 //! the global one.
 
 use crate::audit::LossCause;
-use sirius_core::cell::Cell;
+use sirius_core::cell::{Cell, FlowId};
 use sirius_core::node::SiriusNode;
 use sirius_core::topology::NodeId;
 
@@ -36,6 +36,7 @@ pub(crate) trait SlotObserver: Send {
     fn end_slot(&mut self);
     fn note_injected(&mut self);
     fn note_delivery(&mut self, cell: &Cell, released_cells: u32);
+    fn note_evicted(&mut self, flow: FlowId);
     fn note_lost(&mut self, cause: LossCause, node: NodeId, epoch: u64);
     fn note_blackholed(&mut self, node: NodeId, epoch: u64);
     fn note_suspicion(&mut self, epoch: u64, node: NodeId);
@@ -63,6 +64,8 @@ impl SlotObserver for NullObserver {
     fn note_injected(&mut self) {}
     #[inline(always)]
     fn note_delivery(&mut self, _: &Cell, _: u32) {}
+    #[inline(always)]
+    fn note_evicted(&mut self, _: FlowId) {}
     #[inline(always)]
     fn note_lost(&mut self, _: LossCause, _: NodeId, _: u64) {}
     #[inline(always)]

@@ -39,7 +39,6 @@ pub(crate) mod engine;
 pub mod esn;
 pub mod faults;
 pub mod metrics;
-pub mod packet_layer;
 pub mod sirius_net;
 
 pub use audit::{Audit, AuditReport, LossCause, RunDigest};

@@ -34,7 +34,7 @@ use crate::engine::deliver::FlowSlots;
 use crate::engine::{
     split, DeliverPlane, DestTable, DetectPlane, FaultPlane, NullObserver, SlotObserver, TxPlane,
 };
-use crate::faults::{FaultEvent, FaultInjector};
+use crate::faults::{FaultEvent, FaultInjector, FaultScriptError};
 use crate::metrics::{FctHistogram, FlowRecord, RunMetrics};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -207,7 +207,10 @@ const _: () = {
 /// evicts, so slot `i` is workload flow `i`. Slot indices are the
 /// engine's `FlowId`s; a slot is only reused after its flow completed
 /// (every cell delivered and the reorder entry retired), so a recycled
-/// id can never collide with a live cell.
+/// id can never collide with a live cell. The slab is the one owner of
+/// an id's lifetime: the only other per-id state, the audit's shadow
+/// reassembly, is told of each eviction
+/// ([`SlotObserver::note_evicted`]) and drops its entry with the slot.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
     slots: Vec<FlowSt>,
@@ -419,6 +422,7 @@ pub struct SiriusSim {
     pub(crate) servers: Vec<ServerSt>,
     pub(crate) rng: SmallRng,
     pub(crate) prop_slots: usize,
+    /// Ground truth only (who is down); what routing believes is `sched`.
     pub(crate) failure_plane: FailurePlane,
     /// Precomputed base-schedule destinations (static for the whole run).
     pub(crate) tables: DestTable,
@@ -552,19 +556,27 @@ impl SiriusSim {
     /// Attach a scripted fault plane.
     ///
     /// # Panics
-    /// On a malformed script ([`FaultInjector::validate`]): inverted
-    /// windows, out-of-range nodes/uplinks/groups/chips/port bands, or
-    /// contradictory events. A script that silently never fires is worse
-    /// than a loud constructor.
+    /// On a malformed script (see [`try_set_faults`](Self::try_set_faults)):
+    /// a script that silently never fires is worse than a loud
+    /// constructor.
     pub fn set_faults(&mut self, injector: FaultInjector) {
-        if let Err(e) = injector.validate(
+        if let Err(e) = self.try_set_faults(injector) {
+            panic!("invalid fault script: {e}");
+        }
+    }
+
+    /// Attach a scripted fault plane, or say what is wrong with it
+    /// ([`FaultInjector::validate`]): inverted windows, out-of-range
+    /// nodes/uplinks/groups/chips/port bands, or contradictory events. On
+    /// error the previously attached script stays in place.
+    pub fn try_set_faults(&mut self, injector: FaultInjector) -> Result<(), FaultScriptError> {
+        injector.validate(
             self.cfg.network.nodes,
             self.sched.base().uplinks(),
             self.cfg.network.grating_ports,
-        ) {
-            panic!("invalid fault script: {e}");
-        }
+        )?;
         self.faults.injector = injector;
+        Ok(())
     }
 
     /// Schedule fail-stop node crashes (shorthand for a [`FaultInjector`]
@@ -601,15 +613,13 @@ impl SiriusSim {
     /// [`RunMetrics::flows`] is empty — per-flow records for millions of
     /// flows are exactly the memory this path exists to avoid.
     ///
-    /// # Panics
-    /// If a fault script is attached: slab slots are reused, and the
-    /// fault planes' flow-id attribution (the Byzantine RX filter)
-    /// assumes ids are stable for the whole run.
+    /// Eviction is the only difference from [`SiriusSim::run`]: fault
+    /// scripts, the audit and sharding all apply, and
+    /// [`RunMetrics::fault`] is populated exactly as there. A recycled id
+    /// cannot alias anything — a slot is reused only after its flow's
+    /// last cell was delivered, and forged cells carry an id no slab
+    /// reaches.
     pub fn run_streaming<I: Iterator<Item = Flow>>(mut self, flows: I) -> RunMetrics {
-        assert!(
-            self.faults.injector.is_empty(),
-            "run_streaming does not support fault scripts (flow ids are recycled)"
-        );
         let wall_start = std::time::Instant::now();
         self.evict_completed = true;
         self.dispatch(flows, wall_start)
@@ -649,8 +659,9 @@ impl SiriusSim {
     }
 
     /// Fold a completed flow's terminal state into the streaming digest
-    /// accumulator and free its slab slot.
-    pub(crate) fn fold_and_evict(&mut self, fi: u32) {
+    /// accumulator and free its slab slot, telling the observer the id is
+    /// reusable from here on.
+    pub(crate) fn fold_and_evict<O: SlotObserver>(&mut self, fi: u32, obs: &mut O) {
         let f = &self.flows[fi as usize];
         debug_assert!(f.completion.is_some());
         self.stream_fold.update(f.delivered);
@@ -663,6 +674,7 @@ impl SiriusSim {
             self.fct_hist.record(c.since(f.arrival));
         }
         self.flows.evict(fi);
+        obs.note_evicted(FlowId(fi as u64));
     }
 
     /// Epoch boundary: flow admission + injection, then the CC round.
@@ -694,7 +706,7 @@ impl SiriusSim {
                 self.delivery.completed += 1;
                 self.delivery.last_delivery = self.delivery.last_delivery.max(done);
                 if self.evict_completed {
-                    self.fold_and_evict(fi);
+                    self.fold_and_evict(fi, obs);
                 }
             } else {
                 self.servers[src_server as usize].active.push_back(fi);
@@ -764,29 +776,24 @@ impl SiriusSim {
         // 4. Issue grants for requests received last epoch; deliver them to
         //    the sources, which move granted cells into VOQs.
         let control_loss = self.faults.active.control_loss;
+        let repaired = self.sched.has_omitted_columns();
         for i in 0..self.nodes.len() {
             let ni = NodeId(i as u32);
-            if self.failure_plane.is_failed(ni) || self.failure_plane.is_excluded(ni) {
+            if self.failure_plane.is_failed(ni) || self.sched.is_omitted(ni) {
                 continue;
             }
             // With a column-repaired schedule the intermediate must not
             // grant requests for destinations its own TX columns can no
             // longer reach (denied requests re-roll a fresh detour at the
-            // source). The unfiltered path is kept for the healthy case so
-            // fault-free runs keep their exact RNG draw sequence (and
-            // golden digests).
-            let grants = if self.sched.has_omitted_columns() {
-                let reachable = self.sched.usable_from(ni);
-                self.nodes[i]
-                    .cc
-                    .issue_grants_filtered(&mut self.rng, epoch, |d| {
-                        bits::get(reachable, d.0 as usize)
-                    })
-            } else {
-                self.nodes[i].cc.issue_grants(&mut self.rng, epoch)
-            };
+            // source).
+            let reachable = repaired.then(|| self.sched.usable_from(ni));
+            let grants = self.nodes[i]
+                .cc
+                .issue_grants_filtered(&mut self.rng, epoch, |d| {
+                    reachable.is_none_or(|row| bits::get(row, d.0 as usize))
+                });
             for (src, dst) in grants {
-                if self.failure_plane.is_failed(src) || self.failure_plane.is_excluded(src) {
+                if self.failure_plane.is_failed(src) || self.sched.is_omitted(src) {
                     continue; // the loss backstop reclaims this grant
                 }
                 // ControlLoss window: the grant is corrupted in flight.
@@ -808,22 +815,20 @@ impl SiriusSim {
         //    cells; considered for grants next epoch).
         for i in 0..self.nodes.len() {
             let ni = NodeId(i as u32);
-            if self.failure_plane.is_failed(ni) || self.failure_plane.is_excluded(ni) {
+            if self.failure_plane.is_failed(ni) || self.sched.is_omitted(ni) {
                 continue;
             }
             let vlb = &self.vlb;
             let sched = &self.sched;
-            // Same split as grant issue: under column repair, a VLB detour
-            // must be reachable from the source *and* able to reach the
-            // destination through the repaired schedule.
-            let reqs = if sched.has_omitted_columns() {
-                let from = sched.usable_from(ni);
-                self.nodes[i].gen_requests(&mut self.rng, |rng, src, dst| {
-                    vlb.pick_masked(rng, src, dst, from, sched.usable_to(dst))
-                })
-            } else {
-                self.nodes[i].gen_requests(&mut self.rng, |rng, src, dst| vlb.pick(rng, src, dst))
-            };
+            // Under column repair a VLB detour must be reachable from the
+            // source *and* able to reach the destination through the
+            // repaired schedule; the healthy pick keeps its O(1) eligible
+            // count.
+            let from = repaired.then(|| sched.usable_from(ni));
+            let reqs = self.nodes[i].gen_requests(&mut self.rng, |rng, src, dst| match from {
+                Some(from) => vlb.pick_masked(rng, src, dst, from, sched.usable_to(dst)),
+                None => vlb.pick(rng, src, dst),
+            });
             for (intermediate, dst) in reqs {
                 if self.failure_plane.is_failed(intermediate) {
                     // A request addressed to a dead node vanishes with it;
@@ -854,10 +859,7 @@ impl SiriusSim {
             for bi in 0..self.faults.active.byz_nodes.len() {
                 let b = self.faults.active.byz_nodes[bi];
                 let extra = self.faults.active.byz_extra_of(b);
-                if extra == 0
-                    || self.failure_plane.is_failed(b)
-                    || self.failure_plane.is_excluded(b)
-                {
+                if extra == 0 || self.failure_plane.is_failed(b) || self.sched.is_omitted(b) {
                     continue;
                 }
                 for _ in 0..extra {
@@ -926,7 +928,7 @@ impl SiriusSim {
             fr.grey_links_declared = declared.len() as u32;
             fr.grey_links_localized = declared
                 .iter()
-                .filter(|l| self.detect.links_suspected.contains(l))
+                .filter(|&&l| fr.links.iter().any(|r| (r.node, r.uplink) == l))
                 .count() as u32;
             Some(fr)
         } else {
@@ -1202,6 +1204,26 @@ mod tests {
         assert_eq!(fr.readmissions, 1);
         // Full capacity restored by the end of the run.
         assert_eq!(fr.capacity_factor_end, 1.0);
+    }
+
+    #[test]
+    fn a_rejected_fault_script_leaves_the_attached_one_in_place() {
+        let net = tiny_net();
+        let wl = tiny_workload(&net, 0.2, 200, 19);
+        let mut sim = SiriusSim::new(SiriusSimConfig::new(net));
+        sim.try_set_faults(FaultInjector::new(19).crash(NodeId(5), 10))
+            .expect("a well-formed script attaches");
+        // Node 16 does not exist in a 16-node deployment.
+        let err = sim
+            .try_set_faults(FaultInjector::new(19).crash(NodeId(16), 10))
+            .unwrap_err();
+        assert!(
+            matches!(err, FaultScriptError::NodeOutOfRange { nodes: 16, .. }),
+            "{err}"
+        );
+        let fr = sim.run(&wl).fault.expect("the first script still runs");
+        assert_eq!(fr.failures.len(), 1);
+        assert_eq!(fr.failures[0].node, NodeId(5));
     }
 
     #[test]

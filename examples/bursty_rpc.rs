@@ -10,13 +10,62 @@
 //! cargo run --release --example bursty_rpc
 //! ```
 
-use sirius::core::units::{Duration, Rate};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use sirius::core::units::{Duration, Rate, Time};
 use sirius::core::SiriusConfig;
-use sirius::sim::packet_layer::{run_packets, PacketWorkload};
 use sirius::sim::SiriusSim;
 use sirius::sim::SiriusSimConfig;
 use sirius::workload::burst::{peak_to_mean, BurstySpec};
-use sirius::workload::{PacketSizes, Pareto};
+use sirius::workload::{Flow, PacketSizes, Pareto};
+
+/// `packets` single-packet RPCs as one-packet flows: Poisson arrivals at
+/// `pps` packets per second per server, sizes from `sizes`, and every
+/// source cycling round-robin over its own `fanout` randomly chosen peers
+/// ("an endpoint communicating with many destinations at the same time")
+/// — maximal destination churn, the pattern that stresses
+/// reconfiguration. A packet's FCT is its latency.
+fn single_packet_rpcs(
+    servers: u32,
+    sizes: &PacketSizes,
+    pps: f64,
+    fanout: usize,
+    packets: u64,
+    seed: u64,
+) -> Vec<Flow> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let dsts: Vec<Vec<u32>> = (0..servers)
+        .map(|s| {
+            let mut set = Vec::with_capacity(fanout);
+            while set.len() < fanout {
+                let d = rng.gen_range(0..servers);
+                if d != s && !set.contains(&d) {
+                    set.push(d);
+                }
+            }
+            set
+        })
+        .collect();
+    let total_rate = pps * servers as f64;
+    let mut t = 0f64;
+    let mut next = vec![0usize; servers as usize];
+    (0..packets)
+        .map(|id| {
+            let u: f64 = 1.0 - rng.gen::<f64>();
+            t += -u.ln() / total_rate;
+            let src = rng.gen_range(0..servers) as usize;
+            let k = next[src];
+            next[src] = (k + 1) % fanout;
+            Flow {
+                id,
+                src_server: src as u32,
+                dst_server: dsts[src][k],
+                bytes: sizes.sample(&mut rng) as u64,
+                arrival: Time::from_ps((t * 1e12) as u64),
+            }
+        })
+        .collect()
+}
 
 fn main() {
     let mut net = SiriusConfig::scaled(32, 8);
@@ -29,25 +78,24 @@ fn main() {
         "{:>12} {:>10} {:>12} {:>12} {:>12}",
         "pkts/s/srv", "offered", "p50", "p99", "p99.9"
     );
+    let servers = net.total_servers() as u32;
+    let sizes = PacketSizes::production_cloud();
     for pps in [100_000.0, 500_000.0, 2_000_000.0] {
-        let wl = PacketWorkload {
-            servers: net.total_servers() as u32,
-            sizes: PacketSizes::production_cloud(),
-            pkts_per_sec_per_server: pps,
-            fanout: 16,
-            packets: 20_000,
-            seed: 11,
-        };
+        let wl = single_packet_rpcs(servers, &sizes, pps, 16, 20_000, 11);
         let mut cfg = SiriusSimConfig::new(net.clone()).with_seed(1);
         cfg.drain_timeout = Duration::from_ms(2);
-        let (_, lat) = run_packets(cfg, &wl);
+        let m = SiriusSim::new(cfg).run(&wl);
+        let latency = |p| {
+            m.fct_percentile(p, u64::MAX)
+                .map_or("-".into(), |d| format!("{d}"))
+        };
         println!(
             "{:>12} {:>9.1}G {:>12} {:>12} {:>12}",
             pps as u64,
-            wl.offered_bps() / 1e9,
-            format!("{}", lat.p50),
-            format!("{}", lat.p99),
-            format!("{}", lat.p999),
+            pps * servers as f64 * sizes.mean() * 8.0 / 1e9,
+            latency(50.0),
+            latency(99.0),
+            latency(99.9),
         );
     }
 

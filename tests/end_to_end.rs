@@ -1,9 +1,10 @@
 //! End-to-end integration: workload generation -> Sirius simulation ->
 //! metrics, across crates.
 
+use sirius::core::topology::NodeId;
 use sirius::core::units::{Duration, Rate, Time};
 use sirius::core::SiriusConfig;
-use sirius::sim::{CcMode, SiriusSim, SiriusSimConfig};
+use sirius::sim::{CcMode, FaultInjector, SiriusSim, SiriusSimConfig};
 use sirius::workload::{Flow, Pareto, Pattern, WorkloadSpec};
 
 fn net() -> SiriusConfig {
@@ -171,7 +172,9 @@ fn malformed_workload_unwinds_instead_of_hanging_at_any_shard_count() {
     // admission — mid-run, inside the slot loop, with the shard workers
     // parked at their barrier. The unwind must release them: each run
     // goes on a helper thread and has to report its panic in bounded
-    // time, at every shard count and through both entry points.
+    // time, at every shard count and through both entry points — the
+    // streaming one also with a fault script armed (a crash at epoch 0
+    // puts the run on the faulty TX body before the bad flow arrives).
     use std::sync::mpsc;
     let flows = vec![
         Flow {
@@ -190,7 +193,7 @@ fn malformed_workload_unwinds_instead_of_hanging_at_any_shard_count() {
         },
     ];
     for shards in [1usize, 2, 4] {
-        for streaming in [true, false] {
+        for (streaming, faulty) in [(true, false), (false, false), (true, true)] {
             let flows = flows.clone();
             let (tx, rx) = mpsc::channel();
             std::thread::spawn(move || {
@@ -199,7 +202,10 @@ fn malformed_workload_unwinds_instead_of_hanging_at_any_shard_count() {
                 let cfg = SiriusSimConfig::new(net())
                     .with_shards(shards)
                     .with_audit(false);
-                let sim = SiriusSim::new(cfg);
+                let mut sim = SiriusSim::new(cfg);
+                if faulty {
+                    sim.set_faults(FaultInjector::new(1).crash(NodeId(7), 0));
+                }
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     if streaming {
                         sim.run_streaming(flows.into_iter())
@@ -212,7 +218,10 @@ fn malformed_workload_unwinds_instead_of_hanging_at_any_shard_count() {
             let outcome = rx
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .unwrap_or_else(|_| {
-                    panic!("shards={shards} streaming={streaming}: the run hung on its own panic")
+                    panic!(
+                        "shards={shards} streaming={streaming} faulty={faulty}: \
+                         the run hung on its own panic"
+                    )
                 });
             let payload = outcome.expect_err("an out-of-range server was accepted");
             let msg = payload
@@ -222,7 +231,7 @@ fn malformed_workload_unwinds_instead_of_hanging_at_any_shard_count() {
                 .unwrap_or_default();
             assert!(
                 msg.contains("outside the deployment"),
-                "shards={shards} streaming={streaming}: unexpected panic {msg:?}"
+                "shards={shards} streaming={streaming} faulty={faulty}: unexpected panic {msg:?}"
             );
         }
     }
