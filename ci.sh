@@ -121,6 +121,20 @@ stage_docs() {
     exit 1
   fi
   echo "documented binaries all exist"
+
+  echo "==> unsafe budget (at most 4 unsafe sites in crates/*/src)"
+  # The four: the pool broadcast's closure-lifetime transmute, and the
+  # FlowSlots element view's `unsafe impl Sync`, `unsafe fn get_mut` and
+  # its one call site. A fifth means raising this budget on purpose.
+  local sites count
+  sites="$(grep -rEn 'unsafe( |\{)' crates/*/src || true)"
+  count="$(grep -c . <<< "$sites" || true)"
+  if (( count > 4 )); then
+    echo "error: more than 4 unsafe sites in crates/*/src:" >&2
+    echo "$sites" >&2
+    exit 1
+  fi
+  echo "unsafe sites within budget"
 }
 
 stage_bench_smoke() {

@@ -1,4 +1,4 @@
-//! Per-flow reorder buffer at the receiving server (§4.2 "Cell reordering").
+//! Per-flow reorder state at the receiving server (§4.2 "Cell reordering").
 //!
 //! Cells of a flow take different intermediate paths, so they can arrive out
 //! of order. The receiver buffers out-of-order cells and releases the
@@ -7,60 +7,24 @@
 //! paper reports a 163 KB peak per flow at the default Q=4 (Fig. 10d), and
 //! our Fig. 10 harness measures the same quantity.
 //!
-//! # Receiver-partition contract
-//!
-//! A reorder buffer belongs to exactly one receiving server, and a flow
-//! delivers into exactly one buffer — so an engine that partitions
-//! arrival processing by receiving node may hand each worker a disjoint
-//! `&mut` slice of the per-server buffer array (`[lo*spn, hi*spn)` for
-//! node range `[lo, hi)`) with no synchronization beyond the phase
-//! barrier. Everything a worker needs is behind that `&mut`: `accept`
-//! and `finish_flow` touch only `self`. The compile-time `Send`
-//! assertion below keeps the type eligible for that hand-off (e.g. an
-//! `Rc` smuggled into the map would break it silently otherwise).
+//! [`FlowReorder`] is one flow's state. The simulator keeps it inside the
+//! flow's own record, so it lives and dies with the flow: there is no
+//! second per-flow store to look up, evict or partition across workers.
 
 use crate::cell::FlowId;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hasher for the simulator-internal [`FlowId`] keys: one
-/// `accept` per delivered cell makes the flow-map probe a hot-path cost,
-/// and SipHash's DoS resistance buys nothing against keys we generate
-/// ourselves. Iteration order is never observed (the map is only probed
-/// and drained per flow), so the hash choice cannot affect behavior.
-#[derive(Default)]
-struct FlowIdHasher(u64);
-
-impl Hasher for FlowIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 key fragments (unused by FlowId).
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        // Fibonacci multiply + fold: the high bits HashMap uses get
-        // avalanche from the whole key.
-        let h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type FlowMap = HashMap<FlowId, FlowReorder, BuildHasherDefault<FlowIdHasher>>;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// Reorder state for a single flow.
-#[derive(Debug, Default)]
-struct FlowReorder {
+#[derive(Debug, Default, Clone)]
+pub struct FlowReorder {
     /// Next in-order sequence number expected.
     next: u32,
     /// Buffered out-of-order cells: seq -> payload bytes.
     pending: BTreeMap<u32, u32>,
-    /// Bytes currently buffered.
-    buffered_bytes: u64,
+    /// Bytes currently buffered. The §4.3 in-flight bound keeps this far
+    /// below 4 GB.
+    buffered: u32,
 }
 
 /// Outcome of accepting one cell.
@@ -73,33 +37,52 @@ pub struct Delivered {
     pub cells: u32,
 }
 
-/// Reorder buffers for all flows terminating at one server.
-#[derive(Debug, Default)]
-pub struct ReorderBuffer {
-    flows: FlowMap,
-    /// Peak buffered bytes observed for any single flow (paper Fig. 10d is
-    /// "peak size of the reorder buffer at the servers per flow").
-    peak_flow_bytes: u64,
-    /// Current total buffered bytes across flows.
-    total_bytes: u64,
-    /// Peak total buffered bytes across flows.
-    peak_total_bytes: u64,
-    /// Cells that arrived more than once (should stay 0: the core is
-    /// lossless and we do not retransmit).
-    duplicates: u64,
-    /// Peak number of flows simultaneously holding reorder state — the
-    /// memory-boundedness invariant the scale-out series gates on:
-    /// completed flows are evicted eagerly, so this tracks concurrency,
-    /// not total flows ever seen.
-    peak_resident: usize,
+const NOTHING: Delivered = Delivered { bytes: 0, cells: 0 };
+
+impl FlowReorder {
+    /// Accept cell `seq` carrying `payload` bytes; returns how much data
+    /// became deliverable in order. A duplicate (already released or
+    /// already buffered) releases nothing and buffers nothing.
+    pub fn accept(&mut self, seq: u32, payload: u32) -> Delivered {
+        if seq < self.next {
+            return NOTHING;
+        }
+        if seq != self.next {
+            // Out of order: buffer it.
+            if let Entry::Vacant(v) = self.pending.entry(seq) {
+                v.insert(payload);
+                self.buffered += payload;
+            }
+            return NOTHING;
+        }
+        // In order: deliver it plus any unblocked prefix.
+        let mut bytes = payload as u64;
+        let mut cells = 1;
+        self.next += 1;
+        while let Some(p) = self.pending.remove(&self.next) {
+            bytes += p as u64;
+            self.buffered -= p;
+            self.next += 1;
+            cells += 1;
+        }
+        Delivered { bytes, cells }
+    }
+
+    /// Bytes currently buffered out of order.
+    pub fn buffered_bytes(&self) -> u32 {
+        self.buffered
+    }
 }
 
-// See "Receiver-partition contract" in the module docs: per-server
-// buffers are handed to worker threads as disjoint `&mut` ranges.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<ReorderBuffer>()
-};
+/// Reorder state for flows keyed by a dense [`FlowId`]: a thin
+/// `Vec<FlowReorder>` kept only because the repo benchmark's leaf timing
+/// calls it. The simulator does not use it (each flow record owns its
+/// [`FlowReorder`]); it goes once the benchmark times
+/// [`FlowReorder::accept`] directly.
+#[derive(Debug, Default)]
+pub struct ReorderBuffer {
+    flows: Vec<FlowReorder>,
+}
 
 impl ReorderBuffer {
     pub fn new() -> ReorderBuffer {
@@ -109,83 +92,11 @@ impl ReorderBuffer {
     /// Accept cell `seq` of `flow` carrying `payload` bytes; returns how
     /// much data became deliverable in order.
     pub fn accept(&mut self, flow: FlowId, seq: u32, payload: u32) -> Delivered {
-        let len = self.flows.len();
-        let st = match self.flows.entry(flow) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                // Sample the peak on insert only, so it counts exactly
-                // the flows resident at once (completed ones are already
-                // evicted by `finish_flow`).
-                self.peak_resident = self.peak_resident.max(len + 1);
-                v.insert(FlowReorder::default())
-            }
-        };
-        if seq < st.next || st.pending.contains_key(&seq) {
-            self.duplicates += 1;
-            return Delivered { bytes: 0, cells: 0 };
+        let i = flow.0 as usize;
+        if i >= self.flows.len() {
+            self.flows.resize_with(i + 1, FlowReorder::default);
         }
-        if seq != st.next {
-            // Out of order: buffer it.
-            st.pending.insert(seq, payload);
-            st.buffered_bytes += payload as u64;
-            self.total_bytes += payload as u64;
-            self.peak_flow_bytes = self.peak_flow_bytes.max(st.buffered_bytes);
-            self.peak_total_bytes = self.peak_total_bytes.max(self.total_bytes);
-            return Delivered { bytes: 0, cells: 0 };
-        }
-        // In order: deliver it plus any unblocked prefix.
-        let mut bytes = payload as u64;
-        let mut cells = 1;
-        st.next += 1;
-        while let Some(p) = st.pending.remove(&st.next) {
-            bytes += p as u64;
-            st.buffered_bytes -= p as u64;
-            self.total_bytes -= p as u64;
-            st.next += 1;
-            cells += 1;
-        }
-        Delivered { bytes, cells }
-    }
-
-    /// Forget a completed flow (frees its map entry).
-    pub fn finish_flow(&mut self, flow: FlowId) {
-        if let Entry::Occupied(e) = self.flows.entry(flow) {
-            debug_assert!(
-                e.get().pending.is_empty(),
-                "finishing flow with undelivered cells"
-            );
-            self.total_bytes -= e.get().buffered_bytes;
-            e.remove();
-        }
-    }
-
-    /// Peak bytes buffered by any single flow so far.
-    pub fn peak_flow_bytes(&self) -> u64 {
-        self.peak_flow_bytes
-    }
-    /// Peak bytes buffered across all flows at this server.
-    pub fn peak_total_bytes(&self) -> u64 {
-        self.peak_total_bytes
-    }
-    /// Currently buffered bytes.
-    pub fn buffered_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-    /// Duplicate deliveries seen (0 in a correct lossless run).
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-    /// Flows currently holding reorder state at this server. Completed
-    /// flows are evicted by [`finish_flow`](ReorderBuffer::finish_flow),
-    /// so over a long run this tracks concurrently active flows, not
-    /// total flows ever seen.
-    pub fn resident_flows(&self) -> usize {
-        self.flows.len()
-    }
-    /// Peak of [`resident_flows`](ReorderBuffer::resident_flows) over the
-    /// buffer's lifetime.
-    pub fn peak_resident_flows(&self) -> usize {
-        self.peak_resident
+        self.flows[i].accept(seq, payload)
     }
 }
 
@@ -197,113 +108,44 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
-    const F: FlowId = FlowId(1);
-
     #[test]
     fn in_order_delivery_is_immediate() {
-        let mut rb = ReorderBuffer::new();
+        let mut fr = FlowReorder::default();
         for seq in 0..10 {
-            let d = rb.accept(F, seq, 540);
+            let d = fr.accept(seq, 540);
             assert_eq!(d.bytes, 540);
             assert_eq!(d.cells, 1);
+            assert_eq!(fr.buffered_bytes(), 0);
         }
-        assert_eq!(rb.buffered_bytes(), 0);
-        assert_eq!(rb.peak_flow_bytes(), 0);
     }
 
     #[test]
     fn out_of_order_buffers_then_releases() {
-        let mut rb = ReorderBuffer::new();
-        assert_eq!(rb.accept(F, 1, 540).bytes, 0);
-        assert_eq!(rb.accept(F, 2, 540).bytes, 0);
-        assert_eq!(rb.buffered_bytes(), 1080);
-        let d = rb.accept(F, 0, 540);
+        let mut fr = FlowReorder::default();
+        assert_eq!(fr.accept(1, 540).bytes, 0);
+        assert_eq!(fr.accept(2, 540).bytes, 0);
+        assert_eq!(fr.buffered_bytes(), 1080);
+        let d = fr.accept(0, 540);
         assert_eq!(d.bytes, 1620);
         assert_eq!(d.cells, 3);
-        assert_eq!(rb.buffered_bytes(), 0);
-        assert_eq!(rb.peak_flow_bytes(), 1080);
+        assert_eq!(fr.buffered_bytes(), 0);
     }
 
     #[test]
-    fn duplicates_are_dropped() {
-        let mut rb = ReorderBuffer::new();
-        rb.accept(F, 0, 540);
-        assert_eq!(rb.accept(F, 0, 540).bytes, 0);
-        rb.accept(F, 2, 540);
-        assert_eq!(rb.accept(F, 2, 540).bytes, 0);
-        assert_eq!(rb.duplicates(), 2);
-    }
-
-    #[test]
-    fn flows_are_independent() {
-        let mut rb = ReorderBuffer::new();
-        let f2 = FlowId(2);
-        rb.accept(F, 1, 100);
-        let d = rb.accept(f2, 0, 200);
-        assert_eq!(d.bytes, 200);
-        assert_eq!(rb.buffered_bytes(), 100);
-        rb.accept(F, 0, 100);
-        rb.finish_flow(F);
-        rb.finish_flow(f2);
-        assert_eq!(rb.buffered_bytes(), 0);
-    }
-
-    #[test]
-    fn finish_flow_evicts_resident_state() {
-        let mut rb = ReorderBuffer::new();
-        rb.accept(FlowId(1), 0, 100);
-        rb.accept(FlowId(2), 0, 100);
-        assert_eq!(rb.resident_flows(), 2);
-        rb.finish_flow(FlowId(1));
-        assert_eq!(rb.resident_flows(), 1);
-        rb.finish_flow(FlowId(2));
-        assert_eq!(rb.resident_flows(), 0);
-        // Finishing an unknown flow is a no-op.
-        rb.finish_flow(FlowId(99));
-        assert_eq!(rb.resident_flows(), 0);
-    }
-
-    #[test]
-    fn resident_state_stays_bounded_over_many_flows() {
-        // Stream 10,000 short flows through one server, finishing each as
-        // it completes: resident state must track concurrency (1 here),
-        // not flow count, or a long run leaks one map entry per flow.
-        let mut rb = ReorderBuffer::new();
-        for f in 0..10_000u64 {
-            let flow = FlowId(f);
-            assert_eq!(rb.accept(flow, 1, 540).bytes, 0);
-            assert_eq!(rb.accept(flow, 0, 540).bytes, 1080);
-            rb.finish_flow(flow);
-            assert!(rb.resident_flows() <= 1, "flow state leaked at {f}");
-        }
-        assert_eq!(rb.resident_flows(), 0);
-        assert_eq!(rb.buffered_bytes(), 0);
-        assert_eq!(rb.duplicates(), 0);
-        // The lifetime peak saw the concurrency bound, not the flow count.
-        assert_eq!(rb.peak_resident_flows(), 1);
-    }
-
-    #[test]
-    fn peak_resident_counts_concurrent_flows_exactly() {
-        let mut rb = ReorderBuffer::new();
-        rb.accept(FlowId(1), 0, 100);
-        rb.accept(FlowId(2), 0, 100);
-        // Re-touching a resident flow must not inflate the peak.
-        rb.accept(FlowId(1), 1, 100);
-        assert_eq!(rb.peak_resident_flows(), 2);
-        rb.finish_flow(FlowId(1));
-        rb.finish_flow(FlowId(2));
-        // The peak is a lifetime high-water mark.
-        assert_eq!(rb.peak_resident_flows(), 2);
-        assert_eq!(rb.resident_flows(), 0);
-    }
-
-    #[test]
-    fn peak_total_tracks_across_flows() {
-        let mut rb = ReorderBuffer::new();
-        rb.accept(FlowId(1), 5, 100);
-        rb.accept(FlowId(2), 5, 100);
-        assert_eq!(rb.peak_total_bytes(), 200);
+    fn duplicates_release_nothing_and_buffer_nothing() {
+        let mut fr = FlowReorder::default();
+        fr.accept(0, 540);
+        // A second copy of a released cell.
+        assert_eq!(fr.accept(0, 540), NOTHING);
+        fr.accept(2, 540);
+        assert_eq!(fr.buffered_bytes(), 540);
+        // A second copy of a buffered cell.
+        assert_eq!(fr.accept(2, 540), NOTHING);
+        assert_eq!(fr.buffered_bytes(), 540);
+        // The gap fills once: both cells come out exactly once.
+        let d = fr.accept(1, 540);
+        assert_eq!((d.bytes, d.cells), (1080, 2));
+        assert_eq!(fr.buffered_bytes(), 0);
     }
 
     #[test]
@@ -313,19 +155,26 @@ mod tests {
             let n = 50 + trial;
             let mut order: Vec<u32> = (0..n).collect();
             order.shuffle(&mut rng);
-            let mut rb = ReorderBuffer::new();
+            let mut fr = FlowReorder::default();
             let mut delivered = 0u64;
             let mut cells = 0u32;
             for seq in order {
-                let d = rb.accept(F, seq, 540);
+                let d = fr.accept(seq, 540);
                 delivered += d.bytes;
                 cells += d.cells;
             }
             assert_eq!(delivered, n as u64 * 540);
             assert_eq!(cells, n);
-            assert_eq!(rb.buffered_bytes(), 0);
-            assert_eq!(rb.duplicates(), 0);
+            assert_eq!(fr.buffered_bytes(), 0);
         }
+    }
+
+    #[test]
+    fn buffer_flows_are_independent() {
+        let mut rb = ReorderBuffer::new();
+        assert_eq!(rb.accept(FlowId(1), 1, 100).bytes, 0);
+        assert_eq!(rb.accept(FlowId(2), 0, 200).bytes, 200);
+        assert_eq!(rb.accept(FlowId(1), 0, 100).bytes, 200);
     }
 
     proptest! {
@@ -338,14 +187,41 @@ mod tests {
             for s in 0..=max {
                 seqs.push(s);
             }
-            let mut rb = ReorderBuffer::new();
+            let mut fr = FlowReorder::default();
             let mut delivered_cells = 0u64;
             for &s in &seqs {
-                let d = rb.accept(F, s, 10);
+                let d = fr.accept(s, 10);
                 delivered_cells += d.cells as u64;
             }
             prop_assert_eq!(delivered_cells, max as u64 + 1);
-            prop_assert_eq!(rb.buffered_bytes(), 0);
+            prop_assert_eq!(fr.buffered_bytes(), 0);
+        }
+
+        /// Several flows interleaved through one dense buffer, duplicates
+        /// included: every flow releases each of its cells exactly once,
+        /// and what one flow releases never depends on another's arrivals.
+        #[test]
+        fn prop_interleaved_flows_release_exactly_once(
+            codes in proptest::collection::vec(0u32..120, 1..300),
+        ) {
+            // Code `x` is cell `x / 4` of flow `x % 4`; then complete every
+            // flow by appending its full range [0, 30).
+            let mut arrivals: Vec<(u64, u32)> =
+                codes.iter().map(|&x| ((x % 4) as u64, x / 4)).collect();
+            for f in 0..4u64 {
+                arrivals.extend((0..30u32).map(|s| (f, s)));
+            }
+            let mut rb = ReorderBuffer::new();
+            let mut alone: Vec<FlowReorder> = vec![FlowReorder::default(); 4];
+            let mut released = [0u64; 4];
+            for &(f, s) in &arrivals {
+                // Payload names the flow, so a cross-flow leak shows in bytes.
+                let d = rb.accept(FlowId(f), s, 1 + f as u32);
+                prop_assert_eq!(d, alone[f as usize].accept(s, 1 + f as u32));
+                prop_assert_eq!(d.bytes, d.cells as u64 * (1 + f));
+                released[f as usize] += d.cells as u64;
+            }
+            prop_assert_eq!(released, [30u64; 4]);
         }
     }
 }

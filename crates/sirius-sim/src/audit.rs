@@ -512,7 +512,7 @@ impl SlotObserver for Audit {
     }
 
     /// A streaming run freed `flow`'s slab slot — every cell delivered,
-    /// reorder entry retired — so the id is reusable from here on: drop
+    /// reorder state with it — so the id is reusable from here on: drop
     /// its shadow with it. A slice run never evicts, so there the shadow
     /// keeps flagging duplicates of a completed flow to the end of the
     /// run.
@@ -798,7 +798,7 @@ mod tests {
             a.note_injected();
         }
         // Arrival order 1, 2, 0: the first two buffer, the third releases
-        // all three (what a correct ReorderBuffer reports).
+        // all three (what a correct FlowReorder reports).
         a.note_delivery(&cell(9, 1), 0);
         a.note_delivery(&cell(9, 2), 0);
         a.epoch_check(0, &[], 1); // two buffered + one still in flight

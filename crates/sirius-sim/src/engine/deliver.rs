@@ -3,14 +3,15 @@
 //! Cells launched at slot `s` land at slot `s + prop_slots`; the ring
 //! buffer holds them in flight. An arriving cell is either relayed (VLB
 //! first hop), bounced back to LOCAL (its second hop died under column
-//! repair), or delivered into the destination server's reorder buffer.
+//! repair), or delivered into its flow's own reorder state (the
+//! [`FlowReorder`] inside the flow's slab record).
 //!
 //! # Receiver partition
 //!
 //! Every arrival effect is local to the *receiving* node `j`: its relay
-//! queues and CC counters (`receive_cell`), its servers' reorder
-//! buffers, and the flow records of flows terminating at `j` (a flow
-//! terminates at exactly one receiver). [`deliver_range`] is therefore
+//! queues and CC counters (`receive_cell`), and the records of flows
+//! terminating at `j` — delivery progress and reorder state alike (a
+//! flow terminates at exactly one receiver). [`deliver_range`] is therefore
 //! range-parameterized over receivers — every shard of the driver's
 //! deliver phase runs it over its own receiver range (the full range at
 //! one shard) — with the two classes of non-local effect deferred into a
@@ -25,9 +26,10 @@
 //!   (warmup, idle tails) skip the phase entirely.
 //! * **Commutative** — loss/reroute/forgery counters, Byzantine
 //!   suspicion sums (read only at the fault boundary), Ideal's
-//!   shadow-occupancy releases (unread until the next TX phase) and
+//!   shadow-occupancy releases (unread until the next TX phase),
 //!   `last_delivery` (every in-order delivery in a slot writes the same
-//!   `now`). Applied per shard in shard order.
+//!   `now`) and the per-flow reorder peak (a max). Applied per shard in
+//!   shard order.
 
 use crate::engine::fault::ByzPlane;
 use crate::engine::observer::SlotObserver;
@@ -35,7 +37,7 @@ use crate::sirius_net::{CcMode, FlowSt, SiriusSim};
 use sirius_core::cell::Cell;
 use sirius_core::fault::FailurePlane;
 use sirius_core::node::SiriusNode;
-use sirius_core::reorder::ReorderBuffer;
+use sirius_core::reorder::FlowReorder;
 use sirius_core::repair::AdjustedSchedule;
 use sirius_core::topology::NodeId;
 use sirius_core::units::Time;
@@ -46,24 +48,26 @@ pub(crate) struct DeliverPlane {
     /// (receiver, RX uplink, cell); the uplink plus the launch slot name
     /// the scheduled transmitter, which Byzantine attribution needs.
     pub ring: Vec<Vec<(NodeId, u16, Cell)>>,
-    pub reorder: Vec<ReorderBuffer>,
     pub digest: crate::audit::RunDigest,
     pub delivered_bytes: u64,
     pub cells_delivered: u64,
     pub completed: u64,
     pub last_delivery: Time,
+    /// Peak bytes any single flow held out of order (paper Fig. 10d:
+    /// "peak size of the reorder buffer at the servers per flow").
+    pub peak_reorder_flow_bytes: u64,
 }
 
 impl DeliverPlane {
-    pub fn new(ring_len: usize, servers: usize) -> DeliverPlane {
+    pub fn new(ring_len: usize) -> DeliverPlane {
         DeliverPlane {
             ring: vec![Vec::new(); ring_len],
-            reorder: (0..servers).map(|_| ReorderBuffer::new()).collect(),
             digest: crate::audit::RunDigest::new(),
             delivered_bytes: 0,
             cells_delivered: 0,
             completed: 0,
             last_delivery: Time::ZERO,
+            peak_reorder_flow_bytes: 0,
         }
     }
 }
@@ -110,9 +114,10 @@ impl<'a> FlowSlots<'a> {
 
     /// # Safety
     /// The caller's shard must own flow `i`'s receiver for the current
-    /// deliver phase: no other thread accesses element `i` between the
-    /// pool barrier's `go` for the phase and its `done`, and the caller
-    /// holds no other reference to element `i`.
+    /// deliver phase: no other thread accesses element `i` — its delivery
+    /// record or its `reorder` state — between the pool barrier's `go` for
+    /// the phase and its `done`, and the caller holds no other reference
+    /// to element `i`.
     #[allow(clippy::mut_from_ref)] // element view; exclusivity is the caller's claim
     unsafe fn get_mut(&self, i: usize) -> &mut FlowSt {
         assert!(i < self.len, "flow id outside the slab");
@@ -134,6 +139,9 @@ pub(crate) struct DeliverOut {
     /// At least one in-order byte landed (`last_delivery` advances;
     /// every such assignment in one slot writes the same `now`).
     pub any_inorder: bool,
+    /// Largest out-of-order backlog any flow reached (a max, so
+    /// shard-order application is exact).
+    pub peak_reorder_flow_bytes: u64,
     pub lost_crash: u64,
     pub rerouted: u64,
     /// Ideal-mode shadow-occupancy releases for rerouted cells. The
@@ -153,6 +161,7 @@ impl DeliverOut {
         self.delivered.clear();
         self.delivered_bytes = 0;
         self.any_inorder = false;
+        self.peak_reorder_flow_bytes = 0;
         self.lost_crash = 0;
         self.rerouted = 0;
         self.reroute_release.clear();
@@ -171,8 +180,8 @@ pub(crate) struct DeliverCtx<'a> {
     pub flows: FlowSlots<'a>,
     pub failures: &'a FailurePlane,
     pub sched: &'a AdjustedSchedule,
-    /// Servers per node: maps a receiver range `[lo, hi)` onto its
-    /// reorder-buffer range `[lo*spn, hi*spn)`.
+    /// Servers per node: maps a flow's servers onto their nodes for the
+    /// Byzantine filter.
     pub spn: u32,
     pub launch_t: u16,
     pub now: Time,
@@ -182,12 +191,11 @@ pub(crate) struct DeliverCtx<'a> {
 /// Process the due list's arrivals for receivers `[lo, hi)` (relay or
 /// final delivery), buffering non-local effects into `out`.
 ///
-/// `nodes` and `reorder` are the *range* slices (`nodes[lo..hi]`,
-/// `reorder[lo*spn..hi*spn]` of the global arrays). The full due list is
-/// scanned in index order and entries outside the range skipped — so the
-/// per-receiver effect order (CC counters, reorder accepts, flow-record
-/// writes) is exactly the serial order, and the recorded due indices
-/// reconstruct the global sequence at the merge.
+/// `nodes` is the *range* slice `nodes[lo..hi]` of the global array. The
+/// full due list is scanned in index order and entries outside the range
+/// skipped — so the per-receiver effect order (CC counters, reorder
+/// accepts, flow-record writes) is exactly the serial order, and the
+/// recorded due indices reconstruct the global sequence at the merge.
 ///
 /// Per entry, `uplink` is the RX port the cell landed on and
 /// `ctx.launch_t` the slot-in-epoch it was launched at — together, with
@@ -199,19 +207,17 @@ pub(crate) fn deliver_range<O: SlotObserver>(
     lo: u32,
     hi: u32,
     nodes: &mut [SiriusNode],
-    reorder: &mut [ReorderBuffer],
     due: &[(NodeId, u16, Cell)],
     out: &mut DeliverOut,
     obs: &mut O,
 ) {
     debug_assert_eq!(nodes.len(), (hi - lo) as usize);
-    debug_assert_eq!(reorder.len(), ((hi - lo) * ctx.spn) as usize);
-    let server_base = (lo * ctx.spn) as usize;
     // SAFETY: both uses below pass the flow of a genuine cell whose final
     // destination is the receiver `dst` being processed, and `dst` is in
     // this shard's range `[lo, hi)` — so the flow terminates here, and
     // flows are receiver-disjoint across shard ranges (see FlowSlots).
-    // Each returned borrow ends before the next call.
+    // That covers every field the element carries, the `reorder` state
+    // included. Each returned borrow ends before the next call.
     #[allow(unsafe_code)]
     let flow = |fi: usize| unsafe { ctx.flows.get_mut(fi) };
     for (idx, &(dst, uplink, cell)) in due.iter().enumerate() {
@@ -287,21 +293,24 @@ pub(crate) fn deliver_range<O: SlotObserver>(
         match nodes[li].receive_cell(cell) {
             None => {} // queued for relay (ideal occupancy already counted)
             Some(cell) => {
-                let d = reorder[cell.dst_server.0 as usize - server_base].accept(
-                    cell.flow,
-                    cell.seq,
-                    cell.payload,
-                );
+                let f = flow(cell.flow.0 as usize);
+                let d = f.reorder.accept(cell.seq, cell.payload);
+                out.peak_reorder_flow_bytes = out
+                    .peak_reorder_flow_bytes
+                    .max(f.reorder.buffered_bytes() as u64);
                 obs.note_delivery(&cell, d.cells);
                 let mut completed = false;
                 if d.bytes > 0 {
                     out.delivered_bytes += d.bytes;
                     out.any_inorder = true;
-                    let f = flow(cell.flow.0 as usize);
                     f.delivered += d.bytes;
                     if f.delivered >= f.bytes && f.completion.is_none() {
                         f.completion = Some(ctx.now);
-                        reorder[cell.dst_server.0 as usize - server_base].finish_flow(cell.flow);
+                        // Every cell is in, so nothing is pending — but a
+                        // drained `BTreeMap` keeps its root leaf: reset the
+                        // state to free it, or a run that never evicts
+                        // holds one leaf per completed flow.
+                        f.reorder = FlowReorder::default();
                         completed = true;
                     }
                 }
@@ -328,8 +337,8 @@ impl SiriusSim {
         self.delivery.digest.update_cell(cell, now_ps);
         if completed {
             self.delivery.completed += 1;
-            // Streaming mode: the flow's every cell has been delivered
-            // and its reorder entry retired, so its slab slot can be
+            // Streaming mode: the flow's every cell has been delivered,
+            // so its slab slot (reorder state included) can be
             // recycled. Replayed here in due order because eviction
             // touches the global free list (LIFO — the order decides
             // future flow-id allocation) and the order-sensitive stream
@@ -348,6 +357,10 @@ impl SiriusSim {
         if out.any_inorder {
             self.delivery.last_delivery = now;
         }
+        self.delivery.peak_reorder_flow_bytes = self
+            .delivery
+            .peak_reorder_flow_bytes
+            .max(out.peak_reorder_flow_bytes);
         self.faults.report.cells_lost_crash += out.lost_crash;
         self.faults.report.cells_rerouted += out.rerouted;
         self.faults.report.cells_forged_dropped += out.forged_dropped;

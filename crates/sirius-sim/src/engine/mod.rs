@@ -10,7 +10,7 @@
 //! | Module | Owns | Per-slot work |
 //! |--------|------|---------------|
 //! | [`pool`] | generation barrier, spin/park waits, panic containment, disjoint-range hand-out | two broadcasts |
-//! | [`deliver`] | propagation ring, reorder buffers, digest | arrival processing by receiver range, ordered digest merge |
+//! | [`deliver`] | propagation ring, digest, reorder peak (reorder state lives in each flow's slab record) | arrival processing by receiver range, ordered digest merge |
 //! | [`tx`] | CC-mode dispatch, ideal shadow occupancy | per-(node, uplink) transmit by sender range, shard-order merge |
 //! | [`fault`] | fault script, active windows, report; stages repairs into the schedule overlay (the one routing view) | mistune pre-pass; per epoch, the fault boundary |
 //! | [`detect`] | silence detectors (§4.5) | keepalive credit (applied at the TX merge) |
@@ -149,7 +149,7 @@ impl SiriusSim {
         let has_faults = !self.faults.injector.is_empty();
         let has_link_faults = self.faults.injector.has_link_faults();
         let timing = self.cfg.plane_timing;
-        let spn = self.cfg.network.servers_per_node;
+        let spn = self.cfg.network.servers_per_node as u32;
         let mode = self.tx.mode;
         let n = self.nodes.len();
 
@@ -218,25 +218,24 @@ impl SiriusSim {
                             flows: self.flows.element_view(),
                             failures: &self.failure_plane,
                             sched: &self.sched,
-                            spn: spn as u32,
+                            spn,
                             launch_t,
                             now,
                             epoch: cur_epoch,
                         };
-                        let nodes = Disjoint::new(&mut self.nodes, &cuts, 1);
-                        let reorder = Disjoint::new(&mut self.delivery.reorder, &cuts, spn);
-                        let outs = Disjoint::new(&mut douts, &unit, 1);
+                        let nodes = Disjoint::new(&mut self.nodes, &cuts);
+                        let outs = Disjoint::new(&mut douts, &unit);
                         let lead = Mutex::new(&mut *obs);
                         pool.broadcast(&|s| {
                             let (lo, hi) = (cuts[s] as u32, cuts[s + 1] as u32);
-                            let (nodes, reorder) = (nodes.take(s), reorder.take(s));
+                            let nodes = nodes.take(s);
                             let out = &mut outs.take(s)[0];
                             if s == 0 {
                                 let obs = &mut **lock(&lead);
-                                deliver_range(&ctx, lo, hi, nodes, reorder, &due, out, obs);
+                                deliver_range(&ctx, lo, hi, nodes, &due, out, obs);
                             } else {
                                 let obs = &mut NullObserver;
-                                deliver_range(&ctx, lo, hi, nodes, reorder, &due, out, obs);
+                                deliver_range(&ctx, lo, hi, nodes, &due, out, obs);
                             }
                         });
                     }
@@ -273,9 +272,9 @@ impl SiriusSim {
                         t: slot,
                         epoch: cur_epoch,
                     };
-                    let nodes = Disjoint::new(&mut self.nodes, &cuts, 1);
-                    let rngs = has_faults.then(|| Disjoint::new(&mut self.fault_rngs, &cuts, 1));
-                    let outs = Disjoint::new(&mut touts, &unit, 1);
+                    let nodes = Disjoint::new(&mut self.nodes, &cuts);
+                    let rngs = has_faults.then(|| Disjoint::new(&mut self.fault_rngs, &cuts));
+                    let outs = Disjoint::new(&mut touts, &unit);
                     let lead = Mutex::new((&mut *obs, &mut self.tx));
                     pool.broadcast(&|s| {
                         let nodes = nodes.take(s);

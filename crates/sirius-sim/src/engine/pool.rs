@@ -183,21 +183,20 @@ impl Drop for Pool<'_> {
 }
 
 /// A `&mut [T]` split into one contiguous range per shard, each handed
-/// out exactly once: shard `s` owns `[cuts[s] * per, cuts[s + 1] * per)`.
-/// Built on the caller before a broadcast, taken from inside it.
+/// out exactly once: shard `s` owns `[cuts[s], cuts[s + 1])`. Built on
+/// the caller before a broadcast, taken from inside it.
 pub(crate) struct Disjoint<'a, T>(Vec<Mutex<Option<&'a mut [T]>>>);
 
 impl<'a, T> Disjoint<'a, T> {
     /// `cuts` has one entry per shard plus a final one and must tile the
-    /// slice: `cuts[0] == 0`, nondecreasing, `cuts[last] * per ==
-    /// slice.len()`.
-    pub(crate) fn new(slice: &'a mut [T], cuts: &[usize], per: usize) -> Disjoint<'a, T> {
+    /// slice: `cuts[0] == 0`, nondecreasing, `cuts[last] == slice.len()`.
+    pub(crate) fn new(slice: &'a mut [T], cuts: &[usize]) -> Disjoint<'a, T> {
         assert_eq!(cuts[0], 0, "shard ranges must start at 0");
         let mut rest = slice;
         let parts = cuts
             .windows(2)
             .map(|w| {
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut((w[1] - w[0]) * per);
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
                 rest = tail;
                 Mutex::new(Some(head))
             })
@@ -231,7 +230,7 @@ mod tests {
             let cuts: Vec<usize> = (0..=shards).collect();
             scoped(shards, |pool| {
                 for generation in 1..=10_000u64 {
-                    let cells = Disjoint::new(&mut hits, &cuts, 1);
+                    let cells = Disjoint::new(&mut hits, &cuts);
                     pool.broadcast(&|s| cells.take(s)[0] += 1);
                     drop(cells);
                     assert!(
@@ -292,19 +291,19 @@ mod tests {
 
     #[test]
     fn disjoint_ranges_tile_an_indivisible_slice() {
-        for (n, shards, per) in [(10usize, 3usize, 1usize), (7, 4, 2), (3, 8, 1), (128, 5, 3)] {
+        for (n, shards) in [(10usize, 3usize), (7, 4), (3, 8), (128, 5)] {
             let cuts: Vec<usize> = (0..=shards).map(|s| s * n / shards).collect();
-            let mut data: Vec<usize> = vec![usize::MAX; n * per];
-            let d = Disjoint::new(&mut data, &cuts, per);
+            let mut data: Vec<usize> = vec![usize::MAX; n];
+            let d = Disjoint::new(&mut data, &cuts);
             for s in 0..shards {
                 let part = d.take(s);
-                assert_eq!(part.len(), (cuts[s + 1] - cuts[s]) * per);
+                assert_eq!(part.len(), cuts[s + 1] - cuts[s]);
                 part.fill(s);
             }
             drop(d);
             // Every element written once, by the shard its cut names.
             for (i, &v) in data.iter().enumerate() {
-                assert!(cuts[v] * per <= i && i < cuts[v + 1] * per, "n={n} i={i}");
+                assert!(cuts[v] <= i && i < cuts[v + 1], "n={n} i={i}");
             }
         }
     }
@@ -313,7 +312,7 @@ mod tests {
     #[should_panic(expected = "taken twice")]
     fn taking_a_range_twice_panics() {
         let mut data = [0u8; 4];
-        let d = Disjoint::new(&mut data, &[0, 2, 4], 1);
+        let d = Disjoint::new(&mut data, &[0, 2, 4]);
         let _a = d.take(1);
         let _b = d.take(1);
     }
@@ -322,6 +321,6 @@ mod tests {
     #[should_panic(expected = "cover the whole slice")]
     fn cuts_that_do_not_cover_the_slice_are_rejected() {
         let mut data = [0u8; 5];
-        let _ = Disjoint::new(&mut data, &[0, 2, 4], 1);
+        let _ = Disjoint::new(&mut data, &[0, 2, 4]);
     }
 }

@@ -45,4 +45,4 @@ pub use audit::{Audit, AuditReport, LossCause, RunDigest};
 pub use esn::{EsnConfig, EsnSim};
 pub use faults::{cell_drop_probability, FaultEvent, FaultInjector};
 pub use metrics::{FailureRecord, FaultReport, FctHistogram, FlowRecord, RunMetrics};
-pub use sirius_net::{CcMode, ScheduledFailure, SiriusSim, SiriusSimConfig};
+pub use sirius_net::{CcMode, SiriusSim, SiriusSimConfig};

@@ -272,9 +272,9 @@ pub struct RunMetrics {
     pub peak_node_local_cells: u64,
     /// Peak reorder-buffer bytes for any single flow.
     pub peak_reorder_flow_bytes: u64,
-    /// High-water mark of simultaneously resident flow state: the max of
-    /// the flow slab's occupancy peak and any single reorder buffer's
-    /// entry-count peak. On the streaming path
+    /// High-water mark of simultaneously resident flow state: the flow
+    /// slab's occupancy peak (a flow's reorder state lives in its slab
+    /// record, so this covers it). On the streaming path
     /// ([`crate::SiriusSim::run_streaming`]) this tracks flows *in
     /// flight* and is the memory-boundedness gate the scale series
     /// checks; under [`crate::SiriusSim::run`] every flow stays resident,

@@ -11,8 +11,8 @@
 //!   requests), and failure visibility is refreshed.
 //! * At every **slot**, each node transmits on each uplink to the
 //!   destination dictated by the static schedule; cells arrive after the
-//!   fiber propagation delay and are either relayed or delivered to the
-//!   per-server reorder buffers.
+//!   fiber propagation delay and are either relayed or delivered into
+//!   their flow's reorder state.
 //!
 //! Requests and grants are piggybacked on cells in the real system; the
 //! simulator exchanges them at epoch boundaries with the one-epoch
@@ -43,6 +43,7 @@ use sirius_core::cell::{Cell, FlowId};
 use sirius_core::config::SiriusConfig;
 use sirius_core::fault::{FailurePlane, FaultConfig};
 use sirius_core::node::SiriusNode;
+use sirius_core::reorder::FlowReorder;
 use sirius_core::repair::AdjustedSchedule;
 use sirius_core::schedule::Schedule;
 use sirius_core::topology::{NodeId, ServerId};
@@ -184,10 +185,15 @@ pub(crate) struct FlowSt {
     pub(crate) arrival: Time,
     pub(crate) src_server: u32,
     pub(crate) dst_server: u32,
-    pub(crate) cells_total: u64,
-    pub(crate) cells_injected: u64,
+    /// `u32` like [`Cell::seq`]: admission refuses a flow needing more
+    /// cells.
+    pub(crate) cells_total: u32,
+    pub(crate) cells_injected: u32,
     pub(crate) delivered: u64,
     pub(crate) completion: Option<Time>,
+    /// Receiver-side reordering (§4.2): written only by the deliver
+    /// phase, through the receiver-owned element view.
+    pub(crate) reorder: FlowReorder,
 }
 
 // The deliver plane may be sharded by receiver: workers then write flow
@@ -206,10 +212,10 @@ const _: () = {
 /// into the millions; a materialized run ([`SiriusSim::run`]) never
 /// evicts, so slot `i` is workload flow `i`. Slot indices are the
 /// engine's `FlowId`s; a slot is only reused after its flow completed
-/// (every cell delivered and the reorder entry retired), so a recycled
-/// id can never collide with a live cell. The slab is the one owner of
-/// an id's lifetime: the only other per-id state, the audit's shadow
-/// reassembly, is told of each eviction
+/// (every cell delivered), so a recycled id can never collide with a
+/// live cell. The slab is the one owner of a flow's state, reorder
+/// state included, and of its id's lifetime: the only other per-id
+/// state, the audit's shadow reassembly, is told of each eviction
 /// ([`SlotObserver::note_evicted`]) and drops its entry with the slot.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
@@ -236,10 +242,11 @@ impl FlowTable {
             arrival: f.arrival,
             src_server: f.src_server,
             dst_server: f.dst_server,
-            cells_total: Cell::count_for(f.bytes, payload),
+            cells_total: Cell::count_for(f.bytes, payload) as u32,
             cells_injected: 0,
             delivered: 0,
             completion: None,
+            reorder: FlowReorder::default(),
         };
         let fi = match self.free.pop() {
             Some(fi) => {
@@ -361,6 +368,11 @@ impl<I: Iterator<Item = Flow>> StreamSource<I> {
             "workload references servers outside the deployment"
         );
         assert!(
+            Cell::count_for(f.bytes, self.payload) <= u32::MAX as u64,
+            "flow of {} bytes needs more than u32::MAX cells (Cell::seq is u32)",
+            f.bytes
+        );
+        assert!(
             f.arrival >= self.last_arrival,
             "streamed workload arrivals must be nondecreasing"
         );
@@ -392,17 +404,6 @@ pub(crate) struct ServerSt {
     pub(crate) active: VecDeque<u32>,
     /// Byte credit accumulated from the server link.
     pub(crate) credit: i64,
-}
-
-/// A scheduled fail-stop crash: node `node` dies at `epoch`. Detection is
-/// *emergent* — routing learns of the failure only once the silence-driven
-/// detectors notice the missing scheduled slots (§4.5); there is no
-/// detection-latency hint to give. Shorthand for
-/// [`FaultEvent::Crash`] via [`SiriusSim::inject_failures`].
-#[derive(Debug, Clone, Copy)]
-pub struct ScheduledFailure {
-    pub node: NodeId,
-    pub epoch: u64,
 }
 
 /// The simulator itself. Build with [`SiriusSim::new`], then
@@ -518,7 +519,6 @@ impl SiriusSim {
             )
         });
         let tables = DestTable::new(&sched);
-        let total_servers = net.total_servers();
         let queue_threshold = net.queue_threshold as u32;
         let payload = net.payload_bytes;
         SiriusSim {
@@ -535,7 +535,7 @@ impl SiriusSim {
             faults: FaultPlane::new(cfg.seed, n, uplinks, net.grating_ports),
             detect: DetectPlane::new(n),
             tx: TxPlane::new(cfg.mode, n, queue_threshold),
-            delivery: DeliverPlane::new(ring_len, total_servers),
+            delivery: DeliverPlane::new(ring_len),
             fault_rngs: Vec::new(),
             plane_times: Default::default(),
             evict_completed: false,
@@ -579,17 +579,6 @@ impl SiriusSim {
         Ok(())
     }
 
-    /// Schedule fail-stop node crashes (shorthand for a [`FaultInjector`]
-    /// script of [`FaultEvent::Crash`] events).
-    pub fn inject_failures(&mut self, failures: Vec<ScheduledFailure>) {
-        for f in failures {
-            self.faults.injector.push(FaultEvent::Crash {
-                node: f.node,
-                epoch: f.epoch,
-            });
-        }
-    }
-
     fn node_of_server(&self, s: u32) -> NodeId {
         NodeId(s / self.cfg.network.servers_per_node as u32)
     }
@@ -605,8 +594,8 @@ impl SiriusSim {
 
     /// Run a *streamed* workload to completion (or drain timeout),
     /// holding flow state only for flows in flight: each flow's slab
-    /// slot (and reorder entry) is freed the moment it completes, so
-    /// memory tracks concurrency, not total flow count. The delivered-
+    /// slot, reorder state included, is freed the moment it completes,
+    /// so memory tracks concurrency, not total flow count. The delivered-
     /// cell digest covers exactly what [`SiriusSim::run`] covers, but
     /// evicted flows fold into a side accumulator in eviction order, so
     /// streaming digests are comparable only to streaming digests.
@@ -733,7 +722,7 @@ impl SiriusSim {
                 let spn = self.cfg.network.servers_per_node as u32;
                 let f = &mut self.flows[fi as usize];
                 let seq = f.cells_injected;
-                let pay = Cell::payload_of(seq, f.bytes, self.payload);
+                let pay = Cell::payload_of(seq as u64, f.bytes, self.payload);
                 if self.servers[s].credit < pay as i64 {
                     break;
                 }
@@ -742,7 +731,7 @@ impl SiriusSim {
                 let dst_node = NodeId(f.dst_server / spn);
                 let cell = Cell {
                     flow: FlowId(fi as u64),
-                    seq: seq as u32,
+                    seq,
                     payload: pay,
                     src: src_node,
                     dst: dst_node,
@@ -962,21 +951,8 @@ impl SiriusSim {
                 .map(|n| n.peak_local_cells())
                 .max()
                 .unwrap_or(0),
-            peak_reorder_flow_bytes: self
-                .delivery
-                .reorder
-                .iter()
-                .map(|r| r.peak_flow_bytes())
-                .max()
-                .unwrap_or(0),
-            resident_flows_max: self.flows.resident_peak().max(
-                self.delivery
-                    .reorder
-                    .iter()
-                    .map(|r| r.peak_resident_flows() as u64)
-                    .max()
-                    .unwrap_or(0),
-            ),
+            peak_reorder_flow_bytes: self.delivery.peak_reorder_flow_bytes,
+            resident_flows_max: self.flows.resident_peak(),
             cell_bytes: self.cfg.network.cell_bytes,
             incomplete_flows: total_flows - self.delivery.completed,
             cc: {
@@ -1139,6 +1115,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "needs more than u32::MAX cells")]
+    fn a_flow_whose_sequence_numbers_would_wrap_is_refused_at_admission() {
+        let net = tiny_net();
+        let payload = net.payload_bytes as u64;
+        let wl = vec![Flow {
+            id: 0,
+            src_server: 0,
+            dst_server: 2,
+            bytes: (u32::MAX as u64 + 1) * payload,
+            arrival: Time::ZERO,
+        }];
+        SiriusSim::new(SiriusSimConfig::new(net)).run(&wl);
+    }
+
+    #[test]
+    fn flow_record_stays_compact() {
+        // One per admitted flow, reorder state included; a slice run keeps
+        // every record for the whole run.
+        assert!(std::mem::size_of::<FlowSt>() <= 88);
+    }
+
+    #[test]
     fn failed_node_strands_its_flows_only() {
         let net = tiny_net();
         // One flow through every src node to dst node 1.
@@ -1155,13 +1153,10 @@ mod tests {
                 arrival: Time::from_ps(k as u64),
             });
         }
-        let mut sim = SiriusSim::new(SiriusSimConfig::new(net));
         // Node 3 dies immediately; flows from server 6 (node 3) strand.
-        sim.inject_failures(vec![ScheduledFailure {
-            node: NodeId(3),
-            epoch: 0,
-        }]);
-        let m = sim.run(&wl);
+        let m = SiriusSim::new(SiriusSimConfig::new(net))
+            .with_faults(FaultInjector::new(1).crash(NodeId(3), 0))
+            .run(&wl);
         // Some cells may be lost in the detection window if they were
         // relayed via node 3; flows sourced at node 3 definitely strand.
         assert!(m.incomplete_flows >= 1);

@@ -14,7 +14,7 @@
 use sirius_core::topology::NodeId;
 use sirius_core::units::{Duration, Rate};
 use sirius_core::SiriusConfig;
-use sirius_sim::{ScheduledFailure, SiriusSim, SiriusSimConfig};
+use sirius_sim::{FaultInjector, SiriusSim, SiriusSimConfig};
 use sirius_workload::{Pareto, Pattern, WorkloadSpec};
 
 fn main() {
@@ -53,12 +53,9 @@ fn main() {
     // Kill rack 13 at epoch 200. Nothing tells routing: the silence
     // detectors inside the simulator must notice the missing scheduled
     // slots and stage the exclusion themselves.
-    let mut sim = SiriusSim::new(cfg);
-    sim.inject_failures(vec![ScheduledFailure {
-        node: victim,
-        epoch: 200,
-    }]);
-    let failed = sim.run(&wl);
+    let failed = SiriusSim::new(cfg)
+        .with_faults(FaultInjector::new(1).crash(victim, 200))
+        .run(&wl);
 
     println!("\n{:<24} {:>12} {:>12}", "", "healthy", "rack failure");
     println!(

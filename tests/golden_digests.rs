@@ -16,6 +16,10 @@
 //!
 //! and commit the updated `tests/golden/paper_sim.digests` together with
 //! the change that caused it.
+//!
+//! The digest does not cover the reorder peak (Fig. 10d) or the resident
+//! flow peak, so the reference runs pin those in [`PINNED_PEAKS`] — edit
+//! that table by hand alongside a bless that moves them.
 
 use sirius::core::SiriusConfig;
 use sirius::sim::{CcMode, SiriusSim, SiriusSimConfig};
@@ -23,6 +27,15 @@ use sirius::workload::{Flow, Pareto, Pattern, WorkloadSpec};
 use std::path::PathBuf;
 
 const SEED: u64 = 17;
+
+/// `(mode, peak_reorder_flow_bytes, resident_flows_max)` of each reference
+/// run. A slice run keeps every flow resident, so the second peak is the
+/// workload size.
+const PINNED_PEAKS: [(CcMode, u64, u64); 3] = [
+    (CcMode::Protocol, 37_800, 300),
+    (CcMode::Ideal, 27_540, 300),
+    (CcMode::Greedy, 36_720, 300),
+];
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -85,6 +98,7 @@ fn paper_sim_digests_match_golden_file() {
     let wl = reference_workload(&net);
     let mut lines = String::new();
     let mut measured = Vec::new();
+    let mut peaks = Vec::new();
     for mode in [CcMode::Protocol, CcMode::Ideal, CcMode::Greedy] {
         let m = SiriusSim::new(
             SiriusSimConfig::new(net.clone())
@@ -94,6 +108,7 @@ fn paper_sim_digests_match_golden_file() {
         .run(&wl);
         lines.push_str(&format!("{} {:016x}\n", mode_name(mode), m.digest));
         measured.push((mode, m.digest));
+        peaks.push((mode, m.peak_reorder_flow_bytes, m.resident_flows_max));
     }
 
     let path = golden_path();
@@ -113,6 +128,10 @@ fn paper_sim_digests_match_golden_file() {
     if let Err(msg) = verify_against_golden(&golden, &measured) {
         panic!("{}: {msg}", path.display());
     }
+    assert_eq!(
+        peaks, PINNED_PEAKS,
+        "reorder / resident peaks of the reference runs moved"
+    );
 }
 
 /// A digest drift must fail loudly with both digests and the exact
