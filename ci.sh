@@ -135,6 +135,25 @@ stage_docs() {
     exit 1
   fi
   echo "unsafe sites within budget"
+
+  echo "==> non-test lines per crate (print only)"
+  # Lines above each source file's last #[cfg(test)] (the whole file when
+  # it has none): the size figure simplicity changes report.
+  local crate file last lines total=0
+  for crate in crates/*/; do
+    lines=0
+    while IFS= read -r file; do
+      last="$({ grep -n '#\[cfg(test)\]' "$file" || true; } | tail -n 1 | cut -d: -f1)"
+      if [[ -n "$last" ]]; then
+        lines=$((lines + last - 1))
+      else
+        lines=$((lines + $(wc -l < "$file")))
+      fi
+    done < <(find "${crate}src" -name '*.rs' | sort)
+    printf '%-16s %6d\n' "$(basename "$crate")" "$lines"
+    total=$((total + lines))
+  done
+  printf '%-16s %6d\n' total "$total"
 }
 
 stage_bench_smoke() {

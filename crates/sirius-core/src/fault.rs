@@ -8,10 +8,11 @@
 //! silence on the scheduled slot is evidence of failure, including for grey
 //! failures that only show up on specific paths.
 //!
-//! This module implements that detector: per-peer "last heard" epochs, a
-//! configurable silence threshold, and the ground truth of which nodes are
-//! down. What routing does about a suspicion — the staged omission every
-//! node applies at the same epoch — lives in [`crate::repair`].
+//! This module implements that detector: per-peer "last heard" epochs and
+//! a configurable silence threshold. What routing does about a suspicion
+//! — the staged omission every node applies at the same epoch — lives in
+//! [`crate::repair`]; which nodes are actually down is the simulator's
+//! scripted ground truth, which routing never reads.
 
 use crate::topology::NodeId;
 
@@ -130,52 +131,6 @@ impl FailureDetector {
 
     pub fn suspected_count(&self) -> usize {
         self.suspected.iter().filter(|&&s| s).count()
-    }
-}
-
-/// Network-wide failure bookkeeping — **ground truth only**: which nodes
-/// are actually down, and since when. It changes the instant a node dies
-/// or reboots and never touches routing.
-///
-/// The *routing view* (which nodes the schedule omits and the VLB picker
-/// detours around) is [`crate::repair::AdjustedSchedule`]: exclusion must be
-/// detected and staged there, and only moves at an update epoch, so a
-/// ground-truth [`recover`](Self::recover) cannot resurrect a peer
-/// out-of-band mid-detection.
-#[derive(Debug)]
-pub struct FailurePlane {
-    /// Ground-truth failed nodes.
-    failed: Vec<bool>,
-    /// Ground truth: epoch of the current (or last) failure.
-    fail_epoch: Vec<Option<u64>>,
-}
-
-impl FailurePlane {
-    pub fn new(n: usize) -> FailurePlane {
-        FailurePlane {
-            failed: vec![false; n],
-            fail_epoch: vec![None; n],
-        }
-    }
-
-    /// `node` dies at `epoch`.
-    pub fn fail(&mut self, node: NodeId, epoch: u64) {
-        self.failed[node.0 as usize] = true;
-        self.fail_epoch[node.0 as usize] = Some(epoch);
-    }
-
-    /// `node` comes back up.
-    pub fn recover(&mut self, node: NodeId) {
-        self.failed[node.0 as usize] = false;
-    }
-
-    pub fn is_failed(&self, node: NodeId) -> bool {
-        self.failed[node.0 as usize]
-    }
-
-    /// Epoch of the node's current (or most recent) ground-truth failure.
-    pub fn fail_epoch(&self, node: NodeId) -> Option<u64> {
-        self.fail_epoch[node.0 as usize]
     }
 }
 

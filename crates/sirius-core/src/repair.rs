@@ -333,7 +333,6 @@ impl AdjustedSchedule {
 mod tests {
     use super::*;
     use crate::config::SiriusConfig;
-    use crate::fault::FailurePlane;
 
     fn adj() -> AdjustedSchedule {
         AdjustedSchedule::new(Schedule::new(&SiriusConfig::scaled(16, 4)))
@@ -568,12 +567,9 @@ mod tests {
 
     #[test]
     fn ground_truth_alone_never_moves_the_routing_view() {
+        // Node 3 dies at epoch 10. Ground truth lives outside the routing
+        // view, so nothing in routing changes until a detector stages it.
         let mut a = adj();
-        let mut fp = FailurePlane::new(16);
-        fp.fail(NodeId(3), 10);
-        assert!(fp.is_failed(NodeId(3)));
-        assert_eq!(fp.fail_epoch(NodeId(3)), Some(10));
-        // A ground-truth failure alone changes nothing in routing.
         assert!(a.advance_to(12).is_empty());
         assert!(!a.is_omitted(NodeId(3)));
         // A detector stages the omission for epoch 14; nothing applies
@@ -584,10 +580,8 @@ mod tests {
         assert_eq!(a.advance_to(14).nodes, vec![(NodeId(3), true)]);
         assert!(a.is_omitted(NodeId(3)));
         assert_eq!(a.pending_node(NodeId(3)), None);
-        // Recovery is ground truth only; routing waits for a staged
-        // readmission.
-        fp.recover(NodeId(3));
-        assert!(!fp.is_failed(NodeId(3)));
+        // The node reboots: recovery is ground truth only; routing waits
+        // for a staged readmission.
         assert!(a.advance_to(15).is_empty());
         assert!(a.is_omitted(NodeId(3)));
         a.stage_readmit(NodeId(3), 16);
@@ -601,15 +595,10 @@ mod tests {
         // the pending omission nor readmit the node: routing only moves
         // through staged updates.
         let mut a = adj();
-        let mut fp = FailurePlane::new(16);
-        fp.fail(NodeId(1), 5);
-        a.stage_omit(NodeId(1), 7); // detector in flight
+        a.stage_omit(NodeId(1), 7); // node 1 died at epoch 5; detector in flight
         assert!(a.advance_to(6).is_empty());
         // The node blips back up and immediately dies again, before the
         // staged omission even applied.
-        fp.recover(NodeId(1));
-        fp.fail(NodeId(1), 6);
-        assert_eq!(fp.fail_epoch(NodeId(1)), Some(6));
         assert_eq!(a.pending_node(NodeId(1)), Some(true));
         assert!(a.advance_to(6).is_empty());
         assert!(!a.is_omitted(NodeId(1)));

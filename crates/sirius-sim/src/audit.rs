@@ -136,7 +136,6 @@ struct FlowShadow {
 /// [`AuditReport`].
 #[derive(Debug)]
 pub struct Audit {
-    enabled: bool,
     n: usize,
     uplinks: usize,
     q: usize,
@@ -178,16 +177,10 @@ pub struct Audit {
 
 impl Audit {
     /// `check_queue_bound` should be true for modes that promise the §4.3
-    /// relay bound. A disabled audit costs one branch per event.
-    pub fn new(
-        enabled: bool,
-        n: usize,
-        uplinks: usize,
-        q: usize,
-        check_queue_bound: bool,
-    ) -> Audit {
+    /// relay bound. A run without the audit holds no `Audit` at all (the
+    /// engine then runs the null observer).
+    pub fn new(n: usize, uplinks: usize, q: usize, check_queue_bound: bool) -> Audit {
         Audit {
-            enabled,
             n,
             uplinks,
             q,
@@ -205,30 +198,14 @@ impl Audit {
             total_violations: 0,
             violations: Vec::new(),
             shadow: HashMap::new(),
-            rx_busy: if enabled {
-                vec![false; n * uplinks]
-            } else {
-                Vec::new()
-            },
+            rx_busy: vec![false; n * uplinks],
             rx_touched: Vec::new(),
-            rx_mistuned: if enabled {
-                vec![false; n * uplinks]
-            } else {
-                Vec::new()
-            },
+            rx_mistuned: vec![false; n * uplinks],
             rx_mistuned_touched: Vec::new(),
             windows: Vec::new(),
             silence_threshold: sirius_core::fault::FaultConfig::default().silence_threshold,
-            tx_omitted: if enabled {
-                vec![false; n * uplinks]
-            } else {
-                Vec::new()
-            },
+            tx_omitted: vec![false; n * uplinks],
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Declare a fault window `[from, until)` on `node` (use `u64::MAX`
@@ -297,7 +274,7 @@ impl SlotObserver for Audit {
     /// violation (cells vanishing without a scripted cause).
     fn note_blackholed(&mut self, node: NodeId, epoch: u64) {
         self.blackholed += 1;
-        if self.enabled && !self.covered(LossCause::Crash, node, epoch) {
+        if !self.covered(LossCause::Crash, node, epoch) {
             let id = node.0;
             self.violation(format!(
                 "epoch {epoch}: unattributed blackhole at node {id} (no declared crash window)"
@@ -312,7 +289,7 @@ impl SlotObserver for Audit {
     fn note_lost(&mut self, cause: LossCause, node: NodeId, epoch: u64) {
         debug_assert_ne!(cause, LossCause::Crash, "crash losses use note_blackholed");
         self.lost_link += 1;
-        if self.enabled && !self.covered(cause, node, epoch) {
+        if !self.covered(cause, node, epoch) {
             let id = node.0;
             self.violation(format!(
                 "epoch {epoch}: unattributed {cause:?} loss at node {id} (no declared window)"
@@ -328,7 +305,7 @@ impl SlotObserver for Audit {
     /// count from the in-flight total.
     fn note_forged_tx(&mut self, node: NodeId, epoch: u64) {
         self.forged_tx += 1;
-        if self.enabled && !self.covered(LossCause::Byzantine, node, epoch) {
+        if !self.covered(LossCause::Byzantine, node, epoch) {
             let id = node.0;
             self.violation(format!(
                 "epoch {epoch}: unattributed forged cell from node {id} (no declared \
@@ -357,9 +334,6 @@ impl SlotObserver for Audit {
     /// slot, so an innocent node genuinely goes silent on the fabric. The
     /// victim is schedule-dependent, so the window cannot name it.
     fn note_suspicion(&mut self, epoch: u64, node: NodeId) {
-        if !self.enabled {
-            return;
-        }
         let slack = self.silence_threshold + 1;
         let justified = self.windows.iter().any(|w| {
             (w.node == node || w.cause == LossCause::Mistune)
@@ -380,9 +354,6 @@ impl SlotObserver for Audit {
     /// readmitted to (`omitted = false`) the schedule. Updates the
     /// audit's shadow view used by `note_data_tx`.
     fn note_column_omitted(&mut self, node: NodeId, uplink: u16, omitted: bool) {
-        if !self.enabled {
-            return;
-        }
         self.tx_omitted[node.0 as usize * self.uplinks + uplink as usize] = omitted;
     }
 
@@ -393,9 +364,6 @@ impl SlotObserver for Audit {
     /// would otherwise resurrect a link the detector already condemned.
     #[inline]
     fn note_data_tx(&mut self, slot: u64, node: NodeId, uplink: u16) {
-        if !self.enabled {
-            return;
-        }
         if self.tx_omitted[node.0 as usize * self.uplinks + uplink as usize] {
             self.violation(format!(
                 "slot {slot}: data cell sent on omitted TX column (node {}, uplink {uplink})",
@@ -409,9 +377,6 @@ impl SlotObserver for Audit {
     /// per-slot permutation property is broken.
     #[inline]
     fn note_rx(&mut self, slot: u64, dst: NodeId, uplink: u16) {
-        if !self.enabled {
-            return;
-        }
         let idx = dst.0 as usize * self.uplinks + uplink as usize;
         if self.rx_busy[idx] {
             // A port tainted by a declared-mistuned signal is *expected*
@@ -437,9 +402,6 @@ impl SlotObserver for Audit {
     /// garbage, not a schedule bug).
     #[inline]
     fn note_rx_mistuned(&mut self, _slot: u64, dst: NodeId, uplink: u16) {
-        if !self.enabled {
-            return;
-        }
         let idx = dst.0 as usize * self.uplinks + uplink as usize;
         if !self.rx_mistuned[idx] {
             self.rx_mistuned[idx] = true;
@@ -454,9 +416,6 @@ impl SlotObserver for Audit {
     /// Reset per-slot receive-port state (call once per slot).
     #[inline]
     fn end_slot(&mut self) {
-        if !self.enabled {
-            return;
-        }
         for &idx in &self.rx_touched {
             self.rx_busy[idx as usize] = false;
         }
@@ -471,9 +430,6 @@ impl SlotObserver for Audit {
     /// releasing `released_cells` cells in order. Replays the acceptance
     /// against the shadow reassembly and checks the two agree.
     fn note_delivery(&mut self, cell: &Cell, released_cells: u32) {
-        if !self.enabled {
-            return;
-        }
         let st = self.shadow.entry(cell.flow).or_default();
         if cell.seq < st.next || st.pending.contains(&cell.seq) {
             self.duplicates += 1;
@@ -523,9 +479,6 @@ impl SlotObserver for Audit {
     /// Full invariant sweep at an epoch boundary. `in_flight` is the
     /// number of cells currently on the fiber (in the propagation ring).
     fn epoch_check(&mut self, epoch: u64, nodes: &[SiriusNode], in_flight: u64) {
-        if !self.enabled {
-            return;
-        }
         self.epochs_checked += 1;
 
         // Cell conservation: every injected cell is in exactly one place.
@@ -641,7 +594,7 @@ mod tests {
         // A deliberately broken schedule: two senders drive node 3's
         // uplink 1 in the same slot. The permutation property (§4.2) is
         // what normally prevents this; the audit must catch its absence.
-        let mut a = Audit::new(true, 8, 4, 4, true);
+        let mut a = Audit::new(8, 4, 4, true);
         a.note_rx(7, NodeId(3), 1);
         a.note_rx(7, NodeId(3), 1);
         // Distinct ports in the same slot are fine.
@@ -662,7 +615,7 @@ mod tests {
 
     #[test]
     fn conservation_flags_a_vanished_cell() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.note_injected();
         a.note_injected();
         // One cell in flight, the other unaccounted for anywhere.
@@ -678,7 +631,7 @@ mod tests {
 
     #[test]
     fn conservation_accepts_attributed_blackholed_cells() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.declare_window(LossCause::Crash, NodeId(2), 5, u64::MAX);
         a.note_injected();
         a.note_blackholed(NodeId(2), 7);
@@ -690,7 +643,7 @@ mod tests {
 
     #[test]
     fn unattributed_blackhole_is_a_violation() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.declare_window(LossCause::Crash, NodeId(2), 5, 10);
         a.note_injected();
         a.note_injected();
@@ -703,7 +656,7 @@ mod tests {
 
     #[test]
     fn link_losses_require_a_matching_window() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.declare_window(LossCause::Grey, NodeId(1), 0, 100);
         a.note_injected();
         a.note_injected();
@@ -720,7 +673,7 @@ mod tests {
 
     #[test]
     fn suspicion_justification_and_false_positives() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.set_silence_threshold(3);
         a.declare_window(LossCause::Crash, NodeId(1), 10, u64::MAX);
         a.declare_window(LossCause::Grey, NodeId(2), 10, 20);
@@ -739,7 +692,7 @@ mod tests {
 
     #[test]
     fn mistune_taint_suppresses_expected_double_drives_only() {
-        let mut a = Audit::new(true, 8, 4, 4, true);
+        let mut a = Audit::new(8, 4, 4, true);
         // Slot 7: a declared-mistuned stray lands on (3, 1); the scheduled
         // sender drives the same port. Expected collision, no violation.
         a.note_rx_mistuned(7, NodeId(3), 1);
@@ -758,7 +711,7 @@ mod tests {
 
     #[test]
     fn forged_cells_ride_their_own_ledger() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.declare_window(LossCause::Byzantine, NodeId(3), 5, 50);
         a.note_injected();
         // A declared liar launches two counterfeits; one legitimate cell
@@ -778,7 +731,7 @@ mod tests {
 
     #[test]
     fn unattributed_forgery_is_a_violation() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.declare_window(LossCause::Byzantine, NodeId(3), 5, 50);
         a.note_forged_tx(NodeId(2), 10); // wrong node
         a.note_forged_tx(NodeId(3), 60); // after the window closed
@@ -793,7 +746,7 @@ mod tests {
 
     #[test]
     fn shadow_reassembly_tracks_out_of_order_release() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         for _ in 0..3 {
             a.note_injected();
         }
@@ -812,7 +765,7 @@ mod tests {
 
     #[test]
     fn shadow_reassembly_flags_wrong_release_count() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.note_injected();
         // A buggy buffer claims the in-order head released two cells.
         a.note_delivery(&cell(9, 0), 2);
@@ -827,7 +780,7 @@ mod tests {
 
     #[test]
     fn duplicate_delivery_is_flagged() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.note_injected();
         a.note_delivery(&cell(9, 0), 1);
         a.note_delivery(&cell(9, 0), 0);
@@ -840,7 +793,7 @@ mod tests {
     fn a_recycled_flow_id_is_a_new_flow_only_after_its_eviction() {
         // Streaming: the slab frees id 9 after its last cell, then hands
         // it to a new flow whose seq 0 must be accepted.
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.note_injected();
         a.note_injected();
         a.note_delivery(&cell(9, 0), 1);
@@ -852,7 +805,7 @@ mod tests {
         assert_eq!(r.cells_released, 2);
         // The slice path never evicts: the same sequence without the
         // probe is still a duplicate.
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         a.note_delivery(&cell(9, 0), 1);
         a.note_delivery(&cell(9, 0), 1);
         let r = a.finish();
@@ -862,7 +815,7 @@ mod tests {
 
     #[test]
     fn data_tx_on_omitted_column_is_a_violation() {
-        let mut a = Audit::new(true, 8, 4, 4, true);
+        let mut a = Audit::new(8, 4, 4, true);
         // Healthy column: data sends are fine.
         a.note_data_tx(3, NodeId(2), 1);
         // Omit (2, 1): a data send there is now a repair-contract breach,
@@ -884,7 +837,7 @@ mod tests {
 
     #[test]
     fn violation_messages_are_capped_but_counted() {
-        let mut a = Audit::new(true, 4, 2, 4, false);
+        let mut a = Audit::new(4, 2, 4, false);
         for slot in 0..(MAX_RECORDED_VIOLATIONS as u64 + 10) {
             a.note_rx(slot, NodeId(0), 0);
             a.note_rx(slot, NodeId(0), 0);
@@ -893,18 +846,6 @@ mod tests {
         let r = a.finish();
         assert_eq!(r.violations.len(), MAX_RECORDED_VIOLATIONS);
         assert_eq!(r.total_violations, MAX_RECORDED_VIOLATIONS as u64 + 10);
-    }
-
-    #[test]
-    fn disabled_audit_records_nothing() {
-        let mut a = Audit::new(false, 4, 2, 4, true);
-        a.note_rx(0, NodeId(0), 0);
-        a.note_rx(0, NodeId(0), 0);
-        a.note_delivery(&cell(1, 5), 7);
-        a.epoch_check(0, &[], 99);
-        let r = a.finish();
-        assert!(r.is_clean());
-        assert_eq!(r.epochs_checked, 0);
     }
 
     #[test]

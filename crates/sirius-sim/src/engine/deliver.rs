@@ -31,11 +31,10 @@
 //!   `now`) and the per-flow reorder peak (a max). Applied per shard in
 //!   shard order.
 
-use crate::engine::fault::ByzPlane;
+use crate::engine::fault::FaultPlane;
 use crate::engine::observer::SlotObserver;
 use crate::sirius_net::{CcMode, FlowSt, SiriusSim};
 use sirius_core::cell::Cell;
-use sirius_core::fault::FailurePlane;
 use sirius_core::node::SiriusNode;
 use sirius_core::reorder::FlowReorder;
 use sirius_core::repair::AdjustedSchedule;
@@ -175,10 +174,11 @@ impl DeliverOut {
 /// by receiver ([`FlowSlots`]).
 pub(crate) struct DeliverCtx<'a> {
     pub mode: CcMode,
-    pub byz: Option<&'a ByzPlane>,
+    /// The fault plane when a script is armed, as in the TX phase's
+    /// context; `None` is the fault-free run.
+    pub faults: Option<&'a FaultPlane>,
     pub has_link_faults: bool,
     pub flows: FlowSlots<'a>,
-    pub failures: &'a FailurePlane,
     pub sched: &'a AdjustedSchedule,
     /// Servers per node: maps a flow's servers onto their nodes for the
     /// Byzantine filter.
@@ -220,6 +220,7 @@ pub(crate) fn deliver_range<O: SlotObserver>(
     // included. Each returned borrow ends before the next call.
     #[allow(unsafe_code)]
     let flow = |fi: usize| unsafe { ctx.flows.get_mut(fi) };
+    let byz = ctx.faults.and_then(|f| f.byz.as_ref());
     for (idx, &(dst, uplink, cell)) in due.iter().enumerate() {
         if dst.0 < lo || dst.0 >= hi {
             continue;
@@ -230,7 +231,7 @@ pub(crate) fn deliver_range<O: SlotObserver>(
         // only when the script declares Byzantine nodes; runs before the
         // crash blackhole so forged cells aimed at dead nodes are still
         // dropped as forgeries, keeping conservation exact.
-        if let Some(bz) = ctx.byz {
+        if let Some(bz) = byz {
             let forged =
                 // A counterfeit cannot name a real flow: receivers check
                 // the header against their flow table.
@@ -270,7 +271,7 @@ pub(crate) fn deliver_range<O: SlotObserver>(
                 continue;
             }
         }
-        if ctx.failures.is_failed(dst) {
+        if ctx.faults.is_some_and(|f| f.is_crashed(dst)) {
             obs.note_blackholed(dst, ctx.epoch);
             out.lost_crash += 1;
             continue; // blackholed until routing learns of the failure

@@ -10,6 +10,9 @@
 //! script the boundary (and its detector ticks) never runs — so the
 //! engine neither builds the detectors nor pays the 1,536 `heard_from`
 //! calls per slot that the monolithic loop performed at paper scale.
+//! The credit push sits under the TX body's armed (`Some`) arm; a
+//! script whose events never fire still feeds it every slot, and the
+//! run is otherwise identical to the unarmed one.
 
 use sirius_core::fault::{FailureDetector, FaultConfig, LinkDetector};
 use sirius_core::topology::NodeId;

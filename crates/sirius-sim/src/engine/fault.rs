@@ -1,16 +1,18 @@
 //! FaultPlane: scripted ground truth, per-slot corruption scratch, and
 //! the epoch-boundary fault pipeline.
 //!
-//! The plane owns the [`FaultInjector`] script, the per-epoch
-//! [`ActiveFaults`] snapshot and the [`FaultReport`] ledger. Per slot it
-//! runs the mistune pre-pass (which RX ports does a detuned laser
-//! corrupt this slot?) and grey-erasure draws; per epoch,
-//! [`SiriusSim::fault_boundary`] turns detector silence into staged
-//! schedule repair.
+//! The plane owns the [`FaultInjector`] script, crash ground truth (which
+//! nodes are down), the per-epoch [`ActiveFaults`] snapshot and the
+//! [`FaultReport`] ledger. Per slot it runs the mistune pre-pass (which
+//! RX ports does a detuned laser corrupt this slot?) and grey-erasure
+//! draws; per epoch, [`SiriusSim::fault_boundary`] lands scripted
+//! crashes and reboots and turns detector silence into staged schedule
+//! repair.
 //!
-//! Runs with an empty script skip this plane entirely — including the
-//! boundary, whose only observable effects (detector ticks, staged
-//! updates, report entries) all require scripted faults to exist.
+//! Runs with an empty script never arm this plane: the slot phases see
+//! it as `None`, and the boundary — whose only observable effects
+//! (crashes, detector ticks, staged updates, report entries) all require
+//! scripted faults to exist — never runs.
 
 use crate::audit::LossCause;
 use crate::engine::observer::SlotObserver;
@@ -21,7 +23,6 @@ use crate::sirius_net::SiriusSim;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use sirius_core::cell::{Cell, FlowId};
-use sirius_core::fault::FailurePlane;
 use sirius_core::repair::AdjustedSchedule;
 use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, ServerId, UplinkId};
@@ -110,6 +111,10 @@ impl ByzPlane {
 pub(crate) struct FaultPlane {
     /// Scripted ground-truth faults; detection is emergent.
     pub injector: FaultInjector,
+    /// Crash ground truth: which nodes are down right now. Written only
+    /// by the fault boundary as scripted crashes and reboots land; what
+    /// routing believes is the schedule overlay, never this.
+    crashed: Vec<bool>,
     /// Per-epoch snapshot of active grey/mistune/control-loss windows.
     pub active: ActiveFaults,
     pub report: FaultReport,
@@ -131,6 +136,7 @@ impl FaultPlane {
     pub fn new(seed: u64, n: usize, uplinks: usize, group_size: usize) -> FaultPlane {
         FaultPlane {
             injector: FaultInjector::new(seed),
+            crashed: vec![false; n],
             active: ActiveFaults::default(),
             report: FaultReport::default(),
             byz: None,
@@ -150,7 +156,6 @@ impl FaultPlane {
         &mut self,
         abs_slot: u64,
         t: SlotInEpoch,
-        failure_plane: &FailurePlane,
         tables: &DestTable,
         obs: &mut O,
     ) {
@@ -158,7 +163,7 @@ impl FaultPlane {
         let uplinks = self.uplinks;
         for k in 0..self.active.mistuned_nodes.len() {
             let m = self.active.mistuned_nodes[k];
-            if failure_plane.is_failed(m) {
+            if self.is_crashed(m) {
                 continue; // a dead laser emits nothing
             }
             let off = self.active.mistune_of(m).unwrap() as u64;
@@ -173,6 +178,12 @@ impl FaultPlane {
                 obs.note_rx_mistuned(abs_slot, wrong, u);
             }
         }
+    }
+
+    /// Whether `node` is down (crash ground truth).
+    #[inline]
+    pub fn is_crashed(&self, node: NodeId) -> bool {
+        self.crashed[node.0 as usize]
     }
 
     /// Which mistuned sender (if any) corrupts RX port (`j`, `u`) this
@@ -299,8 +310,8 @@ impl SiriusSim {
         let mut ev = std::mem::take(&mut self.faults.node_scratch);
         self.faults.injector.node_events_at(epoch, &mut ev);
         for (node, is_crash) in ev.drain(..) {
+            self.faults.crashed[node.0 as usize] = is_crash;
             if is_crash {
-                self.failure_plane.fail(node, epoch);
                 self.faults.report.failures.push(FailureRecord {
                     node,
                     fail_epoch: epoch,
@@ -310,7 +321,6 @@ impl SiriusSim {
                     readmitted_at: None,
                 });
             } else {
-                self.failure_plane.recover(node);
                 // A rebooted node's counters predate the outage; reset so
                 // it re-earns suspicions instead of suspecting everyone.
                 self.detect.detectors[node.0 as usize].reset(epoch);
@@ -418,7 +428,7 @@ impl SiriusSim {
         //    only by the dead column genuinely stop hearing the sender)
         //    must not exclude the whole node.
         for o in 0..n {
-            if self.failure_plane.is_failed(NodeId(o as u32)) {
+            if self.faults.is_crashed(NodeId(o as u32)) {
                 continue;
             }
             for p in self.detect.detectors[o].tick(epoch) {
@@ -509,7 +519,7 @@ impl SiriusSim {
         if let Some(ld) = &self.detect.link_det {
             for (p, c) in self.sched.omitted_columns() {
                 if self.sched.pending_column(p, c) != Some(false)
-                    && !self.failure_plane.is_failed(p)
+                    && !self.faults.is_crashed(p)
                     && ld.last_heard(p, c.0 as usize) + 1 >= epoch
                 {
                     self.sched.stage_readmit_column(p, c, epoch + 1);
@@ -529,7 +539,7 @@ impl SiriusSim {
                 // would strand until grant expiry; pull them back to LOCAL
                 // (front, order preserved) so they re-request live detours.
                 for o in 0..n {
-                    if o != node.0 as usize && !self.failure_plane.is_failed(NodeId(o as u32)) {
+                    if o != node.0 as usize && !self.faults.is_crashed(NodeId(o as u32)) {
                         self.nodes[o].reclaim_voq(node);
                     }
                 }
@@ -587,7 +597,7 @@ impl SiriusSim {
                 for o in 0..n {
                     // Cells at other sources granted through `node` whose
                     // second hop `node -> dst` died.
-                    if o != p && !self.failure_plane.is_failed(NodeId(o as u32)) {
+                    if o != p && !self.faults.is_crashed(NodeId(o as u32)) {
                         let pulled =
                             self.nodes[o].reclaim_voq_where(node, |d| stranded[d.0 as usize]);
                         self.faults.report.cells_rerouted += pulled as u64;

@@ -12,7 +12,7 @@
 //! | [`pool`] | generation barrier, spin/park waits, panic containment, disjoint-range hand-out | two broadcasts |
 //! | [`deliver`] | propagation ring, digest, reorder peak (reorder state lives in each flow's slab record) | arrival processing by receiver range, ordered digest merge |
 //! | [`tx`] | CC-mode dispatch, ideal shadow occupancy | per-(node, uplink) transmit by sender range, shard-order merge |
-//! | [`fault`] | fault script, active windows, report; stages repairs into the schedule overlay (the one routing view) | mistune pre-pass; per epoch, the fault boundary |
+//! | [`fault`] | fault script, crash ground truth, active windows, report; stages repairs into the schedule overlay (the one routing view) | mistune pre-pass; per epoch, the fault boundary |
 //! | [`detect`] | silence detectors (§4.5) | keepalive credit (applied at the TX merge) |
 //! | [`observer`] | the audit's probe points | nothing unless the audit is on |
 //! | [`tables`] | precomputed schedule destinations | lookups |
@@ -35,21 +35,25 @@
 //! * **Observer monomorphization** ([`observer`]): the invariant audit
 //!   reaches the loop through [`SlotObserver`]; the release path runs the
 //!   [`NullObserver`] instantiation where every probe compiles away.
-//! * **Fault-free fast path**: a run with an empty fault script skips
-//!   the fault boundary, the detector credit (1,536 `heard_from` calls
-//!   per slot at paper scale), the omission overlay checks and the
-//!   erasure/corruption lookups, and never builds the N×N detectors.
+//! * **Fault-free is the `None` arm of one body**: both phases read
+//!   fault state only through one `Option<&FaultPlane>` — crash ground
+//!   truth included — and a run with an empty fault script hands them
+//!   `None`. That arm skips the fault boundary, the crash checks, the
+//!   detector credit (1,536 `heard_from` calls per slot at paper scale),
+//!   the omission overlay checks and the erasure/corruption lookups,
+//!   never builds the N×N detectors, and skips idle nodes outright.
 //!   This is sound because every one of those mechanisms is observable
 //!   only through scripted faults: with nothing scripted, detectors
 //!   would be fed every slot and never ticked, the schedule never
 //!   stages an omission, and the protocol RNG stream is untouched either
-//!   way. What the armed path costs is small and measured — the credit
-//!   sits inside the TX merge, a few percent of a faulty run. The
-//!   expensive part of a faulty run used to be elsewhere: request
-//!   generation under a repaired schedule recounted the eligible
-//!   intermediates per request drawn (2·N reachability probes each);
-//!   that count is now a popcount over cached reachability rows
-//!   (`Vlb::pick_masked`, DESIGN.md decision #14).
+//!   way (`tests/conformance.rs` pins an armed script in which nothing
+//!   fires to the unarmed run). What the armed arm costs is small and
+//!   measured — the credit sits inside the TX merge, a few percent of a
+//!   faulty run. The expensive part of a faulty run used to be
+//!   elsewhere: request generation under a repaired schedule recounted
+//!   the eligible intermediates per request drawn (2·N reachability
+//!   probes each); that count is now a popcount over cached
+//!   reachability rows (`Vlb::pick_masked`, DESIGN.md decision #14).
 //!
 //! Per-slot invariants are hoisted: destinations come from a
 //! precomputed [`DestTable`] row instead of div/mod chains, and the
@@ -213,10 +217,9 @@ impl SiriusSim {
                     {
                         let ctx = DeliverCtx {
                             mode,
-                            byz: self.faults.byz.as_ref(),
+                            faults: has_faults.then_some(&self.faults),
                             has_link_faults,
                             flows: self.flows.element_view(),
-                            failures: &self.failure_plane,
                             sched: &self.sched,
                             spn,
                             launch_t,
@@ -252,13 +255,8 @@ impl SiriusSim {
                 if has_faults && self.faults.active.any_mistune() {
                     // Serial pre-pass: writes the corruption scratch the
                     // TX phase then only reads.
-                    self.faults.mistune_prepass(
-                        abs_slot,
-                        slot,
-                        &self.failure_plane,
-                        &self.tables,
-                        obs,
-                    );
+                    self.faults
+                        .mistune_prepass(abs_slot, slot, &self.tables, obs);
                 }
                 let m = mark(timing);
                 {
@@ -266,7 +264,6 @@ impl SiriusSim {
                         mode,
                         tables: &self.tables,
                         sched: &self.sched,
-                        failures: &self.failure_plane,
                         faults: has_faults.then_some(&self.faults),
                         abs_slot,
                         t: slot,

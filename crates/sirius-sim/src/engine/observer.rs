@@ -5,7 +5,11 @@
 //! trait with a const `ENABLED` flag lets the engine monomorphize two
 //! copies of the run loop: the audited copy runs with the
 //! [`crate::audit::Audit`] itself as the observer, and the release copy
-//! ([`NullObserver`]) compiles every probe down to nothing.
+//! ([`NullObserver`]) compiles every probe down to nothing. Both copies
+//! run the one TX body, armed or not; the only path difference is that
+//! an enabled observer keeps the reception probe of every scheduled
+//! slot, so the idle-node skip (taken when no fault script is armed)
+//! belongs to the null copy alone.
 //!
 //! **Observation order contract:** an enabled observer clamps the driver
 //! to one shard and is handed to that shard only (see
@@ -26,8 +30,8 @@ use sirius_core::topology::NodeId;
 pub(crate) trait SlotObserver: Send {
     /// `true` only for observers that do work. The engine consults this
     /// to skip *computing probe inputs* (e.g. the in-flight sum fed to
-    /// `epoch_check`); the probe calls themselves need no guard — the
-    /// null impls inline to nothing.
+    /// `epoch_check`) and to allow the TX idle-node skip; the probe calls
+    /// themselves need no guard — the null impls inline to nothing.
     const ENABLED: bool;
 
     fn note_rx(&mut self, slot: u64, dst: NodeId, uplink: u16);

@@ -3,8 +3,8 @@
 //!
 //! The per-(node, uplink) work is node-local — `transmit` touches only
 //! the sending node's queues, arena and CC counters — and everything it
-//! reads besides ([`DestTable`], the repair overlays, the failure plane,
-//! the per-epoch fault snapshot) is frozen for the phase, which the
+//! reads besides ([`DestTable`], the repair overlays, the fault plane's
+//! crashed set and per-epoch snapshot) is frozen for the phase, which the
 //! shared borrows in [`TxCtx`] make the compiler check. Cross-shard
 //! effects (ring pushes, receiver-indexed detector credit, global loss
 //! counters) are buffered per shard in a [`ShardOut`] and applied by
@@ -12,6 +12,10 @@
 //! sequence, because detector state is only *read* at epoch boundaries.
 //! Grey-erasure and forgery draws come from per-node RNG streams, so a
 //! node's draw sequence does not depend on the partition.
+//!
+//! [`tx_range`] is the one body for every run. A fault-free run is the
+//! armed run with nothing armed — every keepalive arrives (§4.5) — so
+//! all fault work sits under the `Some` arm of [`TxCtx::faults`].
 //!
 //! Two things cannot be partitioned and ride with shard 0 only, which is
 //! why an enabled observer or [`CcMode::Ideal`] runs on one shard: the
@@ -27,7 +31,6 @@ use crate::sirius_net::{CcMode, SiriusSim};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use sirius_core::cell::Cell;
-use sirius_core::fault::FailurePlane;
 use sirius_core::node::{SiriusNode, SlotTx};
 use sirius_core::repair::AdjustedSchedule;
 use sirius_core::schedule::SlotInEpoch;
@@ -125,32 +128,12 @@ pub(crate) struct TxCtx<'a> {
     pub mode: CcMode,
     pub tables: &'a DestTable,
     pub sched: &'a AdjustedSchedule,
-    pub failures: &'a FailurePlane,
-    /// The fault plane when a script is armed; `None` selects the
-    /// fault-free body.
+    /// The fault plane when a script is armed; `None` is the fault-free
+    /// run, in which every keepalive arrives.
     pub faults: Option<&'a FaultPlane>,
     pub abs_slot: u64,
     pub t: SlotInEpoch,
     pub epoch: u64,
-}
-
-/// TX for `nodes` = the global node range starting at `first` (`rngs` is
-/// the same range of the per-node fault streams; empty without a
-/// script). `ideal` is the plane holding the shared occupancy, which the
-/// driver hands to shard 0 only; ideal mode cannot transmit without it.
-pub(crate) fn tx_range<O: SlotObserver>(
-    ctx: &TxCtx,
-    first: usize,
-    nodes: &mut [SiriusNode],
-    rngs: &mut [SmallRng],
-    ideal: Option<&mut TxPlane>,
-    out: &mut ShardOut,
-    obs: &mut O,
-) {
-    match ctx.faults {
-        None => tx_clean_range(ctx, first, nodes, ideal, &mut out.ring, obs),
-        Some(faults) => tx_faulty_range(ctx, faults, first, nodes, rngs, ideal, out, obs),
-    }
 }
 
 /// One transmit opportunity from `node` toward `j` in the run's CC mode.
@@ -199,51 +182,20 @@ fn node_idle(
     }
 }
 
-/// Fault-free TX: no failed nodes, no omitted columns, no erasure or
-/// corruption, and no detector feeding (the fault boundary that would
-/// consume the credit never runs), so each (node, uplink) opportunity
-/// collapses to table lookup + transmit + ring push. An enabled observer
-/// wants its reception feed for every scheduled slot, so only the
-/// unobserved instantiation skips idle nodes.
-fn tx_clean_range<O: SlotObserver>(
+/// TX for `nodes` = the global node range starting at `first` (`rngs` is
+/// the same range of the per-node fault streams; empty without a
+/// script). `ideal` is the plane holding the shared occupancy, which the
+/// driver hands to shard 0 only; ideal mode cannot transmit without it.
+///
+/// With nothing armed, each (node, uplink) opportunity is table lookup +
+/// transmit + ring push, and idle nodes are skipped outright — except
+/// under an enabled observer, which wants its reception feed for every
+/// scheduled slot. An armed script adds, per scheduled slot, the crash
+/// and mistune checks, the grey-erasure draw, the corruption lookup, the
+/// detector credit, the dead-slot (omission) checks and, on idle slots,
+/// the Byzantine forge draw.
+pub(crate) fn tx_range<O: SlotObserver>(
     ctx: &TxCtx,
-    first: usize,
-    nodes: &mut [SiriusNode],
-    mut ideal: Option<&mut TxPlane>,
-    out: &mut Vec<(NodeId, u16, Cell)>,
-    obs: &mut O,
-) {
-    let uplinks = ctx.tables.uplinks();
-    let view = ctx.tables.slot_view(ctx.t);
-    for (li, node) in nodes.iter_mut().enumerate() {
-        let i = first + li;
-        if !O::ENABLED && node_idle(ctx.mode, ctx.tables, ctx.t, i, node) {
-            continue;
-        }
-        let row = view.node(i);
-        for u in 0..uplinks {
-            let j = row.at(u);
-            obs.note_rx(ctx.abs_slot, j, u as u16);
-            // One bit test replaces the protocol's two deque probes.
-            if ctx.mode == CcMode::Protocol && !node.fabric_nonempty(j) {
-                continue;
-            }
-            let tx = transmit(ctx.mode, &mut ideal, node, j);
-            if let SlotTx::Relay(c) | SlotTx::ToIntermediate(c) = tx {
-                obs.note_data_tx(ctx.abs_slot, NodeId(i as u32), u as u16);
-                out.push((j, u as u16, c));
-            }
-        }
-    }
-}
-
-/// Fully-armed (fault-script) TX: mistune corruption, grey-erasure draws
-/// from the per-node RNG streams, buffered detector credit, dead-slot
-/// (omission) checks and buffered loss attribution.
-#[allow(clippy::too_many_arguments)]
-fn tx_faulty_range<O: SlotObserver>(
-    ctx: &TxCtx,
-    faults: &FaultPlane,
     first: usize,
     nodes: &mut [SiriusNode],
     rngs: &mut [SmallRng],
@@ -251,54 +203,70 @@ fn tx_faulty_range<O: SlotObserver>(
     out: &mut ShardOut,
     obs: &mut O,
 ) {
-    debug_assert_eq!(nodes.len(), rngs.len());
+    debug_assert!(ctx.faults.is_none() || nodes.len() == rngs.len());
     let uplinks = ctx.tables.uplinks();
     let view = ctx.tables.slot_view(ctx.t);
-    let any_grey = faults.active.any_grey();
+    let any_grey = ctx.faults.is_some_and(|f| f.active.any_grey());
     for (li, node) in nodes.iter_mut().enumerate() {
-        let ni = NodeId((first + li) as u32);
-        if ctx.failures.is_failed(ni) {
-            continue; // fail-stop: no data, no keepalive carrier
-        }
-        let mistuned = faults.active.mistune_of(ni).is_some();
-        let row = view.node(first + li);
+        let i = first + li;
+        let ni = NodeId(i as u32);
+        let mistuned = match ctx.faults {
+            None if !O::ENABLED && node_idle(ctx.mode, ctx.tables, ctx.t, i, node) => continue,
+            None => false,
+            // Fail-stop: no data, no keepalive carrier.
+            Some(faults) if faults.is_crashed(ni) => continue,
+            Some(faults) => faults.active.mistune_of(ni).is_some(),
+        };
+        let row = view.node(i);
         for u in 0..uplinks as u16 {
             let j = row.at(u as usize);
-            // One erasure draw per scheduled slot on a grey link (never
-            // per cell), from the sender's own stream — fault scripts
-            // leave the protocol RNG untouched, and the draw sequence is
-            // independent of the shard partition.
-            let grey_p = faults.active.grey_prob(ni, u, uplinks);
-            let erased = any_grey && grey_p > 0.0 && rngs[li].gen_bool(grey_p);
-            let corrupted_by = faults.corrupted_by(j, u);
             if !mistuned {
                 obs.note_rx(ctx.abs_slot, j, u);
             }
-            // §4.5 detection feeds on the carrier itself: any well-tuned,
-            // non-erased transmission — idle keepalives included — counts
-            // as "heard", which is why an alive sender can never be
-            // falsely suspected. Receiver-indexed, so buffered for the
-            // merge.
-            if !mistuned && !erased && corrupted_by.is_none() && !ctx.failures.is_failed(j) {
-                out.credits.push((ni, u, j));
+            // What destroys this slot's transmission in flight, and who
+            // is to blame: the sender's own mistuned laser or grey link,
+            // or a mistuned stray landing on the receiving port.
+            let mut doomed = None;
+            if let Some(faults) = ctx.faults {
+                // One erasure draw per scheduled slot on a grey link
+                // (never per cell), from the sender's own stream — fault
+                // scripts leave the protocol RNG untouched, and the draw
+                // sequence is independent of the shard partition.
+                let grey_p = faults.active.grey_prob(ni, u, uplinks);
+                let erased = any_grey && grey_p > 0.0 && rngs[li].gen_bool(grey_p);
+                doomed = if mistuned {
+                    Some((LossCause::Mistune, ni))
+                } else if erased {
+                    Some((LossCause::Grey, ni))
+                } else {
+                    faults.corrupted_by(j, u).map(|m| (LossCause::Mistune, m))
+                };
+                // §4.5 detection feeds on the carrier itself: any
+                // well-tuned, non-erased transmission — idle keepalives
+                // included — counts as "heard", which is why an alive
+                // sender can never be falsely suspected. Receiver-indexed,
+                // so buffered for the merge.
+                if doomed.is_none() && !faults.is_crashed(j) {
+                    out.credits.push((ni, u, j));
+                }
+                if ctx.sched.is_omitted(ni)
+                    || ctx.sched.is_omitted(j)
+                    || ctx.sched.is_column_omitted(ni, UplinkId(u))
+                {
+                    continue; // dead slot: keepalive carrier only
+                }
             }
-            if ctx.sched.is_omitted(ni)
-                || ctx.sched.is_omitted(j)
-                || ctx.sched.is_column_omitted(ni, UplinkId(u))
-            {
-                continue; // dead slot: keepalive carrier only
-            }
-            match transmit(ctx.mode, &mut ideal, node, j) {
-                tx @ (SlotTx::Relay(c) | SlotTx::ToIntermediate(c)) => {
+            // One bit test replaces the protocol's two deque probes: on
+            // an empty fabric `transmit` returns `Idle` untouched.
+            let tx = if ctx.mode == CcMode::Protocol && !node.fabric_nonempty(j) {
+                SlotTx::Idle
+            } else {
+                transmit(ctx.mode, &mut ideal, node, j)
+            };
+            match tx {
+                SlotTx::Relay(c) | SlotTx::ToIntermediate(c) => {
                     obs.note_data_tx(ctx.abs_slot, ni, u);
-                    let lost = if mistuned {
-                        Some((LossCause::Mistune, ni))
-                    } else if erased {
-                        Some((LossCause::Grey, ni))
-                    } else {
-                        corrupted_by.map(|m| (LossCause::Mistune, m))
-                    };
-                    let Some((cause, blame)) = lost else {
+                    let Some((cause, blame)) = doomed else {
                         out.ring.push((j, u, c));
                         continue;
                     };
@@ -319,16 +287,12 @@ fn tx_faulty_range<O: SlotObserver>(
                     // counterfeits. The draw rides the same per-node
                     // stream as grey erasure (grey draw first, then the
                     // forge draws), so the sequence is independent of the
-                    // shard partition. A mistuned/erased/corrupted slot
-                    // would destroy the counterfeit anyway — skip the
-                    // draw entirely to keep streams cheap and aligned.
+                    // shard partition. A doomed slot would destroy the
+                    // counterfeit anyway — skip the draw entirely to keep
+                    // streams cheap and aligned.
+                    let Some(faults) = ctx.faults else { continue };
                     let byz_p = faults.active.byz_prob(ni);
-                    if byz_p > 0.0
-                        && !mistuned
-                        && !erased
-                        && corrupted_by.is_none()
-                        && rngs[li].gen_bool(byz_p)
-                    {
+                    if byz_p > 0.0 && doomed.is_none() && rngs[li].gen_bool(byz_p) {
                         let c = forge_cell(&mut rngs[li], ni, j, ctx.tables.nodes());
                         obs.note_forged_tx(ni, ctx.epoch);
                         out.forged_tx += 1;

@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use sirius_core::bits;
 use sirius_core::cell::{Cell, FlowId};
 use sirius_core::config::SiriusConfig;
-use sirius_core::fault::{FailurePlane, FaultConfig};
+use sirius_core::fault::FaultConfig;
 use sirius_core::node::SiriusNode;
 use sirius_core::reorder::FlowReorder;
 use sirius_core::repair::AdjustedSchedule;
@@ -423,8 +423,6 @@ pub struct SiriusSim {
     pub(crate) servers: Vec<ServerSt>,
     pub(crate) rng: SmallRng,
     pub(crate) prop_slots: usize,
-    /// Ground truth only (who is down); what routing believes is `sched`.
-    pub(crate) failure_plane: FailurePlane,
     /// Precomputed base-schedule destinations (static for the whole run).
     pub(crate) tables: DestTable,
     pub(crate) faults: FaultPlane,
@@ -510,7 +508,6 @@ impl SiriusSim {
             / 1_000_000_000_000) as i64;
         let audit = cfg.audit.then(|| {
             Audit::new(
-                true,
                 n,
                 sched.uplinks(),
                 net.queue_threshold,
@@ -531,7 +528,6 @@ impl SiriusSim {
             servers,
             rng: SmallRng::seed_from_u64(cfg.seed),
             prop_slots: prop_slots as usize,
-            failure_plane: FailurePlane::new(n),
             faults: FaultPlane::new(cfg.seed, n, uplinks, net.grating_ports),
             detect: DetectPlane::new(n),
             tx: TxPlane::new(cfg.mode, n, queue_threshold),
@@ -706,7 +702,7 @@ impl SiriusSim {
         // 2. Server injection: every server earns one epoch of link credit
         //    and injects cells round-robin across its active flows.
         for s in 0..self.servers.len() {
-            if self.failure_plane.is_failed(self.node_of_server(s as u32)) {
+            if self.faults.is_crashed(self.node_of_server(s as u32)) {
                 // Servers behind a crashed ToR are off the fabric entirely.
                 self.servers[s].credit = 0;
                 continue;
@@ -768,7 +764,7 @@ impl SiriusSim {
         let repaired = self.sched.has_omitted_columns();
         for i in 0..self.nodes.len() {
             let ni = NodeId(i as u32);
-            if self.failure_plane.is_failed(ni) || self.sched.is_omitted(ni) {
+            if self.faults.is_crashed(ni) || self.sched.is_omitted(ni) {
                 continue;
             }
             // With a column-repaired schedule the intermediate must not
@@ -782,7 +778,7 @@ impl SiriusSim {
                     reachable.is_none_or(|row| bits::get(row, d.0 as usize))
                 });
             for (src, dst) in grants {
-                if self.failure_plane.is_failed(src) || self.sched.is_omitted(src) {
+                if self.faults.is_crashed(src) || self.sched.is_omitted(src) {
                     continue; // the loss backstop reclaims this grant
                 }
                 // ControlLoss window: the grant is corrupted in flight.
@@ -804,7 +800,7 @@ impl SiriusSim {
         //    cells; considered for grants next epoch).
         for i in 0..self.nodes.len() {
             let ni = NodeId(i as u32);
-            if self.failure_plane.is_failed(ni) || self.sched.is_omitted(ni) {
+            if self.faults.is_crashed(ni) || self.sched.is_omitted(ni) {
                 continue;
             }
             let vlb = &self.vlb;
@@ -819,7 +815,7 @@ impl SiriusSim {
                 None => vlb.pick(rng, src, dst),
             });
             for (intermediate, dst) in reqs {
-                if self.failure_plane.is_failed(intermediate) {
+                if self.faults.is_crashed(intermediate) {
                     // A request addressed to a dead node vanishes with it;
                     // the sticky VOQ entry re-requests next epoch.
                     continue;
@@ -848,14 +844,14 @@ impl SiriusSim {
             for bi in 0..self.faults.active.byz_nodes.len() {
                 let b = self.faults.active.byz_nodes[bi];
                 let extra = self.faults.active.byz_extra_of(b);
-                if extra == 0 || self.failure_plane.is_failed(b) || self.sched.is_omitted(b) {
+                if extra == 0 || self.faults.is_crashed(b) || self.sched.is_omitted(b) {
                     continue;
                 }
                 for _ in 0..extra {
                     let rng = &mut self.fault_rngs[b.0 as usize];
                     let dst = NodeId(rng.gen_range(0..n));
                     let intermediate = NodeId(rng.gen_range(0..n));
-                    if self.failure_plane.is_failed(intermediate) {
+                    if self.faults.is_crashed(intermediate) {
                         continue;
                     }
                     self.nodes[intermediate.0 as usize]
