@@ -130,6 +130,60 @@ stage_docs() {
   fi
   echo "documented binaries all exist"
 
+  echo "==> perf trajectory (results/BENCH_trajectory.jsonl)"
+  # One line per perf or simplicity PR, appended, never rewritten: the
+  # alternated-pair numbers parent vs change per benchmark workload.
+  # Every line must parse, carry the schema's keys, hold only finite
+  # numbers (null = not recorded), and name a PR after the line before.
+  # A line's `commit` is null when the PR wrote it about itself (a commit
+  # cannot name its own hash); the next line's `parent` names it.
+  python3 - results/BENCH_trajectory.jsonl <<'PY'
+import json, math, sys
+
+path = sys.argv[1]
+top = {"pr", "commit", "parent", "host_parallelism", "pairs", "workloads", "moved"}
+per = {"wall_s_parent", "wall_s_change", "iqr_parent", "better_of_n", "digest_identical"}
+
+
+def fail(n, msg):
+    sys.exit(f"error: {path}:{n}: {msg}")
+
+
+def finite(token):
+    # Called for every float literal and for NaN / Infinity.
+    if not math.isfinite(float(token)):
+        raise ValueError(f"non-finite number {token}")
+    return float(token)
+
+
+with open(path) as f:
+    lines = [l for l in f.read().splitlines() if l.strip()]
+if not lines:
+    fail(0, "no lines")
+last_pr = 0
+for n, text in enumerate(lines, 1):
+    try:
+        line = json.loads(text, parse_float=finite, parse_constant=finite)
+    except ValueError as e:
+        fail(n, e)
+    if not isinstance(line, dict) or top - line.keys():
+        fail(n, f"missing keys {sorted(top - set(line))}")
+    pr = line["pr"]
+    if not isinstance(pr, int) or pr <= last_pr:
+        fail(n, f"pr {pr!r} does not follow pr {last_pr}")
+    last_pr = pr
+    if not isinstance(line["parent"], str) or not line["workloads"]:
+        fail(n, "no parent commit or no workloads")
+    for name, w in line["workloads"].items():
+        if per - w.keys():
+            fail(n, f"{name} missing {sorted(per - set(w))}")
+        b = w["better_of_n"]
+        if not (isinstance(b, list) and len(b) == 2 and isinstance(b[1], int)
+                and b[1] > 0 and (b[0] is None or 0 <= b[0] <= b[1])):
+            fail(n, f"{name}: better_of_n must be [wins or null, pairs > 0]")
+print(f"{path}: {len(lines)} lines, schema and finiteness OK")
+PY
+
   echo "==> unsafe budget (at most 4 unsafe sites in crates/*/src)"
   # The four: the pool broadcast's closure-lifetime transmute, and the
   # FlowSlots element view's `unsafe impl Sync`, `unsafe fn get_mut` and

@@ -10,21 +10,35 @@
 //! [`FlowReorder`] is one flow's state. The simulator keeps it inside the
 //! flow's own record, so it lives and dies with the flow: there is no
 //! second per-flow store to look up, evict or partition across workers.
+//!
+//! The out-of-order window is small and dense (the §4.3 bound), so it is a
+//! ring of per-sequence slots rather than a map: slot `(head + k) & mask`
+//! holds cell `next + k`, stored as `payload + 1` so that 0 means "empty"
+//! and a zero-byte cell is still present. A buffered cell costs 4 bytes, an
+//! in-order release is one slot read, and the ring grows (by doubling) only
+//! to cover the highest offset actually buffered — a flow that never
+//! reorders allocates nothing. DESIGN.md decision #15 has the measurement
+//! against a `BTreeMap` and a sorted `Vec`.
 
 use crate::cell::FlowId;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+
+/// Slots a ring gets when a flow first buffers a cell: one cache line.
+const MIN_RING: usize = 16;
 
 /// Reorder state for a single flow.
 #[derive(Debug, Default, Clone)]
 pub struct FlowReorder {
     /// Next in-order sequence number expected.
     next: u32,
-    /// Buffered out-of-order cells: seq -> payload bytes.
-    pending: BTreeMap<u32, u32>,
     /// Bytes currently buffered. The §4.3 in-flight bound keeps this far
     /// below 4 GB.
     buffered: u32,
+    /// Ring index of the slot holding cell `next`.
+    head: u32,
+    /// Power-of-two ring (or empty, before the first out-of-order cell):
+    /// slot `(head + k) & (len - 1)` holds `payload + 1` of cell
+    /// `next + k`, or 0 if that cell has not arrived.
+    ring: Box<[u32]>,
 }
 
 /// Outcome of accepting one cell.
@@ -43,34 +57,78 @@ impl FlowReorder {
     /// Accept cell `seq` carrying `payload` bytes; returns how much data
     /// became deliverable in order. A duplicate (already released or
     /// already buffered) releases nothing and buffers nothing.
+    ///
+    /// The ring spans `seq - next` slots, so a caller bounds `seq` by the
+    /// flow's cell count (the simulator's deliver plane asserts it).
+    ///
+    /// # Panics
+    /// If an out-of-order `payload` is `u32::MAX`, the one value the
+    /// ring's `payload + 1` encoding cannot hold (a cell's payload is at
+    /// most the cell size).
     pub fn accept(&mut self, seq: u32, payload: u32) -> Delivered {
         if seq < self.next {
             return NOTHING;
         }
-        if seq != self.next {
+        let k = (seq - self.next) as usize;
+        if k != 0 {
             // Out of order: buffer it.
-            if let Entry::Vacant(v) = self.pending.entry(seq) {
-                v.insert(payload);
+            if k >= self.ring.len() {
+                self.grow(k);
+            }
+            let slot = &mut self.ring[(self.head as usize + k) & (self.ring.len() - 1)];
+            if *slot == 0 {
+                *slot = payload
+                    .checked_add(1)
+                    .expect("payload u32::MAX cannot be buffered");
                 self.buffered += payload;
             }
             return NOTHING;
         }
-        // In order: deliver it plus any unblocked prefix.
+        // In order: deliver it plus any unblocked prefix. Cell `next`'s
+        // own slot is empty (offset 0 is never buffered), so the scan
+        // starts one past it and stops at the first hole — there is
+        // always one, since the slot just vacated is empty.
         let mut bytes = payload as u64;
         let mut cells = 1;
-        self.next += 1;
-        while let Some(p) = self.pending.remove(&self.next) {
-            bytes += p as u64;
-            self.buffered -= p;
-            self.next += 1;
-            cells += 1;
+        if !self.ring.is_empty() {
+            let mask = self.ring.len() - 1;
+            let mut h = (self.head as usize + 1) & mask;
+            while self.ring[h] != 0 {
+                let p = std::mem::take(&mut self.ring[h]) - 1;
+                bytes += p as u64;
+                self.buffered -= p;
+                cells += 1;
+                h = (h + 1) & mask;
+            }
+            self.head = h as u32;
         }
+        self.next += cells;
         Delivered { bytes, cells }
+    }
+
+    /// Re-lay the ring at the smallest power of two covering offset `k`,
+    /// cell `next` at index 0.
+    #[cold]
+    fn grow(&mut self, k: usize) {
+        let len = (k + 1).next_power_of_two().max(MIN_RING);
+        let (wrapped, from_head) = self.ring.split_at(self.head as usize);
+        let mut ring = Vec::with_capacity(len);
+        ring.extend_from_slice(from_head);
+        ring.extend_from_slice(wrapped);
+        ring.resize(len, 0);
+        self.ring = ring.into_boxed_slice();
+        self.head = 0;
     }
 
     /// Bytes currently buffered out of order.
     pub fn buffered_bytes(&self) -> u32 {
         self.buffered
+    }
+
+    /// Cells released in order so far: every cell below this sequence
+    /// number has been delivered.
+    pub fn released_cells(&self) -> u32 {
+        self.next
     }
 }
 
@@ -107,6 +165,95 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+    use std::collections::btree_map::Entry;
+    use std::collections::BTreeMap;
+
+    /// The `BTreeMap` body the ring replaced, kept as the differential
+    /// reference.
+    #[derive(Default)]
+    struct MapReorder {
+        next: u32,
+        pending: BTreeMap<u32, u32>,
+        buffered: u32,
+    }
+
+    impl MapReorder {
+        fn accept(&mut self, seq: u32, payload: u32) -> Delivered {
+            if seq < self.next {
+                return NOTHING;
+            }
+            if seq != self.next {
+                if let Entry::Vacant(v) = self.pending.entry(seq) {
+                    v.insert(payload);
+                    self.buffered += payload;
+                }
+                return NOTHING;
+            }
+            let mut bytes = payload as u64;
+            let mut cells = 1;
+            self.next += 1;
+            while let Some(p) = self.pending.remove(&self.next) {
+                bytes += p as u64;
+                self.buffered -= p;
+                self.next += 1;
+                cells += 1;
+            }
+            Delivered { bytes, cells }
+        }
+    }
+
+    #[test]
+    fn flow_state_fits_in_32_bytes() {
+        // One per flow record (`FlowSt` in the simulator stays <= 88 B).
+        assert!(std::mem::size_of::<FlowReorder>() <= 32);
+    }
+
+    #[test]
+    fn in_order_flow_allocates_nothing() {
+        let mut fr = FlowReorder::default();
+        for seq in 0..1000 {
+            assert_eq!(fr.accept(seq, 540).cells, 1);
+            // Duplicates of released cells do not allocate either.
+            assert_eq!(fr.accept(seq, 540), NOTHING);
+        }
+        assert!(fr.ring.is_empty());
+        assert_eq!(fr.released_cells(), 1000);
+    }
+
+    #[test]
+    fn zero_byte_cells_are_held_and_released() {
+        let mut fr = FlowReorder::default();
+        assert_eq!(fr.accept(2, 0), NOTHING);
+        assert_eq!(fr.accept(1, 0), NOTHING);
+        assert_eq!(fr.buffered_bytes(), 0);
+        assert_eq!(fr.accept(0, 0), Delivered { bytes: 0, cells: 3 });
+        assert_eq!(fr.released_cells(), 3);
+    }
+
+    #[test]
+    fn growth_after_the_head_wrapped_keeps_every_cell() {
+        let mut fr = FlowReorder::default();
+        // One gap per step walks the head once around the first ring.
+        let base = 2 * MIN_RING as u32 + 2;
+        for seq in (0..base).step_by(2) {
+            fr.accept(seq + 1, 7);
+            assert_eq!(fr.accept(seq, 5).cells, 2);
+        }
+        assert_eq!(fr.ring.len(), MIN_RING);
+        assert_ne!(fr.head, 0);
+        // Buffer cells either side of where the old ring ends, then one
+        // far enough ahead to force two doublings.
+        for k in [1, 3, MIN_RING as u32 - 1, 4 * MIN_RING as u32 - 1] {
+            assert_eq!(fr.accept(base + k, k), NOTHING);
+        }
+        assert_eq!(fr.ring.len(), 4 * MIN_RING);
+        assert_eq!(fr.accept(base, 0), Delivered { bytes: 1, cells: 2 });
+        assert_eq!(fr.accept(base + 2, 0), Delivered { bytes: 3, cells: 2 });
+        assert_eq!(
+            fr.buffered_bytes(),
+            MIN_RING as u32 - 1 + 4 * MIN_RING as u32 - 1
+        );
+    }
 
     #[test]
     fn in_order_delivery_is_immediate() {
@@ -178,6 +325,59 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The ring releases exactly what the `BTreeMap` body did, step by
+        /// step, for arrival orders with duplicates, long in-order runs
+        /// (the head wraps) followed by offsets far enough ahead to force
+        /// growth, and payloads at both ends of the range.
+        #[test]
+        fn prop_ring_matches_the_map(
+            codes in proptest::collection::vec(0u32..400, 1..400),
+            big_seq in 0u32..64,
+            big in proptest::bool::ANY,
+        ) {
+            // Payload is a function of the sequence number, as in a flow.
+            // With `big`, one cell carries `u32::MAX - 1` and every other
+            // cell is empty, so the buffered total still fits a `u32`.
+            let payload = |seq: u32| match (big, seq == big_seq) {
+                (true, true) => u32::MAX - 1,
+                (true, false) => 0,
+                (false, _) => (seq * 37) % 7 * 250,
+            };
+            let mut ring = FlowReorder::default();
+            let mut map = MapReorder::default();
+            let mut max = 0;
+            let step = |seq: u32, ring: &mut FlowReorder, map: &mut MapReorder| {
+                let d = ring.accept(seq, payload(seq));
+                prop_assert_eq!(d, map.accept(seq, payload(seq)), "seq {}", seq);
+                prop_assert_eq!(ring.buffered_bytes(), map.buffered);
+                prop_assert_eq!(ring.released_cells(), map.next);
+                Ok(())
+            };
+            for &c in &codes {
+                let next = map.next;
+                let seq = match c {
+                    // A copy of a cell already released.
+                    0..20 => next.saturating_sub(1 + c),
+                    // The cell the flow is waiting for.
+                    20..120 => next,
+                    // A cell a little ahead (duplicates likely).
+                    120..360 => next + (c - 120) % 24,
+                    // Far ahead: the ring has to grow.
+                    _ => next + 16 * (c - 359),
+                };
+                max = max.max(seq);
+                step(seq, &mut ring, &mut map)?;
+            }
+            // Fill every hole: both drain completely.
+            for seq in 0..=max {
+                step(seq, &mut ring, &mut map)?;
+            }
+            prop_assert_eq!(ring.buffered_bytes(), 0);
+            prop_assert_eq!(map.next, max + 1);
+        }
+
         /// Any arrival order (with duplicates) delivers each byte exactly once,
         /// in order, and the buffer drains completely.
         #[test]

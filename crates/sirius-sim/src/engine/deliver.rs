@@ -299,6 +299,9 @@ pub(crate) fn deliver_range(
             None => {} // queued for relay (ideal occupancy already counted)
             Some(cell) => {
                 let f = flow(cell.flow.0 as usize);
+                // A window never outgrows its flow: the reorder ring is
+                // bounded by the flow's cell count.
+                debug_assert!(cell.seq < f.cells_total, "cell beyond its flow's last");
                 let d = f.reorder.accept(cell.seq, cell.payload);
                 out.peak_reorder_flow_bytes = out
                     .peak_reorder_flow_bytes
@@ -309,15 +312,17 @@ pub(crate) fn deliver_range(
                     out.delivered_bytes += d.bytes;
                     out.any_inorder = true;
                     f.delivered += d.bytes;
-                    if f.delivered >= f.bytes && f.completion.is_none() {
-                        f.completion = Some(ctx.now);
-                        // Every cell is in, so nothing is pending — but a
-                        // drained `BTreeMap` keeps its root leaf: reset the
-                        // state to free it, or a run that never evicts
-                        // holds one leaf per completed flow.
-                        f.reorder = FlowReorder::default();
-                        released |= COMPLETED;
-                    }
+                }
+                // Complete on position, not bytes: a zero-byte flow's one
+                // empty cell releases no bytes.
+                if f.reorder.released_cells() == f.cells_total && f.completion.is_none() {
+                    f.completion = Some(ctx.now);
+                    // Every cell is in, so nothing is pending — but the
+                    // ring keeps its slots: reset the state to free them,
+                    // or a run that never evicts holds one ring per
+                    // completed flow that ever reordered.
+                    f.reorder = FlowReorder::default();
+                    released |= COMPLETED;
                 }
                 out.delivered.push((idx as u32, released, cell));
             }

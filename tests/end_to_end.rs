@@ -5,7 +5,7 @@ use sirius::core::topology::NodeId;
 use sirius::core::units::{Duration, Rate, Time};
 use sirius::core::SiriusConfig;
 use sirius::sim::{CcMode, FaultInjector, SiriusSim, SiriusSimConfig};
-use sirius::workload::{Flow, Pareto, Pattern, WorkloadSpec};
+use sirius::workload::{trace, Flow, Pareto, Pattern, WorkloadSpec};
 
 fn net() -> SiriusConfig {
     let mut c = SiriusConfig::scaled(16, 4);
@@ -42,6 +42,31 @@ fn every_byte_is_delivered_exactly_once_in_order() {
         assert!(r.completion.unwrap() > f.arrival);
         assert_eq!(r.bytes, f.bytes);
     }
+}
+
+#[test]
+fn zero_byte_flows_complete_on_every_path() {
+    // A zero-byte flow is legal trace input and crosses the fabric as one
+    // empty cell; it completes when that cell is released in order, like
+    // any other flow's last cell. Flow 0 crosses the fabric, flow 1 stays
+    // inside its rack, flow 2 is the one-byte control.
+    let mut net = SiriusConfig::scaled(16, 4);
+    net.servers_per_node = 2;
+    net.server_rate = Rate::from_gbps(50);
+    let wl = trace::from_csv(
+        "id,src_server,dst_server,bytes,arrival_ps\n0,0,5,0,0\n1,0,1,0,0\n2,2,7,1,1000\n",
+    )
+    .unwrap();
+    let cfg = SiriusSimConfig::new(net).with_audit(true);
+    let slice = SiriusSim::new(cfg.clone()).run(&wl);
+    let streamed = SiriusSim::new(cfg).run_streaming(wl.iter().cloned());
+    for m in [&slice, &streamed] {
+        assert_eq!(m.incomplete_flows, 0);
+        assert_eq!(m.cells_delivered, 2, "one cell each for flows 0 and 2");
+        assert_eq!(m.delivered_bytes, 1);
+        assert!(m.audit.as_ref().unwrap().is_clean());
+    }
+    assert!(slice.flows.iter().all(|f| f.completion.is_some()));
 }
 
 #[test]
