@@ -5,8 +5,8 @@
 //!   produce byte-identical CSVs and identical per-run digests whether
 //!   it runs on 1 worker or 4.
 //! * **Within a run** (the phased slot driver): one simulation split
-//!   across shards — the TX phase *and* the receiver-partitioned
-//!   deliver phase with its ordered digest merge — must retire the
+//!   across shards — the TX phase *and* the receiver-range deliver
+//!   phase with its due-order arrival merge — must retire the
 //!   exact one-shard delivered-cell sequence: byte-identical digest,
 //!   equal `RunMetrics` counters, and equal FCT percentiles for shards ∈
 //!   {1, 2, 4} × {Protocol, Ideal} × {fault-free, classic faults,
@@ -392,9 +392,9 @@ fn streaming_digest_matches_materialized_workload() {
     }
 }
 
-/// The deliver-sharded streaming arm: receiver-partitioned arrival
-/// processing under streaming admission — where completed-flow eviction
-/// and the FCT histogram fold ride the ordered digest epilogue — must
+/// The deliver-sharded streaming arm: receiver-range relay under
+/// streaming admission — where completed-flow eviction and the FCT
+/// histogram fold ride the due-order arrival merge — must
 /// match the serial streaming run exactly, including the histogram
 /// percentiles the scale series reports as `fct_p50_us`/`fct_p99_us`;
 /// fault-free at a scale-series geometry, and under both fault scripts

@@ -11,7 +11,7 @@
 //! | Module | Owns | Per-slot work |
 //! |--------|------|---------------|
 //! | [`pool`] | generation barrier, spin/park waits, panic containment, disjoint-range hand-out | two broadcasts |
-//! | [`deliver`] | propagation ring, digest, reorder peak (reorder state lives in each flow's slab record) | arrival processing by receiver range, ordered digest merge (with its probes) |
+//! | [`deliver`] | propagation ring, digest, reorder peak (reorder state lives in each flow's slab record) | relay by receiver range; every other arrival effect merged in due order (with its probes) |
 //! | [`tx`] | CC-mode dispatch, ideal shadow occupancy | per-(node, uplink) transmit by sender range, shard-order merge (with its probes) |
 //! | [`fault`] | fault script, crash ground truth, active windows, report; stages repairs into the schedule overlay (the one routing view) | mistune pre-pass; per epoch, the fault boundary |
 //! | [`detect`] | silence detectors (§4.5) | keepalive credit (applied at the TX merge) |
@@ -19,16 +19,17 @@
 //! | [`tables`] | precomputed schedule destinations; proves RX-port exclusivity once | lookups |
 //!
 //! Sharded runs are byte-identical to one-shard runs because both phases
-//! are partitioned along the axis their effects are local to (receivers
-//! for deliver, senders for TX), the inputs they share are frozen for
-//! the phase (shared borrows — the compiler checks it), and the
-//! cross-shard effects are buffered per shard and merged in an order
-//! that reproduces the serial sequence; see [`deliver`] and [`tx`]. The
-//! barrier fires per *slot*, not per epoch: a cell launched at slot `s`
-//! is delivered at `s + prop_slots`, inside the same epoch whenever
-//! propagation is shorter than an epoch (it always is at paper scale),
-//! so one slot's TX feeds a later slot's deliver phase in the same
-//! epoch. DESIGN.md decision #10 records the measured per-slot cost.
+//! write only node state, partitioned along the axis it is local to
+//! (receivers for deliver, senders for TX); what they share is frozen for
+//! the phase (shared borrows, flow records included — the compiler
+//! checks it); and every other effect is buffered per shard and merged in
+//! the serial sequence, TX outputs in shard order and arrivals by due
+//! index; see [`deliver`] and [`tx`]. The barrier fires per *slot*, not
+//! per epoch: a cell launched at slot `s` is delivered at
+//! `s + prop_slots`, inside the same epoch whenever propagation is
+//! shorter than an epoch (it always is at paper scale), so one slot's TX
+//! feeds a later slot's deliver phase in the same epoch. DESIGN.md
+//! decision #10 records the measured per-slot cost.
 //!
 //! Two structural decisions buy the engine its throughput without
 //! touching behavior (the golden digests pin this):
@@ -84,7 +85,7 @@ pub(crate) use tables::DestTable;
 pub(crate) use tx::TxPlane;
 
 use crate::sirius_net::{CcMode, SiriusSim, StreamSource};
-use deliver::{deliver_range, DeliverCtx, DeliverOut};
+use deliver::{deliver_range, Arrival, DeliverCtx};
 use pool::Disjoint;
 use sirius_core::schedule::SlotInEpoch;
 use sirius_core::units::Time;
@@ -95,8 +96,8 @@ use tx::{tx_range, ShardOut, TxCtx};
 /// [`crate::SiriusSimConfig::plane_timing`] is on (surfaced as the
 /// `*_secs` fields of [`crate::RunMetrics`]). `deliver` and `tx` cover
 /// the two broadcast phases including their barrier waits, `merge` the
-/// serial epilogues (ordered digest fold, eviction replay, cross-shard
-/// effect application, TX-output merge). The other four split the serial
+/// serial epilogues (every arrival effect beyond node state, applied in
+/// due order, and the TX-output merge). The other four split the serial
 /// epoch boundary, from clock reads taken at the boundary only: the
 /// fault pipeline, flow admission, server injection, and the
 /// request/grant round.
@@ -174,7 +175,7 @@ impl SiriusSim {
         // other range (`[s, s + 1)` of these arrays) and reused per slot.
         let unit: Vec<usize> = (0..=shards).collect();
         let mut touts: Vec<ShardOut> = (0..shards).map(|_| ShardOut::default()).collect();
-        let mut douts: Vec<DeliverOut> = (0..shards).map(|_| DeliverOut::default()).collect();
+        let mut douts: Vec<Vec<(u32, Arrival)>> = vec![Vec::new(); shards];
         let mut cursors = vec![0usize; shards];
 
         let mut abs_slot: u64 = 0;
@@ -223,11 +224,10 @@ impl SiriusSim {
                             mode,
                             faults: has_faults.then_some(&self.faults),
                             has_link_faults,
-                            flows: self.flows.element_view(),
+                            flows: &self.flows,
                             sched: &self.sched,
                             spn,
                             launch_t,
-                            now,
                         };
                         let nodes = Disjoint::new(&mut self.nodes, &cuts);
                         let outs = Disjoint::new(&mut douts, &unit);

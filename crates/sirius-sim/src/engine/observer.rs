@@ -13,11 +13,9 @@
 //! at the epoch boundary and in the serial merges that follow each
 //! parallel phase, never inside a range function. The phases record what
 //! a probe needs in their per-shard outputs, and the merges replay it:
-//! TX-side probes in the serial (node, uplink) order, deliveries and
-//! evictions in due order. Blackholes and dropped counterfeits follow
-//! shard order; each is a counter plus a window check on (node, epoch),
-//! so across shard counts only the order of their violation messages can
-//! differ, never the set.
+//! TX-side probes in the serial (node, uplink) order, every arrival
+//! probe (deliveries, evictions, blackholes, dropped counterfeits) in due
+//! order — the same sequence at any shard count.
 
 use crate::audit::LossCause;
 use sirius_core::cell::{Cell, FlowId};

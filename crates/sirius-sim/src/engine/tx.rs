@@ -95,13 +95,19 @@ impl TxPlane {
         }
     }
 
-    /// A relay cell bounced back to LOCAL at intermediate `at` (column
-    /// omission severed its second hop) frees its occupancy reservation.
+    /// A cell for `dst` at intermediate `at` will never depart it as a
+    /// relay (rerouted, or blackholed at a crashed `at`): free its
+    /// occupancy reservation. A no-op outside ideal mode.
     #[inline]
-    pub fn release_rerouted(&mut self, at: NodeId, dst: NodeId) {
+    pub fn release(&mut self, at: NodeId, dst: NodeId) {
         if self.mode == CcMode::Ideal {
             self.ideal_occ[at.0 as usize * self.n + dst.0 as usize] -= 1;
         }
+    }
+
+    /// Outstanding ideal-mode reservations (zero in the other modes).
+    pub fn ideal_occupancy(&self) -> u64 {
+        self.ideal_occ.iter().map(|&o| o as u64).sum()
     }
 }
 

@@ -29,9 +29,8 @@
 //! assert_eq!(metrics.incomplete_flows, 0);
 //! ```
 
-// Compiler-enforced budget: the only `allow`s are on `engine::pool` (the
-// broadcast's closure-lifetime erasure) and the `FlowSlots` element view
-// in `engine::deliver`.
+// Compiler-enforced budget: the only `allow` is on `engine::pool` (the
+// broadcast's closure-lifetime erasure).
 #![deny(unsafe_code)]
 
 pub mod audit;

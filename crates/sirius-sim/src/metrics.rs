@@ -315,14 +315,14 @@ pub struct RunMetrics {
     ///
     /// [`wall_secs`]: RunMetrics::wall_secs
     pub tx_secs: f64,
-    /// Wall-clock seconds in arrival processing (the deliver plane — the
-    /// parallel region on sharded runs). See [`tx_secs`].
+    /// Wall-clock seconds in the deliver phase: relay into the receivers'
+    /// node state (parallel on sharded runs). See [`tx_secs`].
     ///
     /// [`tx_secs`]: RunMetrics::tx_secs
     pub deliver_secs: f64,
-    /// Wall-clock seconds in the serial merge epilogue: the ordered
-    /// digest fold, streaming eviction replay, cross-shard effect
-    /// application and TX-output merge. See [`tx_secs`].
+    /// Wall-clock seconds in the serial merges: every other arrival effect
+    /// in due order (reorder, digest, eviction, fault counters) and the
+    /// TX-output merge. See [`tx_secs`].
     ///
     /// [`tx_secs`]: RunMetrics::tx_secs
     pub merge_secs: f64,
