@@ -37,11 +37,12 @@ pub struct ThroughputPoint {
     pub epochs: u64,
     pub wall_secs: f64,
     /// Per-plane wall breakdown (`RunMetrics::{tx,deliver,merge}_secs`,
-    /// recorded with `plane_timing` on): TX phase, arrival processing
-    /// (the parallel region on sharded runs), and the serial merge
-    /// epilogue. On the sharded leg `deliver_secs` is the partitioned
-    /// phase — no longer folded into a serial merge — so the serial
-    /// fraction is measurable before/after.
+    /// recorded with `plane_timing` on) of the one parallel phase per
+    /// slot and its serial epilogue. `deliver_secs` is the slowest
+    /// shard's receive half per slot, `tx_secs` the rest of the phase's
+    /// wall time (the send halves plus, on the sharded leg, the barrier
+    /// wait), `merge_secs` the serial merges. At one shard the first two
+    /// are exactly the receive and send calls.
     pub tx_secs: f64,
     pub deliver_secs: f64,
     pub merge_secs: f64,

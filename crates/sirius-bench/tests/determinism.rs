@@ -5,8 +5,9 @@
 //!   produce byte-identical CSVs and identical per-run digests whether
 //!   it runs on 1 worker or 4.
 //! * **Within a run** (the phased slot driver): one simulation split
-//!   across shards — the TX phase *and* the receiver-range deliver
-//!   phase with its due-order arrival merge — must retire the
+//!   across shards — one phase per slot in which each shard receives
+//!   and then transmits on its own node range, then the due-order
+//!   arrival merge and the shard-order TX merge — must retire the
 //!   exact one-shard delivered-cell sequence: byte-identical digest,
 //!   equal `RunMetrics` counters, and equal FCT percentiles for shards ∈
 //!   {1, 2, 4} × {Protocol, Ideal} × {fault-free, classic faults,

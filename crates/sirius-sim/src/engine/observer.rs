@@ -11,11 +11,12 @@
 //!
 //! **Observation order contract:** probes fire only on the main thread —
 //! at the epoch boundary and in the serial merges that follow each
-//! parallel phase, never inside a range function. The phases record what
-//! a probe needs in their per-shard outputs, and the merges replay it:
-//! TX-side probes in the serial (node, uplink) order, every arrival
-//! probe (deliveries, evictions, blackholes, dropped counterfeits) in due
-//! order — the same sequence at any shard count.
+//! slot's parallel phase, never inside a range function. The phase
+//! records what a probe needs in its per-shard outputs, and the merges
+//! replay it: every arrival probe (deliveries, evictions, blackholes,
+//! dropped counterfeits) in due order first, then the TX-side probes in
+//! the serial (node, uplink) order — the same sequence at any shard
+//! count.
 
 use crate::audit::LossCause;
 use sirius_core::cell::{Cell, FlowId};

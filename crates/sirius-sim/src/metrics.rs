@@ -306,17 +306,22 @@ pub struct RunMetrics {
     pub cells_delivered: u64,
     /// Schedule epochs the run simulated (slot count / slots per epoch).
     pub epochs_simulated: u64,
-    /// Wall-clock seconds in the transmit phase of the slot loop
-    /// (including barrier waits on sharded runs). Per-plane breakdown is
-    /// recorded only when
-    /// [`crate::SiriusSimConfig::plane_timing`] is on; 0.0 otherwise.
-    /// The three planes do not sum to [`wall_secs`]: epoch boundaries
-    /// (admission, CC rounds) and loop bookkeeping are untimed.
+    /// Wall-clock seconds in the send half of the slot loop's parallel
+    /// phase: the phase's wall time minus [`deliver_secs`], so it
+    /// includes the barrier wait on sharded runs (at one shard it is
+    /// exactly the transmit calls). Per-plane breakdown is recorded only
+    /// when [`crate::SiriusSimConfig::plane_timing`] is on; 0.0
+    /// otherwise. The three planes do not sum to [`wall_secs`]: epoch
+    /// boundaries (admission, CC rounds) and loop bookkeeping are
+    /// untimed.
     ///
+    /// [`deliver_secs`]: RunMetrics::deliver_secs
     /// [`wall_secs`]: RunMetrics::wall_secs
     pub tx_secs: f64,
-    /// Wall-clock seconds in the deliver phase: relay into the receivers'
-    /// node state (parallel on sharded runs). See [`tx_secs`].
+    /// Wall-clock seconds in the receive half of the parallel phase:
+    /// relay into the receivers' node state. Each shard clocks its own
+    /// receive half, and each slot adds the slowest shard's. See
+    /// [`tx_secs`].
     ///
     /// [`tx_secs`]: RunMetrics::tx_secs
     pub deliver_secs: f64,

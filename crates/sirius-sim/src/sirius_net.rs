@@ -75,8 +75,6 @@ pub struct SiriusSimConfig {
     /// Give up this long after the last flow arrival (overload runs never
     /// drain; the paper measures goodput over the simulated span).
     pub drain_timeout: Duration,
-    /// Hard cap on simulated slots (safety net).
-    pub max_slots: u64,
     /// Run the per-epoch invariant audit (see [`crate::audit`]). Defaults
     /// to on in debug builds (where every test exercises it) and off in
     /// release, keeping the paper-scale sweeps at full throughput.
@@ -106,7 +104,6 @@ impl SiriusSimConfig {
             mode: CcMode::Protocol,
             seed: 1,
             drain_timeout: Duration::from_ms(2),
-            max_slots: 200_000_000,
             audit: cfg!(debug_assertions),
             fault: FaultConfig::default(),
             relay_burst: sirius_core::node::RELAY_BURST,
@@ -125,10 +122,6 @@ impl SiriusSimConfig {
     }
     pub fn with_audit(mut self, audit: bool) -> SiriusSimConfig {
         self.audit = audit;
-        self
-    }
-    pub fn with_silence_threshold(mut self, epochs: u64) -> SiriusSimConfig {
-        self.fault.silence_threshold = epochs;
         self
     }
     /// Fraction of a node's TX columns that must be suspect before the
