@@ -242,8 +242,9 @@ stage_bench_smoke() {
 
   echo "==> sharded-equals-serial (sim_throughput digests, --shards 1 vs --shards 2)"
   # The slot-engine sharding contract — one phase per slot partitioned by
-  # node range, arrivals merged in due order — checked on the real artifacts: a quick-scale run with --shards 2 must report the
-  # same per-mode run digests as --shards 1. (The experiment also asserts
+  # node range, arrivals merged in due order — checked on the real
+  # artifacts: a quick-scale run with --shards 2 must report the same
+  # per-mode run digests as --shards 1. (The experiment also asserts
   # this in-process when --shards > 1; the cross-invocation compare below
   # additionally pins that the serial engine itself didn't drift between
   # the two runs.)

@@ -22,7 +22,21 @@
 //! 3. **Periodic**: every pair reconnects every epoch, which underpins
 //!    piggybacked congestion control (§4.3), rotating-leader time sync
 //!    (§4.4) and phase caching (§4.5).
+//!
+//! The schedule is stored in the form it defines: a rotation. An AWGR
+//! routes wavelength `t` from port `p` to port `(p + t) mod G`, so
+//! `dest(i, u, t)` is a fixed column base `dst_group * G` plus the node's
+//! rotation `(i + t) mod G` — one base per (node, uplink), O(N · uplinks)
+//! in total and cache-resident up to 4096 nodes. A node's columns reach
+//! every group, so its scheduled peers at slot `t` are exactly the nodes
+//! `≡ (i + t) mod G`: one comb mask per rotation
+//! ([`scheduled_peers`](Schedule::scheduled_peers)), which ANDed against a
+//! node's fabric-occupancy mask answers "can this node send anything this
+//! slot?" in a couple of word ops. Construction proves **receive-port
+//! exclusivity** (property 1) or panics, so every run that builds a
+//! schedule has it checked.
 
+use crate::bits;
 use crate::config::SiriusConfig;
 use crate::topology::{NodeId, Topology, UplinkId};
 use crate::units::Duration;
@@ -52,7 +66,29 @@ pub struct Schedule {
     shifts: Vec<u32>,
     /// `columns_for_shift[d]` = uplink columns whose group shift is `d`.
     columns_for_shift: Vec<Vec<UplinkId>>,
+    /// `[node * uplinks + uplink] -> dst_group * g`: the rotation-
+    /// independent part of the destination.
+    col_base: Vec<u32>,
+    /// Bitmask words per comb.
+    words: usize,
+    /// `[rotation][word]`: bit `j` set iff `j mod g == rotation` — the
+    /// scheduled peers of any node whose rotation that is.
+    comb: Vec<u64>,
     slot_len: Duration,
+}
+
+/// One node's destinations at one slot; [`at`](Self::at) resolves an
+/// uplink column.
+pub struct ScheduleRow<'a> {
+    col: &'a [u32],
+    rot: u32,
+}
+
+impl ScheduleRow<'_> {
+    #[inline]
+    pub fn at(&self, u: usize) -> NodeId {
+        NodeId(self.col[u] + self.rot)
+    }
 }
 
 impl Schedule {
@@ -62,16 +98,40 @@ impl Schedule {
     }
 
     pub fn from_topology(topo: &Topology, slot_len: Duration) -> Schedule {
-        let mut columns_for_shift = vec![Vec::new(); topo.groups()];
+        let (nodes, g, groups) = (topo.nodes(), topo.grating_ports(), topo.groups());
+        let mut columns_for_shift = vec![Vec::new(); groups];
         for (u, &s) in topo.shifts().iter().enumerate() {
             columns_for_shift[s as usize].push(UplinkId(u as u16));
         }
+        // The combs name *every* node of a rotation as a peer, which
+        // holds iff the columns reach every group.
+        assert!(
+            columns_for_shift.iter().all(|c| !c.is_empty()),
+            "uplink columns skip a group offset; scheduled-peer masks invalid"
+        );
+        let (g32, groups32) = (g as u32, groups as u32);
+        let col_base: Vec<u32> = (0..nodes as u32)
+            .flat_map(|i| {
+                topo.shifts()
+                    .iter()
+                    .map(move |&s| (i / g32 + s) % groups32 * g32)
+            })
+            .collect();
+        assert_rx_exclusive(&col_base, g32, topo.uplinks());
+        let words = bits::words(nodes);
+        let mut comb = vec![0u64; g * words];
+        for j in 0..nodes {
+            bits::set(&mut comb[j % g * words..][..words], j);
+        }
         Schedule {
-            nodes: topo.nodes(),
-            g: topo.grating_ports(),
-            groups: topo.groups(),
+            nodes,
+            g,
+            groups,
             shifts: topo.shifts().to_vec(),
             columns_for_shift,
+            col_base,
+            words,
+            comb,
             slot_len,
         }
     }
@@ -111,14 +171,34 @@ impl Schedule {
         abs_slot / self.g as u64
     }
 
+    /// Node `i`'s rotation at epoch slot `t`: `(port(i) + t) mod G`.
+    #[inline]
+    fn rot(&self, i: NodeId, t: SlotInEpoch) -> u32 {
+        (i.0 + t.0 as u32) % self.g as u32
+    }
+
     /// Destination of uplink `u` of node `i` at epoch slot `t`.
+    #[inline]
     pub fn dest(&self, i: NodeId, u: UplinkId, t: SlotInEpoch) -> NodeId {
-        let g = self.g as u32;
-        let group = i.0 / g;
-        let port = i.0 % g;
-        let shift = self.shifts[u.0 as usize];
-        let dst_group = (group + shift) % self.groups as u32;
-        NodeId(dst_group * g + (port + t.0 as u32) % g)
+        self.row(i, t).at(u.0 as usize)
+    }
+
+    /// All of node `i`'s destinations at epoch slot `t`.
+    #[inline]
+    pub fn row(&self, i: NodeId, t: SlotInEpoch) -> ScheduleRow<'_> {
+        let uplinks = self.uplinks();
+        let first = i.0 as usize * uplinks;
+        ScheduleRow {
+            col: &self.col_base[first..first + uplinks],
+            rot: self.rot(i, t),
+        }
+    }
+
+    /// Bitmask ([`bits`] layout) of the peers node `i`'s uplinks connect
+    /// to at epoch slot `t`.
+    #[inline]
+    pub fn scheduled_peers(&self, i: NodeId, t: SlotInEpoch) -> &[u64] {
+        &self.comb[self.rot(i, t) as usize * self.words..][..self.words]
     }
 
     /// Which node is transmitting into RX column `u` of node `j` at slot `t`
@@ -140,10 +220,8 @@ impl Schedule {
     /// can add a second for some group offsets.
     pub fn connections(&self, i: NodeId, j: NodeId) -> Vec<Connection> {
         let g = self.g as u32;
-        let groups = self.groups as u32;
-        let d = ((j.0 / g) + groups - (i.0 / g)) % groups;
         let t = SlotInEpoch((((j.0 % g) + g - (i.0 % g)) % g) as u16);
-        self.columns_for_shift[d as usize]
+        self.columns_for_shift[self.group_offset(i, j) as usize]
             .iter()
             .map(|&u| Connection { uplink: u, slot: t })
             .collect()
@@ -166,10 +244,24 @@ impl Schedule {
     /// Connections from `i` to `j` per epoch (1 for base-only offsets, 2
     /// where an extra column duplicates coverage).
     pub fn connections_per_epoch(&self, i: NodeId, j: NodeId) -> usize {
-        let g = self.g as u32;
-        let groups = self.groups as u32;
-        let d = ((j.0 / g) + groups - (i.0 / g)) % groups;
-        self.columns_for_shift[d as usize].len()
+        self.columns_for_shift[self.group_offset(i, j) as usize].len()
+    }
+}
+
+/// Panic unless every slot is a permutation on every uplink, in one
+/// O(N · uplinks) pass: a column base is a multiple of `g` and a port
+/// `i mod g` is below `g`, so two senders collide at some slot iff they
+/// share (column base, port) — iff their slot-0 destinations coincide.
+fn assert_rx_exclusive(col_base: &[u32], g: u32, uplinks: usize) {
+    let mut driven = vec![false; col_base.len()];
+    for (k, &base) in col_base.iter().enumerate() {
+        let (i, u) = (k / uplinks, k % uplinks);
+        let rx = (base + i as u32 % g) as usize;
+        assert!(
+            !std::mem::replace(&mut driven[rx * uplinks + u], true),
+            "rx exclusivity: two senders drive node {rx} uplink {u} in the same slot; \
+             the schedule is not a permutation"
+        );
     }
 }
 
@@ -180,6 +272,70 @@ mod tests {
 
     fn sched(cfg: &SiriusConfig) -> Schedule {
         Schedule::new(cfg)
+    }
+
+    /// The §4.2 formula of the module doc, evaluated directly: the
+    /// reference the stored rotation form must agree with.
+    fn paper_dest(s: &Schedule, i: NodeId, u: UplinkId, t: SlotInEpoch) -> NodeId {
+        let g = s.g as u32;
+        let (group, port) = (i.0 / g, i.0 % g);
+        let dst_group = (group + s.shifts[u.0 as usize]) % s.groups as u32;
+        NodeId(dst_group * g + (port + t.0 as u32) % g)
+    }
+
+    /// Every lookup path agrees with [`paper_dest`] at every (slot, node,
+    /// uplink), and a scheduled-peer mask holds exactly the scheduled
+    /// destinations.
+    #[test]
+    fn rotation_form_matches_paper_formula_exhaustively() {
+        for cfg in [
+            SiriusConfig::scaled(16, 4),
+            SiriusConfig::scaled(64, 8),
+            SiriusConfig::paper_sim(),
+        ] {
+            let s = sched(&cfg);
+            for t in (0..s.epoch_slots() as u16).map(SlotInEpoch) {
+                for i in (0..s.nodes() as u32).map(NodeId) {
+                    let row = s.row(i, t);
+                    let pm = s.scheduled_peers(i, t);
+                    let mut scheduled = std::collections::HashSet::new();
+                    for u in 0..s.uplinks() as u16 {
+                        let want = paper_dest(&s, i, UplinkId(u), t);
+                        assert_eq!(s.dest(i, UplinkId(u), t), want);
+                        assert_eq!(row.at(u as usize), want);
+                        assert!(bits::get(pm, want.0 as usize));
+                        scheduled.insert(want);
+                    }
+                    let popcount: u32 = pm.iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(popcount as usize, scheduled.len(), "(t={t:?}, i={i})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thousand_node_schedule_spot_checks_against_paper_formula() {
+        let s = sched(&SiriusConfig::scaled(1024, 32));
+        for t in [0u16, 1, 31].map(SlotInEpoch) {
+            for i in [0u32, 511, 1023].map(NodeId) {
+                for u in (0..s.uplinks() as u16).map(UplinkId) {
+                    assert_eq!(s.dest(i, u, t), paper_dest(&s, i, u, t));
+                }
+            }
+        }
+    }
+
+    /// 8 nodes in two groups of 4, one uplink: each group sends to the
+    /// other. Moving node 5's column to group 1 makes it share (column
+    /// base, port) with node 1, so both drive node 5's RX port at slot 0
+    /// (and one common port at every slot after).
+    #[test]
+    #[should_panic(expected = "rx exclusivity: two senders drive node 5 uplink 0")]
+    fn a_non_permutation_schedule_is_refused() {
+        let mut col_base = [4u32, 4, 4, 4, 0, 0, 0, 0];
+        assert_rx_exclusive(&col_base, 4, 1);
+        col_base[5] = 4;
+        assert_rx_exclusive(&col_base, 4, 1);
     }
 
     #[test]
@@ -288,7 +444,8 @@ mod tests {
     }
 
     proptest! {
-        /// Contention-freedom and invertibility over random geometries.
+        /// Contention-freedom, invertibility and agreement with the
+        /// §4.2 formula over random geometries, extra columns included.
         #[test]
         fn schedule_is_permutation_for_any_geometry(
             groups in 1usize..6,
@@ -307,6 +464,7 @@ mod tests {
                     let mut seen = vec![false; nodes];
                     for i in 0..nodes as u32 {
                         let d = s.dest(NodeId(i), UplinkId(u), SlotInEpoch(t));
+                        prop_assert_eq!(d, paper_dest(&s, NodeId(i), UplinkId(u), SlotInEpoch(t)));
                         prop_assert!(!seen[d.0 as usize]);
                         seen[d.0 as usize] = true;
                         prop_assert_eq!(s.source(d, UplinkId(u), SlotInEpoch(t)), NodeId(i));

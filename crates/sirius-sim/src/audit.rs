@@ -20,8 +20,8 @@
 //!
 //! Receive-port exclusivity (no RX port driven by two senders in one
 //! slot, §4.2) is not re-checked here: it is a property of the static
-//! schedule, proved once for every run when the engine's schedule table
-//! is built (`engine::tables`).
+//! schedule, proved once for every run when the schedule is built
+//! (`sirius_core::schedule::Schedule::from_topology`).
 //!
 //! The audit is **failure-aware**: the simulator declares every scripted
 //! fault window up front ([`Audit::declare_window`]), and the checks then

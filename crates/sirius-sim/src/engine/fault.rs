@@ -16,7 +16,6 @@
 
 use crate::audit::LossCause;
 use crate::engine::observer::SlotObserver;
-use crate::engine::tables::DestTable;
 use crate::faults::{ActiveFaults, FaultEvent, FaultInjector};
 use crate::metrics::{ByzantineRecord, CorrelatedDomainRecord, FailureRecord, FaultReport};
 use crate::sirius_net::SiriusSim;
@@ -24,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use sirius_core::cell::{Cell, FlowId};
 use sirius_core::repair::AdjustedSchedule;
-use sirius_core::schedule::SlotInEpoch;
+use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, ServerId, UplinkId};
 
 /// Fabricate one counterfeit cell from a Byzantine node `ni` whose slot
@@ -119,8 +118,8 @@ impl FaultPlane {
     /// grating to the destination scheduled `offset` slots later, so the
     /// stray signal corrupts whatever legitimately arrives on that RX
     /// port this slot.
-    pub fn mistune_prepass(&mut self, t: SlotInEpoch, tables: &DestTable) {
-        let epoch_slots = tables.epoch_slots();
+    pub fn mistune_prepass(&mut self, t: SlotInEpoch, sched: &Schedule) {
+        let epoch_slots = sched.epoch_slots();
         let uplinks = self.uplinks;
         for k in 0..self.active.mistuned_nodes.len() {
             let m = self.active.mistuned_nodes[k];
@@ -130,7 +129,7 @@ impl FaultPlane {
             let off = self.active.mistune_of(m).unwrap() as u64;
             let shifted = SlotInEpoch(((t.0 as u64 + off) % epoch_slots) as u16);
             for u in 0..uplinks as u16 {
-                let wrong = tables.dest(shifted, m, u);
+                let wrong = sched.dest(m, UplinkId(u), shifted);
                 let idx = wrong.0 as usize * uplinks + u as usize;
                 if self.corrupt[idx].is_none() {
                     self.corrupt[idx] = Some(m);

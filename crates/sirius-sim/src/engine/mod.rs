@@ -16,7 +16,6 @@
 //! | [`fault`] | fault script, crash ground truth, active windows, report; stages repairs into the schedule overlay (the one routing view) | mistune pre-pass; per epoch, the fault boundary |
 //! | [`detect`] | silence detectors (§4.5) | keepalive credit (applied at the TX merge) |
 //! | [`observer`] | the audit's probe points, fired on the main thread only | nothing unless the audit is on |
-//! | [`tables`] | precomputed schedule destinations; proves RX-port exclusivity once | lookups |
 //!
 //! Sharded runs are byte-identical to one-shard runs because the phase
 //! writes only node state, and a shard owns its nodes for the whole
@@ -60,13 +59,12 @@
 //!   probes each); that count is now a popcount over cached
 //!   reachability rows (`Vlb::pick_masked`, DESIGN.md decision #14).
 //!
-//! Per-slot invariants are hoisted: destinations come from a
-//! precomputed [`DestTable`] row instead of div/mod chains, and the
-//! epoch-slot cursor and both ring indices advance incrementally. The
-//! table has one form at every scale — a column base per uplink plus a
-//! per-node rotation — because the §4.2 schedule *is* a rotation;
-//! construction proves that against `Schedule::dest`, and proves every
-//! slot a permutation (no RX port driven twice), or panics.
+//! Per-slot invariants are hoisted: destinations and scheduled-peer
+//! masks are rows of the base [`Schedule`](sirius_core::schedule::Schedule),
+//! which stores the §4.2 rotation itself (a column base per uplink plus
+//! a per-node rotation) and proves every slot a permutation (no RX port
+//! driven twice) when it is built; the epoch-slot cursor and both ring
+//! indices advance incrementally.
 
 pub(crate) mod deliver;
 pub(crate) mod detect;
@@ -74,14 +72,12 @@ pub(crate) mod fault;
 pub(crate) mod observer;
 #[allow(unsafe_code)]
 pub(crate) mod pool;
-pub(crate) mod tables;
 pub(crate) mod tx;
 
 pub(crate) use deliver::DeliverPlane;
 pub(crate) use detect::DetectPlane;
 pub(crate) use fault::FaultPlane;
 pub(crate) use observer::{NullObserver, SlotObserver};
-pub(crate) use tables::DestTable;
 pub(crate) use tx::TxPlane;
 
 use crate::audit::LossCause;
@@ -123,7 +119,6 @@ pub(crate) struct PlaneTimes {
 /// Frozen slot inputs of the phase, shared by every shard.
 pub(crate) struct SlotCtx<'a> {
     pub mode: CcMode,
-    pub tables: &'a DestTable,
     pub sched: &'a AdjustedSchedule,
     /// The fault plane when a script is armed; `None` is the fault-free
     /// run, in which every keepalive arrives.
@@ -268,13 +263,12 @@ impl SiriusSim {
                 if has_faults && self.faults.active.any_mistune() {
                     // Serial pre-pass: writes the corruption scratch the
                     // send half then only reads.
-                    self.faults.mistune_prepass(slot, &self.tables);
+                    self.faults.mistune_prepass(slot, self.sched.base());
                 }
                 let m = mark(timing);
                 {
                     let ctx = SlotCtx {
                         mode,
-                        tables: &self.tables,
                         sched: &self.sched,
                         faults: has_faults.then_some(&self.faults),
                         has_link_faults,

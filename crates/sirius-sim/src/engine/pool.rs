@@ -1,7 +1,7 @@
 //! A phased worker pool: `shards - 1` persistent scoped threads plus the
 //! caller, released together once per [`Pool::broadcast`] and joined at
 //! a generation barrier before it returns. Nothing here knows what a
-//! simulator is — the slot engine's two per-slot phases are closures.
+//! simulator is — the slot engine's one per-slot phase is a closure.
 //!
 //! * **Barrier.** `go` counts broadcasts released, `done` counts worker
 //!   completions. The caller publishes the job, then `go.store(g,

@@ -3,7 +3,7 @@
 //!
 //! The per-(node, uplink) work is node-local — `transmit` touches only
 //! the sending node's queues, arena and CC counters — and everything it
-//! reads besides ([`DestTable`], the repair overlays, the fault plane's
+//! reads besides (the schedule and its repair overlays, the fault plane's
 //! crashed set and per-epoch snapshot) is frozen for the slot, which the
 //! shared borrows in [`SlotCtx`] make the compiler check. The same shard
 //! ran the receive half on the same nodes just before, so a node sends
@@ -28,14 +28,13 @@
 use crate::audit::LossCause;
 use crate::engine::fault::forge_cell;
 use crate::engine::observer::SlotObserver;
-use crate::engine::tables::DestTable;
 use crate::engine::{ShardOut, SlotCtx};
 use crate::sirius_net::{CcMode, SiriusSim};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use sirius_core::cell::Cell;
 use sirius_core::node::{SiriusNode, SlotTx};
-use sirius_core::schedule::SlotInEpoch;
+use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, UplinkId};
 
 /// The run's CC mode and, in ideal mode, the back-pressure shadow
@@ -135,7 +134,7 @@ fn transmit(
 /// Whether `node` (global index `i`) cannot transmit on any uplink this
 /// slot. Skipping it is behavior-free: every skipped `transmit` would
 /// have returned `Idle` without touching state, so the decision sequence
-/// — and the digest — does not depend on the table representation.
+/// — and the digest — does not depend on the schedule representation.
 ///
 /// The protocol only ever sends fabric (relay + VOQ) cells, so the
 /// node's per-peer occupancy bitmask ANDed with the slot's
@@ -143,16 +142,10 @@ fn transmit(
 /// also launch straight from LOCAL, so only an entirely empty node is
 /// idle.
 #[inline]
-fn node_idle(
-    mode: CcMode,
-    tables: &DestTable,
-    t: SlotInEpoch,
-    i: usize,
-    node: &SiriusNode,
-) -> bool {
+fn node_idle(mode: CcMode, sched: &Schedule, t: SlotInEpoch, i: NodeId, node: &SiriusNode) -> bool {
     match mode {
         CcMode::Protocol => {
-            let (fm, pm) = (node.fabric_mask(), tables.peer_mask(t, i));
+            let (fm, pm) = (node.fabric_mask(), sched.scheduled_peers(i, t));
             fm.iter().zip(pm).fold(0, |any, (f, p)| any | (f & p)) == 0
         }
         CcMode::Greedy | CcMode::Ideal => node.resident_cells() == 0,
@@ -166,7 +159,7 @@ fn node_idle(
 /// driver hands over in ideal mode only (where it runs one shard); ideal
 /// mode cannot transmit without it.
 ///
-/// With nothing armed, each (node, uplink) opportunity is table lookup +
+/// With nothing armed, each (node, uplink) opportunity is schedule lookup +
 /// transmit + ring push, and idle nodes are skipped outright. An armed
 /// script adds, per scheduled slot, the crash and mistune checks, the
 /// grey-erasure draw, the corruption lookup, the detector credit, the
@@ -181,20 +174,20 @@ pub(crate) fn tx_range(
     out: &mut ShardOut,
 ) {
     debug_assert!(ctx.faults.is_none() || nodes.len() == rngs.len());
-    let uplinks = ctx.tables.uplinks();
-    let view = ctx.tables.slot_view(ctx.t);
+    let base = ctx.sched.base();
+    let uplinks = base.uplinks();
     let any_grey = ctx.faults.is_some_and(|f| f.active.any_grey());
     for (li, node) in nodes.iter_mut().enumerate() {
         let i = first + li;
         let ni = NodeId(i as u32);
         let mistuned = match ctx.faults {
-            None if node_idle(ctx.mode, ctx.tables, ctx.t, i, node) => continue,
+            None if node_idle(ctx.mode, base, ctx.t, ni, node) => continue,
             None => false,
             // Fail-stop: no data, no keepalive carrier.
             Some(faults) if faults.is_crashed(ni) => continue,
             Some(faults) => faults.active.mistune_of(ni).is_some(),
         };
-        let row = view.node(i);
+        let row = base.row(ni, ctx.t);
         for u in 0..uplinks as u16 {
             let j = row.at(u as usize);
             // What destroys this slot's transmission in flight, and who
@@ -261,7 +254,7 @@ pub(crate) fn tx_range(
                     let Some(faults) = ctx.faults else { continue };
                     let byz_p = faults.active.byz_prob(ni);
                     if byz_p > 0.0 && doomed.is_none() && rngs[li].gen_bool(byz_p) {
-                        let c = forge_cell(&mut rngs[li], ni, j, ctx.tables.nodes());
+                        let c = forge_cell(&mut rngs[li], ni, j, base.nodes());
                         out.forged.push(ni);
                         out.ring.push((j, u, c));
                     }

@@ -31,7 +31,7 @@
 
 use crate::audit::{Audit, AuditReport, RunDigest};
 use crate::engine::{
-    split, DeliverPlane, DestTable, DetectPlane, FaultPlane, NullObserver, SlotObserver, TxPlane,
+    split, DeliverPlane, DetectPlane, FaultPlane, NullObserver, SlotObserver, TxPlane,
 };
 use crate::faults::{FaultEvent, FaultInjector, FaultScriptError};
 use crate::metrics::{FctHistogram, FlowRecord, RunMetrics};
@@ -402,8 +402,6 @@ pub struct SiriusSim {
     pub(crate) servers: Vec<ServerSt>,
     pub(crate) rng: SmallRng,
     pub(crate) prop_slots: usize,
-    /// Precomputed base-schedule destinations (static for the whole run).
-    pub(crate) tables: DestTable,
     pub(crate) faults: FaultPlane,
     pub(crate) detect: DetectPlane,
     pub(crate) tx: TxPlane,
@@ -494,12 +492,10 @@ impl SiriusSim {
                 cfg.mode != CcMode::Greedy,
             )
         });
-        let tables = DestTable::new(&sched);
         let queue_threshold = net.queue_threshold as u32;
         let payload = net.payload_bytes;
         SiriusSim {
             audit,
-            tables,
             sched: AdjustedSchedule::new(sched),
             vlb: Vlb::new(n),
             nodes,
