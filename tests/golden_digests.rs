@@ -24,10 +24,13 @@
 //! A second file, `tests/golden/paper_sim_faults.digests`, pins the fault
 //! paths: Protocol and Ideal under a crash that recovers plus a dead bank
 //! chip (blackholed arrivals, first hops at the crashed intermediate
-//! included; column repair and rerouted arrivals), and Protocol under a
+//! included; column repair and rerouted arrivals), Protocol under a
 //! Byzantine-only script (no link faults, so the relay-type schedule
-//! check runs). Ideal is clamped to one shard, so nothing else compares
-//! its fault handling against a fixed reference.
+//! check runs), and Ideal under a mistuned laser, a grey link and a
+//! Byzantine node together (first hops destroyed in flight, and
+//! counterfeits that must not count as landed first hops). Ideal is
+//! clamped to one shard, so nothing else compares its fault handling
+//! against a fixed reference.
 
 use sirius::core::topology::NodeId;
 use sirius::core::units::Duration;
@@ -170,6 +173,19 @@ fn forgeries_dropped(r: &FaultReport) -> bool {
     r.cells_forged_dropped > 0 && r.cells_forged_dropped == r.cells_forged
 }
 
+/// A mistuned laser, a grey link and a Byzantine node at once: launches
+/// destroyed in flight, and counterfeits landing beside real first hops.
+fn lossy_byzantine() -> FaultInjector {
+    FaultInjector::new(SEED)
+        .mistune(NodeId(7), 1, 2, 6)
+        .grey_link(NodeId(3), 1, 0.3, 1, 30)
+        .byzantine(NodeId(11), 0.5, 4, 2, 30)
+}
+
+fn lost_in_flight_and_forgeries_dropped(r: &FaultReport) -> bool {
+    r.cells_lost_mistune + r.cells_lost_grey > 0 && forgeries_dropped(r)
+}
+
 type FaultedRow = (
     &'static str,
     CcMode,
@@ -178,7 +194,7 @@ type FaultedRow = (
 );
 
 /// `(name, mode, script, not vacuous)` per faulted reference run.
-const FAULTED_ROWS: [FaultedRow; 3] = [
+const FAULTED_ROWS: [FaultedRow; 4] = [
     (
         "protocol_crash_column",
         CcMode::Protocol,
@@ -196,6 +212,12 @@ const FAULTED_ROWS: [FaultedRow; 3] = [
         CcMode::Protocol,
         || FaultInjector::new(SEED).byzantine(NodeId(11), 0.5, 4, 2, 30),
         forgeries_dropped,
+    ),
+    (
+        "ideal_lossy_byzantine",
+        CcMode::Ideal,
+        lossy_byzantine,
+        lost_in_flight_and_forgeries_dropped,
     ),
 ];
 
