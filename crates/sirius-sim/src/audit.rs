@@ -11,7 +11,8 @@
 //!   at a failed node.
 //! * **§4.3 queue bounds** — under the request/grant protocol (and the
 //!   ideal back-pressure baseline) no relay queue ever holds more than `Q`
-//!   cells for any destination.
+//!   cells for any destination, and in every mode each node's `queued`
+//!   counter equals the relay queue it counts.
 //! * **In-order release** — the reorder buffer releases each flow's cells
 //!   as a strictly contiguous prefix, verified against an independent
 //!   shadow reassembly rather than the buffer's own bookkeeping.
@@ -443,19 +444,27 @@ impl SlotObserver for Audit {
             ));
         }
 
-        // §4.3 bound: relay occupancy per destination never exceeds Q.
-        if self.check_queue_bound {
-            for node in nodes {
-                for d in 0..self.n as u32 {
-                    let len = node.relay_len(NodeId(d));
-                    if len > self.q {
-                        let id = node.id().0;
-                        let q = self.q;
-                        self.violation(format!(
-                            "epoch {epoch}: queue bound broken: node {id} relays {len} \
-                             cells for destination {d} (Q = {q})"
-                        ));
-                    }
+        // §4.3 bound: relay occupancy per destination never exceeds Q,
+        // and the admission test's `queued` counter is the queue itself
+        // (in every mode: Ideal's back-pressure reads it too). The walk is
+        // the independent reference for both.
+        for node in nodes {
+            for d in 0..self.n as u32 {
+                let len = node.relay_len(NodeId(d));
+                let id = node.id().0;
+                if self.check_queue_bound && len > self.q {
+                    let q = self.q;
+                    self.violation(format!(
+                        "epoch {epoch}: queue bound broken: node {id} relays {len} \
+                         cells for destination {d} (Q = {q})"
+                    ));
+                }
+                let queued = node.cc.queued(NodeId(d)) as usize;
+                if queued != len {
+                    self.violation(format!(
+                        "epoch {epoch}: node {id} counts {queued} queued cells for \
+                         destination {d} but relays {len}"
+                    ));
                 }
             }
         }
@@ -679,6 +688,22 @@ mod tests {
         let r = a.finish();
         assert_eq!(r.duplicate_cells, 1);
         assert!(!r.is_clean());
+    }
+
+    #[test]
+    fn a_queued_counter_that_is_not_the_queue_is_a_violation() {
+        // Checked without the §4.3 bound too (the greedy ablation's
+        // configuration): the counter is a queue fact in every mode.
+        let mut a = Audit::new(4, 2, 4, false);
+        let mut node = SiriusNode::new_ideal(NodeId(3), 4, 4);
+        a.note_injected();
+        assert!(node.receive_cell(cell(9, 0)).is_none()); // relayed for node 1
+        a.epoch_check(0, std::slice::from_ref(&node), 0);
+        node.cc.relay_queued(NodeId(2));
+        a.epoch_check(1, std::slice::from_ref(&node), 0);
+        let r = a.finish();
+        assert_eq!(r.total_violations, 1, "{:?}", r.violations);
+        assert!(r.violations[0].contains("counts 1 queued cells for destination 2"));
     }
 
     #[test]

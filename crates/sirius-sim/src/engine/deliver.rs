@@ -7,8 +7,8 @@
 //! flow's reorder state (the [`FlowReorder`] in the flow's slab record).
 //!
 //! One rule orders it all. [`deliver_range`], a shard's receive half,
-//! writes only its receivers' node state (relay queues, CC counters, the
-//! reroute bounce; at Ideal's one shard, occupancy releases); it reads
+//! writes only its receivers' node state (relay queues, CC counters —
+//! Ideal's landed first hops included — and the reroute bounce); it reads
 //! the flow slab through a shared borrow, for the Byzantine header check
 //! (the slab grows only at epoch boundaries and evicts only in the
 //! merge). Every other effect of an arrival is one (due index,
@@ -19,7 +19,7 @@
 //! order: they all land at its one receiver.
 
 use crate::engine::observer::SlotObserver;
-use crate::engine::{ShardOut, SlotCtx, TxPlane};
+use crate::engine::{ShardOut, SlotCtx};
 use crate::sirius_net::{CcMode, SiriusSim};
 use sirius_core::cell::Cell;
 use sirius_core::node::SiriusNode;
@@ -77,9 +77,10 @@ const _: () = assert!(std::mem::size_of::<(u32, Arrival)>() <= 40);
 /// The receive half of a shard's slot: process the due list's arrivals
 /// for receivers `nodes` = the global node range starting at `first`,
 /// relaying and rerouting into them and recording every other effect
-/// into `out` as (due index, [`Arrival`]). `ideal` is Ideal's shadow
-/// occupancy (Ideal mode only): a relay cell that will never depart its
-/// intermediate releases its reservation here, before TX reads it.
+/// into `out` as (due index, [`Arrival`]). In Ideal mode every genuine
+/// first hop clears the reservation its launch made at its intermediate
+/// here, whatever becomes of it, before TX reads the intermediate's
+/// admission test.
 ///
 /// The full due list is scanned in index order and entries outside the
 /// range skipped — so the per-receiver effect order is exactly the
@@ -95,7 +96,6 @@ pub(crate) fn deliver_range(
     first: usize,
     nodes: &mut [SiriusNode],
     due: &[(NodeId, u16, Cell)],
-    mut ideal: Option<&mut TxPlane>,
     out: &mut Vec<(u32, Arrival)>,
 ) {
     let (lo, hi) = (first as u32, (first + nodes.len()) as u32);
@@ -150,13 +150,13 @@ pub(crate) fn deliver_range(
                 continue;
             }
         }
+        // Ideal: the first hop has landed, so its reservation goes; if
+        // it is queued below, `queued` takes over the unit.
+        if ctx.mode == CcMode::Ideal && cell.dst != dst {
+            nodes[li].cc.landed(cell.dst);
+        }
         if ctx.faults.is_some_and(|f| f.is_crashed(dst)) {
-            // Blackholed until routing learns of the failure. A first hop
-            // counted into Ideal's shadow occupancy toward `dst` will
-            // never depart it.
-            if let Some(plane) = ideal.as_mut().filter(|_| cell.dst != dst) {
-                plane.release(dst, cell.dst, 1);
-            }
+            // Blackholed until routing learns of the failure.
             out.push((idx, Arrival::Blackholed(dst)));
             continue;
         }
@@ -169,13 +169,10 @@ pub(crate) fn deliver_range(
             && !ctx.sched.pair_usable(dst, cell.dst)
         {
             nodes[li].reroute_arrival(cell);
-            if let Some(plane) = ideal.as_mut() {
-                plane.release(dst, cell.dst, 1);
-            }
             out.push((idx, Arrival::Rerouted));
             continue;
         }
-        // `None`: queued for relay (ideal occupancy already counted).
+        // `None`: queued for relay.
         if let Some(cell) = nodes[li].receive_cell(cell) {
             out.push((idx, Arrival::Delivered(cell)));
         }

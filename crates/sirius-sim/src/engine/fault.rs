@@ -576,9 +576,6 @@ impl SiriusSim {
                     if d != p && dead {
                         let moved = self.nodes[p].reroute_relay_to_local(NodeId(d as u32));
                         self.faults.report.cells_rerouted += moved as u64;
-                        // They will never depart `node` as relays: free
-                        // their Ideal reservations.
-                        self.tx.release(node, NodeId(d as u32), moved as u32);
                     }
                 }
             } else {

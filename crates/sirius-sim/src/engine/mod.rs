@@ -6,13 +6,14 @@
 //! the merges in the pinned order. The phase is broadcast over a generic
 //! worker [`pool`]; a serial run is the same code at one shard, where the
 //! pool spawns nothing and a broadcast is a plain call. Only Ideal mode
-//! is clamped to one shard (see [`tx`]).
+//! is clamped to one shard, because its TX reads and reserves at another
+//! node within the slot (see [`tx`]).
 //!
 //! | Module | Owns | Per-slot work |
 //! |--------|------|---------------|
 //! | [`pool`] | generation barrier, spin/park waits, panic containment, disjoint-range hand-out | one broadcast |
 //! | [`deliver`] | propagation ring, digest, reorder peak (reorder state lives in each flow's slab record) | a shard's receive half: relay into its receivers; every other arrival effect merged in due order (with its probes) |
-//! | [`tx`] | CC-mode dispatch, ideal shadow occupancy | a shard's send half: per-(node, uplink) transmit by its senders, shard-order merge (with its probes) |
+//! | [`tx`] | CC-mode dispatch (an Ideal launch reserves at its intermediate) | a shard's send half: per-(node, uplink) transmit by its senders, shard-order merge (with its probes) |
 //! | [`fault`] | fault script, crash ground truth, active windows, report; stages repairs into the schedule overlay (the one routing view) | mistune pre-pass; per epoch, the fault boundary |
 //! | [`detect`] | silence detectors (§4.5) | keepalive credit (applied at the TX merge) |
 //! | [`observer`] | the audit's probe points, fired on the main thread only | nothing unless the audit is on |
@@ -78,7 +79,6 @@ pub(crate) use deliver::DeliverPlane;
 pub(crate) use detect::DetectPlane;
 pub(crate) use fault::FaultPlane;
 pub(crate) use observer::{NullObserver, SlotObserver};
-pub(crate) use tx::TxPlane;
 
 use crate::audit::LossCause;
 use crate::sirius_net::{CcMode, FlowTable, SiriusSim, StreamSource};
@@ -206,9 +206,11 @@ impl SiriusSim {
         let has_link_faults = self.faults.injector.has_link_faults();
         let timing = self.cfg.plane_timing;
         let spn = self.cfg.network.servers_per_node as u32;
-        let mode = self.tx.mode;
+        let mode = self.cfg.mode;
         let n = self.nodes.len();
 
+        // Ideal's TX reads and reserves at another node within the slot
+        // (see [`tx`]): that is the one reason it runs one shard.
         let shards = if mode == CcMode::Ideal {
             1
         } else {
@@ -280,21 +282,15 @@ impl SiriusSim {
                     let nodes = Disjoint::new(&mut self.nodes, &cuts);
                     let rngs = has_faults.then(|| Disjoint::new(&mut self.fault_rngs, &cuts));
                     let outs = Disjoint::new(&mut outs, &unit);
-                    // Ideal mode runs one shard, the one its occupancy is
-                    // handed to; the other modes never read it.
-                    let ideal = (mode == CcMode::Ideal)
-                        .then(|| Disjoint::new(std::slice::from_mut(&mut self.tx), &unit));
                     let due = &due;
                     pool.broadcast(&|s| {
                         let nodes = nodes.take(s);
                         let rngs = rngs.as_ref().map_or(&mut [][..], |r| r.take(s));
-                        let mut ideal = ideal.as_ref().map(|d| &mut d.take(s)[0]);
                         let out = &mut outs.take(s)[0];
                         let m = mark(timing);
-                        let arrivals = &mut out.arrivals;
-                        deliver_range(&ctx, cuts[s], nodes, due, ideal.as_deref_mut(), arrivals);
+                        deliver_range(&ctx, cuts[s], nodes, due, &mut out.arrivals);
                         out.deliver_time = m.map_or(Duration::ZERO, |m| m.elapsed());
-                        tx_range(&ctx, cuts[s], nodes, rngs, ideal, out);
+                        tx_range(&ctx, cuts[s], nodes, rngs, out);
                     });
                 }
                 if let Some(m) = m {
