@@ -31,11 +31,18 @@
 //! counterfeits that must not count as landed first hops). Ideal is
 //! clamped to one shard, so nothing else compares its fault handling
 //! against a fixed reference.
+//!
+//! A third file, `tests/golden/esn.digests`, pins the §7 fluid baseline:
+//! ESN (Ideal) and ESN-OSUB (Ideal) at two loads, each with enough flows
+//! active at once that `EsnSim::run` takes its amortized re-fill branch
+//! (more than 64 active flows) as well as its exact one.
 
 use sirius::core::topology::NodeId;
-use sirius::core::units::Duration;
+use sirius::core::units::{Duration, Rate};
 use sirius::core::SiriusConfig;
-use sirius::sim::{CcMode, FaultInjector, FaultReport, SiriusSim, SiriusSimConfig};
+use sirius::sim::{
+    CcMode, EsnConfig, EsnSim, FaultInjector, FaultReport, SiriusSim, SiriusSimConfig,
+};
 use sirius::workload::{Flow, Pareto, Pattern, WorkloadSpec};
 use std::path::PathBuf;
 
@@ -251,6 +258,49 @@ fn faulted_digests_match_golden_file() {
         measured.push((name, m.digest));
     }
     bless_or_verify("paper_sim_faults.digests", &measured);
+}
+
+/// `(name, oversubscription, load, flows)` per ESN reference run.
+const ESN_ROWS: [(&str, f64, f64, u64); 4] = [
+    ("esn_l80", 1.0, 0.8, 2000),
+    ("esn_osub_l80", 3.0, 0.8, 2000),
+    ("esn_l100", 1.0, 1.0, 3000),
+    ("esn_osub_l100", 3.0, 1.0, 3000),
+];
+
+#[test]
+fn esn_digests_match_golden_file() {
+    // 64 servers at 10 Gb/s, 8 per rack: small enough for debug builds,
+    // loaded enough that a hundred or more flows are active on average.
+    let servers = 64;
+    let server_rate = Rate::from_gbps(10);
+    let mut measured = Vec::new();
+    for (name, osub, load, flows) in ESN_ROWS {
+        let wl = WorkloadSpec {
+            servers,
+            server_rate,
+            load,
+            sizes: Pareto::paper_default().truncated(1e6),
+            flows,
+            pattern: Pattern::Uniform,
+            seed: 5,
+        }
+        .generate();
+        let m = EsnSim::new(EsnConfig {
+            servers,
+            server_rate,
+            servers_per_rack: 8,
+            oversubscription: osub,
+            base_latency: Duration::from_us(3),
+        })
+        .with_audit(true)
+        .run(&wl);
+        assert_eq!(m.incomplete_flows, 0, "{name}");
+        let audit = m.audit.as_ref().unwrap();
+        assert!(audit.is_clean(), "{name}: {:?}", audit.violations.first());
+        measured.push((name, m.digest));
+    }
+    bless_or_verify("esn.digests", &measured);
 }
 
 /// A digest drift must fail loudly with both digests and the exact
