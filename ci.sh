@@ -135,10 +135,11 @@ stage_docs() {
   # alternated-pair numbers parent vs change per benchmark workload.
   # Every line must parse, carry the schema's keys, hold only finite
   # numbers (null = not recorded), and name a PR after the line before.
-  # A line's `commit` is null when the PR wrote it about itself (a commit
-  # cannot name its own hash); the next line's `parent` names it.
+  # Only the newest line's `commit` may be null (a commit cannot name its
+  # own hash; the next PR back-fills it); every other line's is the full
+  # 40-hex-digit hash.
   python3 - results/BENCH_trajectory.jsonl <<'PY'
-import json, math, sys
+import json, math, re, sys
 
 path = sys.argv[1]
 top = {"pr", "commit", "parent", "host_parallelism", "pairs", "workloads", "moved"}
@@ -174,6 +175,9 @@ for n, text in enumerate(lines, 1):
     last_pr = pr
     if not isinstance(line["parent"], str) or not line["workloads"]:
         fail(n, "no parent commit or no workloads")
+    commit = line["commit"]
+    if n < len(lines) and not (isinstance(commit, str) and re.fullmatch("[0-9a-f]{40}", commit)):
+        fail(n, f"commit {commit!r} is not a 40-hex-digit hash (only the newest line may be null)")
     for name, w in line["workloads"].items():
         if per - w.keys():
             fail(n, f"{name} missing {sorted(per - set(w))}")
