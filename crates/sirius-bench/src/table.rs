@@ -137,6 +137,37 @@ pub fn fct_ms(v: Option<sirius_core::units::Duration>) -> String {
 mod tests {
     use super::*;
 
+    impl Table {
+        /// 64-bit FNV-1a of [`Table::to_csv`]: the figure modules' tests
+        /// pin their Smoke-scale tables with it, so a refactor of how a
+        /// point is run or scored must reproduce every printed cell.
+        pub(crate) fn csv_digest(&self) -> u64 {
+            self.to_csv().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+
+        /// Fail, printing the table, unless its CSV digest is `want`.
+        pub(crate) fn assert_csv_digest(&self, want: u64) {
+            let got = self.csv_digest();
+            assert_eq!(
+                got,
+                want,
+                "{}: CSV digest {got:#018x}, pinned {want:#018x}\n{}",
+                self.title,
+                self.to_csv()
+            );
+        }
+    }
+
+    #[test]
+    fn csv_digest_is_fnv1a_of_the_csv() {
+        // The reference value is FNV-1a of the two bytes "a\n".
+        let t = Table::new("demo", &["a"]);
+        assert_eq!(t.to_csv(), "a\n");
+        assert_eq!(t.csv_digest(), 0x089b_dc07_b544_e7b2);
+    }
+
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new("demo", &["load", "value"]);
