@@ -4,7 +4,8 @@
 //! * `--jobs N` / `--jobs=N` — sweep workers (default `SIRIUS_JOBS`, then
 //!   [`std::thread::available_parallelism`]);
 //! * `--shards N` / `--shards=N` — slot-engine worker shards *within* one
-//!   run (default: the simulator's own `SIRIUS_SHARDS`-or-1 default;
+//!   run, read by `sim_throughput` and `scale_series` only (every other
+//!   experiment takes the simulator's own `SIRIUS_SHARDS`-or-1 default;
 //!   sharded runs are digest-identical to `--shards 1`);
 //! * `--timing` — run the selection serially and in parallel and emit
 //!   `results/BENCH_xp_wall.json`;
@@ -51,7 +52,8 @@ pub struct Cli {
     /// Sweep worker count (≥ 1).
     pub jobs: usize,
     /// Slot-engine shards per run: `Some(n)` when `--shards n` was given
-    /// (apply via [`SiriusSimConfig::with_shards`]), `None` to leave the
+    /// (applied via [`SiriusSimConfig::with_shards`] by `sim_throughput`
+    /// and `scale_series`, the only readers), `None` to leave the
     /// simulator's default (`SIRIUS_SHARDS` or serial) in place.
     ///
     /// [`SiriusSimConfig::with_shards`]: sirius_sim::SiriusSimConfig::with_shards

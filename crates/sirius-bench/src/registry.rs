@@ -12,7 +12,6 @@
 use crate::experiments as xp;
 use crate::table::fct_ms;
 use crate::{Cli, MemoryClass, Scale};
-use sirius_sim::{CcMode, SiriusSim};
 
 /// When `xp` runs an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +65,6 @@ pub static REGISTRY: &[Entry] = &[
     entry("fig6", Suite::Named, fig6),
     entry("fig8", Suite::Named, fig8),
     entry("tuning", Suite::Named, tuning),
-    entry("diag", Suite::Named, diag),
     entry("fig9_point", Suite::Named, fig9_point),
 ];
 
@@ -201,9 +199,10 @@ fn fig12(cli: &Cli) -> i32 {
 }
 
 /// Fig. 13: FCT and goodput vs mean flow size. Its wall clock is a few
-/// long runs rather than sweep width, so `--shards` reaches it.
+/// long runs rather than sweep width; `SIRIUS_SHARDS` splits each run
+/// across slot-engine workers, as it does for every experiment.
 fn fig13(cli: &Cli) -> i32 {
-    let points = xp::fig13::run(cli.scale, 0.5, 1, cli.jobs, cli.shards);
+    let points = xp::fig13::run(cli.scale, 0.5, 1, cli.jobs);
     xp::fig13::table(&points).emit("fig13");
     0
 }
@@ -372,38 +371,11 @@ fn live_sync(cli: &Cli) -> i32 {
     }
 }
 
-/// Ad-hoc probe: one Protocol and one Ideal run at L = 50 %, printing
-/// tail FCT, goodput, the CC counters and the queue peaks.
-fn diag(cli: &Cli) -> i32 {
-    let scale = cli.scale;
-    let wl = scale.workload(0.5, 1).generate();
-    let cfg = scale.sim_config(scale.network(), &wl, 1);
-    let m = SiriusSim::new(cfg.clone()).run(&wl);
-    let h = wl.last().unwrap().arrival;
-    let net = scale.network();
-    println!(
-        "protocol: fct99={:?} goodput={:.3}",
-        m.fct_percentile(99.0, 100_000),
-        m.goodput_within(h, net.total_servers() as u64, scale.server_share())
-    );
-    println!("cc: {:?}", m.cc);
-    println!(
-        "peaks: local={} fabric={} reorder={}",
-        m.peak_node_local_cells, m.peak_node_fabric_cells, m.peak_reorder_flow_bytes
-    );
-    let mi = SiriusSim::new(cfg.with_mode(CcMode::Ideal)).run(&wl);
-    println!(
-        "ideal: fct99={:?} peaks local={} fabric={}",
-        mi.fct_percentile(99.0, 100_000),
-        mi.peak_node_local_cells,
-        mi.peak_node_fabric_cells
-    );
-    0
-}
-
-/// Ad-hoc probe: one Fig. 9 load point at a chosen scale, printing each
-/// system's row as soon as it finishes — for paper-scale validation
-/// where the full sweep is hours of wall clock on a shared core.
+/// Ad-hoc probe: one Fig. 9 load point at a chosen scale, its four
+/// systems as one sweep on `--jobs` workers, printing each system's row
+/// in legend order with its run's wall clock — for paper-scale
+/// validation where the full sweep is hours of wall clock on a shared
+/// core.
 ///
 /// Usage: `xp fig9_point [--full] <load-percent>`
 fn fig9_point(cli: &Cli) -> i32 {
@@ -415,20 +387,20 @@ fn fig9_point(cli: &Cli) -> i32 {
         .unwrap_or(50.0)
         / 100.0;
     eprintln!(
-        "fig9 point: {:?} scale, load {:.0}%",
+        "fig9 point: {:?} scale, load {:.0}%, --jobs {}",
         cli.scale,
-        load * 100.0
+        load * 100.0,
+        cli.jobs
     );
-    let t0 = std::time::Instant::now();
-    for system in xp::fig9::System::ALL {
-        let p = xp::fig9::run_point(cli.scale, system, load, 1);
+    let (points, walls) = xp::fig9::sweep(cli.scale, &[load], 1).run_timed(cli.jobs);
+    for (p, t) in points.iter().zip(&walls) {
         println!(
             "load={:.0}% system={:<18} fct_p99_ms={} goodput={:.3} [{:?}]",
             load * 100.0,
             p.system,
-            fct_ms(p.fct_p99),
-            p.goodput,
-            t0.elapsed(),
+            fct_ms(p.score.fct_p99),
+            p.score.goodput,
+            t.wall,
         );
     }
     0

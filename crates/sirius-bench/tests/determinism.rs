@@ -42,8 +42,8 @@ fn fig9_sweep_is_byte_identical_serial_vs_parallel() {
 
     assert_eq!(serial.len(), parallel.len());
 
-    // Run digests: the delivered-cell sequence of every Sirius run must
-    // match point-for-point (ESN fluid runs report digest 0 for both).
+    // Run digests: the delivered-cell sequence of every Sirius run and the
+    // flow outcomes of every ESN run must match point-for-point.
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(
             (s.system, s.load),
@@ -51,13 +51,13 @@ fn fig9_sweep_is_byte_identical_serial_vs_parallel() {
             "sweep order diverged between jobs=1 and jobs=4"
         );
         assert_eq!(
-            s.digest, p.digest,
+            s.score.digest, p.score.digest,
             "digest diverged at system={} load={}",
             s.system, s.load
         );
     }
     assert!(
-        serial.iter().any(|p| p.digest != 0),
+        serial.iter().any(|p| p.score.digest != 0),
         "no Sirius run produced a digest; the check is vacuous"
     );
 
