@@ -116,12 +116,14 @@ stage_docs() {
   echo "==> cargo doc (deny warnings)"
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-  echo "==> stale-command check (binaries named in the docs and ci.sh exist)"
+  echo "==> stale-command check (binaries named in the docs, ci.sh and the sources exist)"
+  # The sources count too: an example or a doc comment that tells users
+  # to run a deleted binary is as stale as a README line.
   local name stale=0
-  for name in $(grep -ohE -e '--bin [A-Za-z0-9_-]+' README.md EXPERIMENTS.md DESIGN.md ci.sh |
-    awk '{print $2}' | sort -u); do
+  for name in $(grep -rohE -e '--bin [A-Za-z0-9_-]+' README.md EXPERIMENTS.md DESIGN.md ci.sh \
+    examples src crates/*/src | awk '{print $2}' | sort -u); do
     if ! compgen -G "crates/*/src/bin/${name}.rs" > /dev/null; then
-      echo "error: --bin ${name} is documented but no crates/*/src/bin/${name}.rs exists" >&2
+      echo "error: --bin ${name} is named but no crates/*/src/bin/${name}.rs exists" >&2
       stale=1
     fi
   done

@@ -113,5 +113,5 @@ fn main() {
     );
 
     println!("\nSirius approximates the ideal electrical fabric — at a fraction");
-    println!("of the power (run `cargo run -p sirius-bench --bin fig6`).");
+    println!("of the power (run `cargo run -p sirius-bench --bin xp -- fig6`).");
 }
