@@ -27,6 +27,17 @@ impl System {
         System::EsnOsub,
     ];
 
+    /// `ALL` by run time at paper scale, longest first (`xp fig9_point
+    /// --full 100`: Sirius 11.6 s, ESN-OSUB 9.2 s, ESN 7.2 s, Sirius
+    /// (Ideal) 5.6 s), the order to start one load's runs in, so that the
+    /// longest never starts last.
+    pub const LONGEST_FIRST: [System; 4] = [
+        System::Sirius,
+        System::EsnOsub,
+        System::Esn,
+        System::SiriusIdeal,
+    ];
+
     pub fn label(self) -> &'static str {
         match self {
             System::Sirius => "Sirius",
@@ -64,12 +75,12 @@ pub fn run_point(scale: Scale, system: System, load: f64, seed: u64) -> Point {
     }
 }
 
-/// The (load, system) jobs for the pool, systems in legend order within
-/// each load.
-pub fn sweep(scale: Scale, loads: &[f64], seed: u64) -> Sweep<Point> {
+/// The (load, system) jobs for the pool, `systems` in the order given
+/// within each load.
+pub fn sweep(scale: Scale, loads: &[f64], systems: &[System], seed: u64) -> Sweep<Point> {
     let mut sweep = Sweep::new();
     for &load in loads {
-        for &system in &System::ALL {
+        for &system in systems {
             sweep.push(
                 format!("fig9 load={:.0}% system={}", load * 100.0, system.label()),
                 move || run_point(scale, system, load, seed),
@@ -81,7 +92,7 @@ pub fn sweep(scale: Scale, loads: &[f64], seed: u64) -> Sweep<Point> {
 
 /// The full Fig. 9 sweep on `jobs` workers.
 pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Point> {
-    sweep(scale, &LOADS, seed).run(jobs)
+    sweep(scale, &LOADS, &System::ALL, seed).run(jobs)
 }
 
 /// Render the two panels as tables.
@@ -115,7 +126,7 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_all_systems() {
-        let pts = sweep(Scale::Smoke, &[0.25], 42).run(2);
+        let pts = sweep(Scale::Smoke, &[0.25], &System::ALL, 42).run(2);
         assert_eq!(pts.len(), 4);
         for p in &pts {
             assert!(p.score.goodput > 0.0, "{} produced no goodput", p.system);
@@ -131,7 +142,7 @@ mod tests {
     fn shape_sirius_tracks_esn_and_beats_osub() {
         // The paper's headline comparison at a congested load: ESN-OSUB
         // collapses; Sirius stays near ESN (Ideal).
-        let pts = sweep(Scale::Smoke, &[0.75], 7).run(2);
+        let pts = sweep(Scale::Smoke, &[0.75], &System::ALL, 7).run(2);
         let get = |name: &str| pts.iter().find(|p| p.system == name).unwrap();
         let sirius = get("Sirius");
         let esn = get("ESN (Ideal)");

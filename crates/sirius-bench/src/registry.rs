@@ -10,6 +10,7 @@
 //! whether it is asked for alone or as part of the suite.
 
 use crate::experiments as xp;
+use crate::experiments::fig9::System;
 use crate::table::fct_ms;
 use crate::{Cli, MemoryClass, Scale};
 
@@ -372,8 +373,9 @@ fn live_sync(cli: &Cli) -> i32 {
 }
 
 /// Ad-hoc probe: one Fig. 9 load point at a chosen scale, its four
-/// systems as one sweep on `--jobs` workers, printing each system's row
-/// in legend order with its run's wall clock — for paper-scale
+/// systems as one sweep on `--jobs` workers started longest first,
+/// printing each system's row in legend order with its run's wall clock
+/// — for paper-scale
 /// validation where the full sweep is hours of wall clock on a shared
 /// core.
 ///
@@ -392,8 +394,12 @@ fn fig9_point(cli: &Cli) -> i32 {
         load * 100.0,
         cli.jobs
     );
-    let (points, walls) = xp::fig9::sweep(cli.scale, &[load], 1).run_timed(cli.jobs);
-    for (p, t) in points.iter().zip(&walls) {
+    // Started longest first, printed in legend order.
+    let (points, walls) =
+        xp::fig9::sweep(cli.scale, &[load], &System::LONGEST_FIRST, 1).run_timed(cli.jobs);
+    let mut rows: Vec<_> = points.iter().zip(&walls).collect();
+    rows.sort_by_key(|(p, _)| System::ALL.iter().position(|s| s.label() == p.system));
+    for (p, t) in rows {
         println!(
             "load={:.0}% system={:<18} fct_p99_ms={} goodput={:.3} [{:?}]",
             load * 100.0,
