@@ -110,6 +110,11 @@ pub struct AuditReport {
     pub cells_forged: u64,
     /// Counterfeits the RX-side filter caught and dropped.
     pub cells_forged_dropped: u64,
+    /// ESN only: re-fills of the whole active set, taken every few events
+    /// while a connected component above 64 flows waits for its rates
+    /// (every other re-fill covers just the components an event touched).
+    /// 0 for the cell simulator.
+    pub whole_set_refills: u64,
     /// Total invariant violations observed.
     pub total_violations: u64,
     /// First [`MAX_RECORDED_VIOLATIONS`] violation messages, verbatim.
@@ -242,6 +247,7 @@ impl Audit {
             duplicate_cells: self.duplicates,
             cells_forged: self.forged_tx,
             cells_forged_dropped: self.forged_dropped,
+            whole_set_refills: 0,
             total_violations: self.total_violations,
             violations: self.violations,
         }

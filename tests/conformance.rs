@@ -270,10 +270,13 @@ fn an_armed_script_in_which_nothing_fires_equals_the_unarmed_run() {
 fn esn_fluid_audit_is_clean_at_paper_scale() {
     // The electrical baselines get the same treatment as the cell-level
     // simulator: an independent re-check of the water-filling rates
-    // (feasibility, non-negativity, max-min maximality) plus end-of-run
-    // byte conservation.
+    // (feasibility, non-negativity, max-min maximality) after every
+    // re-fill, plus end-of-run byte conservation. At L = 0.5 ESN's
+    // flow–resource graph stays in components of at most 64 flows, each
+    // re-filled on its own, while ESN-OSUB's rack pools join components
+    // above that, so both re-fill paths run under the audit.
     let net = SiriusConfig::paper_sim();
-    let wl = paper_workload(&net, 0.3, 300, 17);
+    let wl = paper_workload(&net, 0.5, 3_000, 17);
     for osub in [1.0, 3.0] {
         let m = EsnSim::new(EsnConfig {
             servers: net.total_servers() as u32,
@@ -290,8 +293,20 @@ fn esn_fluid_audit_is_clean_at_paper_scale() {
             "ESN(1:{osub}) violations: {:?}",
             audit.violations.first()
         );
-        assert!(audit.epochs_checked > 0);
         assert_eq!(audit.cells_released, audit.cells_injected);
+        let component_fills = audit.epochs_checked - audit.whole_set_refills;
+        assert!(component_fills > 0, "ESN(1:{osub}): no component re-fill");
+        if osub > 1.0 {
+            assert!(
+                audit.whole_set_refills > 0,
+                "ESN-OSUB never re-filled the whole set"
+            );
+        } else {
+            assert_eq!(
+                audit.whole_set_refills, 0,
+                "ESN met a component above 64 flows"
+            );
+        }
     }
 }
 

@@ -34,8 +34,9 @@
 //!
 //! A third file, `tests/golden/esn.digests`, pins the §7 fluid baseline:
 //! ESN (Ideal) and ESN-OSUB (Ideal) at two loads, each with enough flows
-//! active at once that `EsnSim::run` takes its amortized re-fill branch
-//! (more than 64 active flows) as well as its exact one.
+//! active at once that `EsnSim::run` re-fills the whole active set (an
+//! event touched a connected component above 64 flows) as well as single
+//! components.
 
 use sirius::core::topology::NodeId;
 use sirius::core::units::{Duration, Rate};
@@ -298,6 +299,12 @@ fn esn_digests_match_golden_file() {
         assert_eq!(m.incomplete_flows, 0, "{name}");
         let audit = m.audit.as_ref().unwrap();
         assert!(audit.is_clean(), "{name}: {:?}", audit.violations.first());
+        assert!(
+            audit.whole_set_refills > 0 && audit.epochs_checked > audit.whole_set_refills,
+            "{name}: {} whole-set of {} re-fills",
+            audit.whole_set_refills,
+            audit.epochs_checked
+        );
         measured.push((name, m.digest));
     }
     bless_or_verify("esn.digests", &measured);
