@@ -104,6 +104,11 @@ stage_audit() {
   local suites=(-p sirius --test conformance --test fault_tolerance --test golden_digests)
   cargo test --release -q "${suites[@]}"
 
+  echo "==> ESN exactness at esn_fluid's inputs (release)"
+  # Ignored in debug builds, where its every-event reference takes ~35 s;
+  # about 3 s here.
+  cargo test --release -q -p sirius-sim --lib esn::tests::esn_is_exact_at_every_event_at_esn_fluid_inputs
+
   echo "==> the same suites, sharded (SIRIUS_SHARDS=2)"
   # Audited runs shard like any other (probes fire only on the main
   # thread), and these suites build most of their runs without
@@ -285,8 +290,21 @@ stage_bench_smoke() {
   # are too noisy for the paper-scale speedup gate (that number is
   # measured locally and recorded in EXPERIMENTS.md), but the harness
   # path — including the BENCH_sim_throughput.json emitter — is covered.
-  cargo run --release -p sirius-bench --bin xp -- fault_tolerance --smoke --jobs 2
-  cargo run --release -p sirius-bench --bin xp -- repair_granularity --smoke --jobs 2
+  #
+  # The three §4.5 entries run twice: serially first, then on 2 workers
+  # (correlated_faults also with every run's slot engine sharded), and
+  # their nine artifacts must be byte-identical across the two.
+  local fault_artifacts=(fault_detect.csv fault_goodput.csv fault_grey.csv
+    repair_granularity.csv correlated_blast.csv correlated_detect.csv
+    correlated_goodput.csv byzantine_damage.csv BENCH_correlated_faults.json)
+  local f
+  cargo run --release -p sirius-bench --bin xp -- \
+    fault_tolerance repair_granularity correlated_faults --smoke --jobs 1
+  mkdir -p results/.serial_faults
+  for f in "${fault_artifacts[@]}"; do
+    cp "results/$f" results/.serial_faults/
+  done
+  cargo run --release -p sirius-bench --bin xp -- fault_tolerance repair_granularity --smoke --jobs 2
 
   echo "==> correlated_faults --smoke under SIRIUS_SHARDS=2"
   # The correlated-domain + Byzantine evaluation end to end, with every
@@ -297,6 +315,13 @@ stage_bench_smoke() {
     '"bench": "correlated_faults"' '"silence_bound_epochs"' '"bank": \[' \
     '"byzantine": \[' '"drop_rate"' '"max_forged_per_epoch"' '"domains"' \
     '"cf_link"' '"cf_node"' '"advantage"'
+
+  echo "==> parallel-equals-serial (the nine §4.5 artifacts, --jobs 1 vs --jobs 2)"
+  for f in "${fault_artifacts[@]}"; do
+    cmp "results/.serial_faults/$f" "results/$f"
+  done
+  rm -rf results/.serial_faults
+  echo "§4.5 artifacts byte-identical across --jobs 1 and --jobs 2"
 
   echo "==> sharded-equals-serial (sim_throughput digests, --shards 1 vs --shards 2)"
   # The slot-engine sharding contract — one phase per slot partitioned by

@@ -22,29 +22,6 @@
 use crate::pool;
 use crate::scale::Scale;
 
-/// Per-experiment memory footprint hint: how much state one sweep job
-/// holds at once.
-///
-/// Most experiments are `Standard` — paper-geometry runs whose state is
-/// small enough that fanning out across every core is safe. A
-/// `HighMemory` experiment (the scale-out series, whose largest point is
-/// a 4096-node deployment) must not be multiplied blindly by `--jobs`:
-/// each concurrent job duplicates the whole per-node state. Experiments
-/// pass their class to [`Cli::effective_jobs`], which caps the worker
-/// count and says so, instead of silently letting `--jobs 8` allocate
-/// eight 4096-node simulators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoryClass {
-    /// Footprint small enough to run one job per core.
-    Standard,
-    /// Footprint dominated by per-node/per-point state: cap sweep
-    /// workers at `cap` regardless of `--jobs`.
-    HighMemory {
-        /// Maximum concurrent sweep jobs for this experiment.
-        cap: usize,
-    },
-}
-
 /// Parsed common command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
@@ -137,25 +114,22 @@ impl Cli {
         Ok(cli)
     }
 
-    /// The sweep worker count this experiment may actually use. For
-    /// [`MemoryClass::HighMemory`] experiments the requested `--jobs`
-    /// (or core-count default) is capped, with a warning naming the cap
-    /// so a user who typed `--jobs 8` learns why the sweep ran narrower.
-    pub fn effective_jobs(&self, class: MemoryClass) -> usize {
-        match class {
-            MemoryClass::Standard => self.jobs,
-            MemoryClass::HighMemory { cap } => {
-                let cap = cap.max(1);
-                if self.jobs > cap {
-                    eprintln!(
-                        "warning: high-memory sweep: capping --jobs {} to {cap} \
-                         (each concurrent job duplicates the full deployment state)",
-                        self.jobs
-                    );
-                }
-                self.jobs.min(cap)
-            }
+    /// The sweep worker count for a high-memory experiment (the
+    /// scale-out series, whose largest point is a 4096-node deployment):
+    /// each concurrent job duplicates the whole per-node state, so
+    /// `--jobs` (or the core-count default) is capped at `cap`, with a
+    /// warning naming the cap so a user who typed `--jobs 8` learns why
+    /// the sweep ran narrower.
+    pub fn jobs_capped(&self, cap: usize) -> usize {
+        let cap = cap.max(1);
+        if self.jobs > cap {
+            eprintln!(
+                "warning: high-memory sweep: capping --jobs {} to {cap} \
+                 (each concurrent job duplicates the full deployment state)",
+                self.jobs
+            );
         }
+        self.jobs.min(cap)
     }
 }
 
@@ -217,16 +191,15 @@ mod tests {
     }
 
     #[test]
-    fn effective_jobs_caps_only_high_memory() {
+    fn jobs_capped_caps_only_above_the_cap() {
         let mut cli = parse(&["--jobs", "8"]).unwrap();
-        assert_eq!(cli.effective_jobs(MemoryClass::Standard), 8);
-        assert_eq!(cli.effective_jobs(MemoryClass::HighMemory { cap: 2 }), 2);
-        assert_eq!(cli.effective_jobs(MemoryClass::HighMemory { cap: 1 }), 1);
+        assert_eq!(cli.jobs_capped(2), 2);
+        assert_eq!(cli.jobs_capped(1), 1);
         // Under the cap, the request passes through untouched.
         cli.jobs = 1;
-        assert_eq!(cli.effective_jobs(MemoryClass::HighMemory { cap: 2 }), 1);
+        assert_eq!(cli.jobs_capped(2), 1);
         // A zero cap is treated as 1, never 0 workers.
-        assert_eq!(cli.effective_jobs(MemoryClass::HighMemory { cap: 0 }), 1);
+        assert_eq!(cli.jobs_capped(0), 1);
     }
 
     #[test]

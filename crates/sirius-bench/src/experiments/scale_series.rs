@@ -84,11 +84,11 @@ pub fn series(scale: Scale) -> Vec<ScaleGeom> {
     }
 }
 
-/// Memory-class jobs cap for this sweep: the N=4096 point holds
-/// O(N·uplinks) node state per concurrent run, so the Paper series must
-/// not fan out across sweep workers at all, and even the smaller series
-/// gains nothing past two (points are serialized by the RSS protocol
-/// anyway — see [`run_points`]).
+/// Sweep-worker cap for this series (`Cli::jobs_capped`): the N=4096
+/// point holds O(N·uplinks) node state per concurrent run, so the Paper
+/// series must not fan out across sweep workers at all, and even the
+/// smaller series gains nothing past two (points are serialized by the
+/// RSS protocol anyway — see [`run_points`]).
 pub fn jobs_cap(scale: Scale) -> usize {
     match scale {
         Scale::Paper => 1,

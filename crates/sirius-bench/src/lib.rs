@@ -25,7 +25,7 @@ pub mod scale;
 pub mod table;
 pub mod wall;
 
-pub use cli::{Cli, MemoryClass};
+pub use cli::Cli;
 pub use pool::Sweep;
 pub use scale::Scale;
 pub use table::Table;

@@ -12,7 +12,7 @@
 use crate::experiments as xp;
 use crate::experiments::fig9::System;
 use crate::table::fct_ms;
-use crate::{Cli, MemoryClass, Scale};
+use crate::{Cli, Scale};
 
 /// When `xp` runs an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,15 +231,24 @@ fn fault_tolerance(cli: &Cli) -> i32 {
     0
 }
 
-/// The repair-granularity comparison.
+/// The repair-granularity comparison: §4.5's link-vs-node sweep on `k`
+/// single dead columns.
 fn repair_granularity(cli: &Cli) -> i32 {
-    let n = xp::repair_granularity::run(
+    use xp::repair_granularity::{dead_columns, k_sweep};
+    let ks = k_sweep(cli.scale.network().nodes as u32);
+    let points = xp::fault_tolerance::repair_sweep(
+        "repair_granularity",
         cli.scale,
         1,
-        &xp::repair_granularity::k_sweep(cli.scale.network().nodes as u32),
+        &ks,
+        dead_columns,
         cli.jobs,
     );
-    xp::repair_granularity::table(&n).emit("repair_granularity");
+    xp::fault_tolerance::repair_table(
+        "repair granularity: k dead TX columns, link-granular vs whole-node",
+        &points,
+    )
+    .emit("repair_granularity");
     0
 }
 
@@ -319,11 +328,9 @@ fn sim_throughput(cli: &Cli) -> i32 {
 fn scale_series(cli: &Cli) -> i32 {
     let scale = cli.scale;
     // The largest points hold the full per-node deployment state per
-    // concurrent sweep job; the memory class caps --jobs accordingly
-    // (and the cap also keeps the per-point VmHWM readings honest).
-    let jobs = cli.effective_jobs(MemoryClass::HighMemory {
-        cap: xp::scale_series::jobs_cap(scale),
-    });
+    // concurrent sweep job, so --jobs is capped (and the cap also keeps
+    // the per-point VmHWM readings honest).
+    let jobs = cli.jobs_capped(xp::scale_series::jobs_cap(scale));
     let shards = cli.shards.unwrap_or(1);
     eprintln!("=== scale-out series, {scale:?} scale, --jobs {jobs}, --shards {shards} ===");
     let pts = xp::scale_series::run(scale, 1, jobs, shards);

@@ -1332,7 +1332,11 @@ mod tests {
         (sim, wl, servers, rate)
     }
 
+    /// Release only: its reference re-fills ~860 flows at every one of
+    /// ~19,000 events, about 35 s of a debug build. `ci.sh audit` runs it
+    /// in release on every push (about 3 s).
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "release only; ci.sh audit runs it")]
     fn esn_is_exact_at_every_event_at_esn_fluid_inputs() {
         // No component passes the limit, so no whole-set fill runs, and
         // every completion lands within 1 ns of the every-event reference
