@@ -673,8 +673,10 @@ impl SiriusSim {
 
         // 2. Server injection: every server earns one epoch of link credit
         //    and injects cells round-robin across its active flows.
+        let spn = self.cfg.network.servers_per_node as u32;
         for s in 0..self.servers.len() {
-            if self.faults.is_crashed(self.node_of_server(s as u32)) {
+            let src_node = self.node_of_server(s as u32);
+            if self.faults.is_crashed(src_node) {
                 // Servers behind a crashed ToR are off the fabric entirely.
                 self.servers[s].credit = 0;
                 continue;
@@ -687,24 +689,29 @@ impl SiriusSim {
             }
             self.servers[s].credit += self.epoch_credit_bytes;
             while let Some(&fi) = self.servers[s].active.front() {
-                let spn = self.cfg.network.servers_per_node as u32;
                 let f = &mut self.flows[fi as usize];
+                debug_assert_eq!(f.src_server, s as u32, "a flow is active at its source");
                 let seq = f.cells_injected;
-                let pay = Cell::payload_of(seq as u64, f.bytes, self.payload);
+                // Full cells, then the remainder.
+                let last = seq + 1 == f.cells_total;
+                let pay = if last {
+                    (f.bytes - seq as u64 * self.payload as u64) as u32
+                } else {
+                    self.payload
+                };
+                debug_assert_eq!(pay, Cell::payload_of(seq as u64, f.bytes, self.payload));
                 if self.servers[s].credit < pay as i64 {
                     break;
                 }
                 self.servers[s].credit -= pay as i64;
-                let src_node = NodeId(f.src_server / spn);
-                let dst_node = NodeId(f.dst_server / spn);
                 let cell = Cell {
                     flow: FlowId(fi as u64),
                     seq,
                     payload: pay,
                     src: src_node,
-                    dst: dst_node,
+                    dst: NodeId(f.dst_server / spn),
                     dst_server: ServerId(f.dst_server),
-                    last: seq + 1 == f.cells_total,
+                    last,
                 };
                 f.cells_injected += 1;
                 let finished = f.cells_injected == f.cells_total;

@@ -107,8 +107,14 @@ impl Default for OsTime {
 
 impl OsTime {
     pub fn new() -> OsTime {
+        OsTime::since(Instant::now())
+    }
+
+    /// A clock whose phase is the time elapsed since `origin` (a live
+    /// node's cluster start), until the first adjustment.
+    pub fn since(origin: Instant) -> OsTime {
         OsTime {
-            origin: Instant::now(),
+            origin,
             anchor_raw_ps: 0.0,
             anchor_phase_ps: 0.0,
             freq_ppm: 0.0,
