@@ -92,12 +92,23 @@ impl<C: TimeProvider> SyncEngine<C> {
     }
 
     /// Validate one received beacon and apply one PLL update from it.
-    /// `correction_ps` is the backend's measurement correction (detector
-    /// noise in-sim, −propagation delay live); the measured error is
-    /// computed as `(own_phase − beacon_phase) + correction` — the exact
-    /// pre-seam expression shape, which the bit-identity tests pin.
-    /// Returns the measured phase error, ps.
+    /// Returns the measured phase error, ps (see [`SyncEngine::measure`]).
     pub fn on_beacon(&mut self, b: &Beacon, correction_ps: f64) -> Result<f64, SyncError> {
+        let measured = self.measure(b, correction_ps)?;
+        let (dp, df) = self.pll.update(measured);
+        self.clock.adjust_phase(dp);
+        self.clock.adjust_frequency(df);
+        self.last_applied = Some(b.epoch);
+        Ok(measured)
+    }
+
+    /// Validate one received beacon and measure the phase error it shows,
+    /// without applying it. `correction_ps` is the backend's measurement
+    /// correction (detector noise in-sim, −propagation delay live); the
+    /// error is computed as `(own_phase − beacon_phase) + correction` —
+    /// the exact pre-seam expression shape, which the bit-identity tests
+    /// pin.
+    pub fn measure(&self, b: &Beacon, correction_ps: f64) -> Result<f64, SyncError> {
         let expected = self.leader_at(b.epoch);
         if expected != Some(b.leader as usize) {
             return Err(SyncError::WrongLeader {
@@ -117,12 +128,7 @@ impl<C: TimeProvider> SyncEngine<C> {
                 });
             }
         }
-        let measured = self.clock.phase_ps() - b.phase_ps + correction_ps;
-        let (dp, df) = self.pll.update(measured);
-        self.clock.adjust_phase(dp);
-        self.clock.adjust_frequency(df);
-        self.last_applied = Some(b.epoch);
-        Ok(measured)
+        Ok(self.clock.phase_ps() - b.phase_ps + correction_ps)
     }
 
     /// One strict lockstep epoch over a transport: lead or follow.
