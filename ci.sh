@@ -108,13 +108,6 @@ stage_audit() {
   # Ignored in debug builds, where its every-event reference takes ~35 s;
   # about 3 s here.
   cargo test --release -q -p sirius-sim --lib esn::tests::esn_is_exact_at_every_event_at_esn_fluid_inputs
-
-  echo "==> the same suites, sharded (SIRIUS_SHARDS=2)"
-  # Audited runs shard like any other (probes fire only on the main
-  # thread), and these suites build most of their runs without
-  # with_shards, so the rerun audits the sharded engine; digests and
-  # audit verdicts must not move.
-  SIRIUS_SHARDS=2 cargo test --release -q "${suites[@]}"
 }
 
 stage_docs() {
@@ -195,19 +188,17 @@ for n, text in enumerate(lines, 1):
 print(f"{path}: {len(lines)} lines, schema and finiteness OK")
 PY
 
-  echo "==> unsafe budget (at most 1 unsafe site in crates/*/src)"
-  # The one: the pool broadcast's closure-lifetime transmute
-  # (crates/sirius-sim/src/engine/pool.rs). A second means raising this
-  # budget on purpose.
-  local sites count
+  echo "==> unsafe budget (no unsafe site in crates/*/src)"
+  # sirius-sim also forbids it at compile time; this covers every crate.
+  # A first site means raising this budget on purpose.
+  local sites
   sites="$(grep -rEn 'unsafe( |\{)' crates/*/src || true)"
-  count="$(grep -c . <<< "$sites" || true)"
-  if (( count > 1 )); then
-    echo "error: more than 1 unsafe site in crates/*/src:" >&2
+  if [[ -n "$sites" ]]; then
+    echo "error: unsafe site in crates/*/src:" >&2
     echo "$sites" >&2
     exit 1
   fi
-  echo "unsafe sites within budget"
+  echo "no unsafe sites"
 
   echo "==> non-test lines per crate (print only)"
   # Lines above each source file's last #[cfg(test)] (the whole file when
@@ -287,13 +278,12 @@ stage_bench_smoke() {
   # leaves results/*.csv and results/*.json behind for the workflow to
   # upload as artifacts. Harnesses run with --jobs 2 to cover the
   # parallel sweep path. sim_throughput runs at quick scale: CI machines
-  # are too noisy for the paper-scale speedup gate (that number is
-  # measured locally and recorded in EXPERIMENTS.md), but the harness
-  # path — including the BENCH_sim_throughput.json emitter — is covered.
+  # are too noisy for paper-scale timings (those are measured locally and
+  # recorded in EXPERIMENTS.md), but the harness path — including the
+  # BENCH_sim_throughput.json emitter — is covered.
   #
-  # The three §4.5 entries run twice: serially first, then on 2 workers
-  # (correlated_faults also with every run's slot engine sharded), and
-  # their nine artifacts must be byte-identical across the two.
+  # The three §4.5 entries run twice: serially first, then on 2 workers,
+  # and their nine artifacts must be byte-identical across the two.
   local fault_artifacts=(fault_detect.csv fault_goodput.csv fault_grey.csv
     repair_granularity.csv correlated_blast.csv correlated_detect.csv
     correlated_goodput.csv byzantine_damage.csv BENCH_correlated_faults.json)
@@ -304,13 +294,10 @@ stage_bench_smoke() {
   for f in "${fault_artifacts[@]}"; do
     cp "results/$f" results/.serial_faults/
   done
-  cargo run --release -p sirius-bench --bin xp -- fault_tolerance repair_granularity --smoke --jobs 2
-
-  echo "==> correlated_faults --smoke under SIRIUS_SHARDS=2"
-  # The correlated-domain + Byzantine evaluation end to end, with every
-  # run's slot engine sharded (the digest contract makes this free), then
-  # schema/sanity validation of the JSON artifact.
-  SIRIUS_SHARDS=2 cargo run --release -p sirius-bench --bin xp -- correlated_faults --smoke --jobs 2
+  cargo run --release -p sirius-bench --bin xp -- \
+    fault_tolerance repair_granularity correlated_faults --smoke --jobs 2
+  # Schema/sanity validation of the correlated-domain + Byzantine
+  # evaluation's JSON artifact.
   validate_bench_json results/BENCH_correlated_faults.json \
     '"bench": "correlated_faults"' '"silence_bound_epochs"' '"bank": \[' \
     '"byzantine": \[' '"drop_rate"' '"max_forged_per_epoch"' '"domains"' \
@@ -323,42 +310,21 @@ stage_bench_smoke() {
   rm -rf results/.serial_faults
   echo "§4.5 artifacts byte-identical across --jobs 1 and --jobs 2"
 
-  echo "==> sharded-equals-serial (sim_throughput digests, --shards 1 vs --shards 2)"
-  # The slot-engine sharding contract — one phase per slot partitioned by
-  # node range, arrivals merged in due order — checked on the real
-  # artifacts: a quick-scale run with --shards 2 must report the same
-  # per-mode run digests as --shards 1. (The experiment also asserts
-  # this in-process when --shards > 1; the cross-invocation compare below
-  # additionally pins that the serial engine itself didn't drift between
-  # the two runs.)
-  cargo run --release -p sirius-bench --bin xp -- sim_throughput --quick --jobs 2 --shards 1
-  grep -o '"digest": "[0-9a-f]*"' results/BENCH_sim_throughput.json > results/.digests_serial
-  cargo run --release -p sirius-bench --bin xp -- sim_throughput --quick --jobs 2 --shards 2
-  grep -o '"digest": "[0-9a-f]*"' results/BENCH_sim_throughput.json | head -n 3 > results/.digests_sharded_serialleg
-  cmp results/.digests_serial results/.digests_sharded_serialleg
-  rm -f results/.digests_serial results/.digests_sharded_serialleg
-  echo "sim_throughput digests byte-identical across --shards 1 and --shards 2"
+  echo "==> sim_throughput (quick scale)"
+  cargo run --release -p sirius-bench --bin xp -- sim_throughput --quick --jobs 2
   # Schema-gate the artifact, including the per-plane wall breakdown
-  # (tx/deliver/merge) the sharded-deliver work reports per point.
+  # (tx/deliver/merge) it reports per point.
   validate_bench_json results/BENCH_sim_throughput.json \
-    '"bench": "sim_throughput"' '"host_parallelism"' '"shards"' \
+    '"bench": "sim_throughput"' '"host_parallelism"' \
     '"tx_secs"' '"deliver_secs"' '"merge_secs"' '"admit_secs"' '"inject_secs"' \
-    '"cc_secs"' '"cells_per_sec"' \
-    '"protocol_sharded_speedup_vs_serial"' '"digest"'
-  # The only ratio the artifact may carry is the one measured inside this
-  # run on this host; a speedup against a number recorded on some other
-  # host is not a measurement (benchmark/run.sh --compare is the authority
-  # for commit-to-commit claims).
+    '"cc_secs"' '"cells_per_sec"' '"digest"'
+  # A speedup against a number recorded on some other host is not a
+  # measurement (benchmark/run.sh --compare is the authority for
+  # commit-to-commit claims).
   if grep -q 'protocol_speedup_vs_baseline' results/BENCH_sim_throughput.json; then
     echo "error: BENCH_sim_throughput.json carries a cross-host baseline ratio again" >&2
     exit 1
   fi
-
-  echo "==> test suite under SIRIUS_SHARDS=2 (release)"
-  # Every simulation in the suite that does not pick its own shard count
-  # runs sharded, audited or not; digest-pinned tests (golden,
-  # determinism, conformance) must be unaffected.
-  SIRIUS_SHARDS=2 cargo test --release -q --workspace
 
   echo "==> repo benchmark, smoke scale (benchmark/run.sh --smoke)"
   # The seven BENCHMARK.json workloads at 1/50 the flows (~12 s): the
@@ -402,11 +368,11 @@ stage_scale_smoke() {
   # re-deriving thresholds in shell. --jobs 1 on this leg: points must
   # complete in order for the process-monotonic VmHWM readings behind
   # the RSS gate to be attributable to their points.
-  cargo run --release -p sirius-bench --bin xp -- scale_series --smoke --jobs 1 --shards 1
+  cargo run --release -p sirius-bench --bin xp -- scale_series --smoke --jobs 1
   validate_bench_json results/BENCH_scale_series.json \
     '"bench": "scale_series"' '"resident_ok"' '"rss_sublinear"' \
     '"rss_subquadratic_in_nodes"' '"points": \[' \
-    '"nodes"' '"grating"' '"flows"' '"cells_per_sec"' '"cells_per_sec_per_core"' \
+    '"nodes"' '"grating"' '"flows"' '"cells_per_sec"' \
     '"peak_rss_bytes"' '"resident_flows_max"' '"resident_bound"' \
     '"fct_p50_us": [0-9]' '"fct_p99_us": [0-9]' '"digest"'
   # Residency must hold outright; RSS sub-linearity must hold or be
@@ -427,16 +393,14 @@ stage_scale_smoke() {
   fi
   grep -o '"digest": "[0-9a-f]*"' results/BENCH_scale_series.json > results/.scale_digests_serial
 
-  echo "==> scale series sharded-equals-serial (--shards 2, --jobs 2)"
-  # The streaming engine honors the same sharding contract as the slice
-  # path: per-point digests from a sharded, parallel-sweep run must
-  # match the serial single-worker leg above (this doubles as the
-  # jobs-determinism check on the real artifact).
-  cargo run --release -p sirius-bench --bin xp -- scale_series --smoke --jobs 2 --shards 2
-  grep -o '"digest": "[0-9a-f]*"' results/BENCH_scale_series.json > results/.scale_digests_sharded
-  cmp results/.scale_digests_serial results/.scale_digests_sharded
-  rm -f results/.scale_digests_serial results/.scale_digests_sharded
-  echo "scale_series digests byte-identical across --shards 1 and --shards 2"
+  echo "==> scale series parallel-equals-serial (--jobs 2)"
+  # Per-point digests from a parallel-sweep run must match the serial
+  # single-worker leg above.
+  cargo run --release -p sirius-bench --bin xp -- scale_series --smoke --jobs 2
+  grep -o '"digest": "[0-9a-f]*"' results/BENCH_scale_series.json > results/.scale_digests_parallel
+  cmp results/.scale_digests_serial results/.scale_digests_parallel
+  rm -f results/.scale_digests_serial results/.scale_digests_parallel
+  echo "scale_series digests byte-identical across --jobs 1 and --jobs 2"
 }
 
 stage_live_smoke() {

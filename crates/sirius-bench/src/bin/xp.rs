@@ -4,7 +4,7 @@
 //! run with its exit status; an unknown name exits 2 and lists the valid
 //! ones.
 //!
-//! The flags — scale, `--jobs`, `--shards`, `--timing`, `--live` — are
+//! The flags — scale, `--jobs`, `--timing`, `--live` — are
 //! [`sirius_bench::cli`]'s.
 use sirius_bench::registry::{self, Entry};
 use sirius_bench::wall::{ExperimentWall, WallReport};
@@ -18,8 +18,8 @@ fn run_all(entries: &[&Entry], cli: &Cli) -> Vec<(&'static str, f64)> {
         .iter()
         .map(|e| {
             eprintln!(
-                "running {} at {:?} scale, --jobs {}, shards {:?}...",
-                e.name, cli.scale, cli.jobs, cli.shards
+                "running {} at {:?} scale, --jobs {}...",
+                e.name, cli.scale, cli.jobs
             );
             let t0 = Instant::now();
             let status = (e.run)(cli);

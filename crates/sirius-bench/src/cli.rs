@@ -3,10 +3,6 @@
 //! * `--full` / `--quick` / `--smoke` — experiment scale (default quick);
 //! * `--jobs N` / `--jobs=N` — sweep workers (default `SIRIUS_JOBS`, then
 //!   [`std::thread::available_parallelism`]);
-//! * `--shards N` / `--shards=N` — slot-engine worker shards *within* one
-//!   run, read by `sim_throughput` and `scale_series` only (every other
-//!   experiment takes the simulator's own `SIRIUS_SHARDS`-or-1 default;
-//!   sharded runs are digest-identical to `--shards 1`);
 //! * `--timing` — run the selection serially and in parallel and emit
 //!   `results/BENCH_xp_wall.json`;
 //! * `--live` — also run the live-process sync measurement (spawns real
@@ -28,13 +24,6 @@ pub struct Cli {
     pub scale: Scale,
     /// Sweep worker count (≥ 1).
     pub jobs: usize,
-    /// Slot-engine shards per run: `Some(n)` when `--shards n` was given
-    /// (applied via [`SiriusSimConfig::with_shards`] by `sim_throughput`
-    /// and `scale_series`, the only readers), `None` to leave the
-    /// simulator's default (`SIRIUS_SHARDS` or serial) in place.
-    ///
-    /// [`SiriusSimConfig::with_shards`]: sirius_sim::SiriusSimConfig::with_shards
-    pub shards: Option<usize>,
     /// `--timing`: measure serial vs parallel wall-clock.
     pub timing: bool,
     /// `--live`: include the live-process sync measurement.
@@ -51,7 +40,7 @@ impl Cli {
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!(
-                    "usage: [--full|--quick|--smoke] [--jobs N] [--shards N] [--timing] [--live] [args...]"
+                    "usage: [--full|--quick|--smoke] [--jobs N] [--timing] [--live] [args...]"
                 );
                 std::process::exit(2);
             }
@@ -64,7 +53,6 @@ impl Cli {
         let mut cli = Cli {
             scale: Scale::Quick,
             jobs: 0,
-            shards: None,
             timing: false,
             live: false,
             rest: Vec::new(),
@@ -91,15 +79,9 @@ impl Cli {
                     let v = args.next().ok_or("--jobs needs a worker count")?;
                     cli.jobs = parse_jobs(&v)?;
                 }
-                "--shards" => {
-                    let v = args.next().ok_or("--shards needs a shard count")?;
-                    cli.shards = Some(parse_count("--shards", &v)?);
-                }
                 _ => {
                     if let Some(v) = a.strip_prefix("--jobs=") {
                         cli.jobs = parse_jobs(v)?;
-                    } else if let Some(v) = a.strip_prefix("--shards=") {
-                        cli.shards = Some(parse_count("--shards", v)?);
                     } else if a.starts_with("--") {
                         return Err(format!("unknown flag {a}"));
                     } else {
@@ -134,13 +116,9 @@ impl Cli {
 }
 
 fn parse_jobs(v: &str) -> Result<usize, String> {
-    parse_count("--jobs", v)
-}
-
-fn parse_count(flag: &str, v: &str) -> Result<usize, String> {
     match v.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("{flag} wants an integer >= 1, got {v:?}")),
+        _ => Err(format!("--jobs wants an integer >= 1, got {v:?}")),
     }
 }
 
@@ -157,20 +135,9 @@ mod tests {
         let cli = parse(&[]).unwrap();
         assert_eq!(cli.scale, Scale::Quick);
         assert!(cli.jobs >= 1);
-        assert_eq!(cli.shards, None, "absent --shards must not override");
         assert!(!cli.timing);
         assert!(!cli.live);
         assert!(cli.rest.is_empty());
-    }
-
-    #[test]
-    fn shards_flag_parses_both_forms_and_rejects_garbage() {
-        assert_eq!(parse(&["--shards", "4"]).unwrap().shards, Some(4));
-        assert_eq!(parse(&["--shards=2"]).unwrap().shards, Some(2));
-        assert_eq!(parse(&["--shards", "1"]).unwrap().shards, Some(1));
-        assert!(parse(&["--shards", "0"]).is_err());
-        assert!(parse(&["--shards"]).is_err());
-        assert!(parse(&["--shards=lots"]).is_err());
     }
 
     #[test]

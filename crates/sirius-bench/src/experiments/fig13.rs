@@ -46,8 +46,7 @@ fn system_point(scale: Scale, mean: u64, load: f64, seed: u64, esn: bool) -> Poi
 }
 
 /// The full mean-size sweep on `jobs` workers. Its 100 KB points are the
-/// longest single runs of the suite; `SIRIUS_SHARDS` splits each of them
-/// across slot-engine workers, as it does every run.
+/// longest single runs of the suite.
 pub fn run(scale: Scale, load: f64, seed: u64, jobs: usize) -> Vec<Point> {
     let mut sweep = Sweep::new();
     for &mean in &MEAN_SIZES {

@@ -123,8 +123,6 @@ pub struct ScalePoint {
     pub nodes: u32,
     pub grating: u32,
     pub flows: u64,
-    /// Slot-engine worker shards the run used.
-    pub shards: usize,
     pub cells: u64,
     pub epochs: u64,
     pub wall_secs: f64,
@@ -153,12 +151,6 @@ impl ScalePoint {
         } else {
             0.0
         }
-    }
-
-    /// Throughput normalized by engine workers, so sharded and serial
-    /// points are comparable on a per-core basis.
-    pub fn cells_per_sec_per_core(&self) -> f64 {
-        self.cells_per_sec() / self.shards.max(1) as f64
     }
 
     pub fn resident_bound(&self) -> u64 {
@@ -207,13 +199,12 @@ pub fn point_workload(geom: ScaleGeom, net: &SiriusConfig, seed: u64) -> Workloa
 /// Run one point through the streaming engine. The drain window is
 /// derived analytically (`flows × mean inter-arrival`) because the
 /// workload is never materialized, so there is no `last()` to ask.
-pub fn run_point(geom: ScaleGeom, seed: u64, shards: usize) -> ScalePoint {
+pub fn run_point(geom: ScaleGeom, seed: u64) -> ScalePoint {
     let net = point_network(geom);
     let spec = point_workload(geom, &net, seed);
     let span = spec.mean_interarrival() * spec.flows;
     let mut cfg = SiriusSimConfig::new(net.clone())
         .with_seed(seed)
-        .with_shards(shards)
         .with_audit(false);
     cfg.drain_timeout = Duration::from_us(200).max(span / 2);
     let m = SiriusSim::new(cfg).run_streaming(spec.stream());
@@ -221,7 +212,6 @@ pub fn run_point(geom: ScaleGeom, seed: u64, shards: usize) -> ScalePoint {
         nodes: net.nodes as u32,
         grating: net.grating_ports as u32,
         flows: geom.flows,
-        shards,
         cells: m.cells_delivered,
         epochs: m.epochs_simulated,
         wall_secs: m.wall_secs,
@@ -246,20 +236,20 @@ pub fn run_point(geom: ScaleGeom, seed: u64, shards: usize) -> ScalePoint {
 /// regardless of `jobs` (the sweep preserves submission order), and
 /// each job regenerates its own stream from the seed, so digests are
 /// independent of the worker count.
-pub fn run_points(geoms: &[ScaleGeom], seed: u64, jobs: usize, shards: usize) -> Vec<ScalePoint> {
+pub fn run_points(geoms: &[ScaleGeom], seed: u64, jobs: usize) -> Vec<ScalePoint> {
     let mut sweep = Sweep::new();
     for &geom in geoms {
         sweep.push(
             format!("scale_series n={} flows={}", geom.nodes, geom.flows),
-            move || run_point(geom, seed, shards),
+            move || run_point(geom, seed),
         );
     }
     sweep.run(jobs)
 }
 
 /// The full series for a scale preset.
-pub fn run(scale: Scale, seed: u64, jobs: usize, shards: usize) -> Vec<ScalePoint> {
-    run_points(&series(scale), seed, jobs, shards)
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<ScalePoint> {
+    run_points(&series(scale), seed, jobs)
 }
 
 /// Gate verdicts over a series; see [`gates`].
@@ -327,11 +317,9 @@ pub fn table(points: &[ScalePoint]) -> Table {
             "nodes",
             "grating",
             "flows",
-            "shards",
             "cells",
             "wall_s",
             "cells_per_s",
-            "cells_per_s_core",
             "peak_rss_mb",
             "resident_max",
             "resident_bound",
@@ -347,11 +335,9 @@ pub fn table(points: &[ScalePoint]) -> Table {
             p.nodes.to_string(),
             p.grating.to_string(),
             p.flows.to_string(),
-            p.shards.to_string(),
             p.cells.to_string(),
             f(p.wall_secs, 3),
             f(p.cells_per_sec(), 0),
-            f(p.cells_per_sec_per_core(), 0),
             p.peak_rss_bytes
                 .map(|b| f(b as f64 / (1 << 20) as f64, 1))
                 .unwrap_or_else(|| "n/a".into()),
@@ -410,21 +396,18 @@ pub fn to_json(points: &[ScalePoint], scale: Scale, jobs: usize) -> String {
                 .unwrap_or_else(|| "null".into())
         };
         out.push_str(&format!(
-            "    {{\"nodes\": {}, \"grating\": {}, \"flows\": {}, \"shards\": {}, \
-             \"cells\": {}, \"epochs\": {}, \"wall_secs\": {:.4}, \"cells_per_sec\": {:.0}, \
-             \"cells_per_sec_per_core\": {:.0}, \"peak_rss_bytes\": {}, \
+            "    {{\"nodes\": {}, \"grating\": {}, \"flows\": {}, \"cells\": {}, \
+             \"epochs\": {}, \"wall_secs\": {:.4}, \"cells_per_sec\": {:.0}, \"peak_rss_bytes\": {}, \
              \"resident_flows_max\": {}, \"resident_bound\": {}, \"completed\": {}, \
              \"fct_p50_us\": {}, \"fct_p99_us\": {}, \
              \"digest\": \"{:016x}\"}}{}\n",
             p.nodes,
             p.grating,
             p.flows,
-            p.shards,
             p.cells,
             p.epochs,
             p.wall_secs,
             p.cells_per_sec(),
-            p.cells_per_sec_per_core(),
             rss,
             p.resident_flows_max,
             p.resident_bound(),
@@ -463,7 +446,7 @@ mod tests {
 
     #[test]
     fn tiny_point_runs_and_gates_hold() {
-        let pts = run_points(&[tiny()], 7, 1, 1);
+        let pts = run_points(&[tiny()], 7, 1);
         assert_eq!(pts.len(), 1);
         let p = &pts[0];
         assert!(p.cells > 0, "no cells delivered");
@@ -536,7 +519,6 @@ mod tests {
             nodes,
             grating: 16,
             flows,
-            shards: 1,
             cells: 1000,
             epochs: 50,
             wall_secs: 0.5,
@@ -559,7 +541,7 @@ mod tests {
         assert!(j.contains("\"rss_subquadratic_in_nodes\": null"));
         assert!(j.contains("\"peak_rss_bytes\": 1048576"));
         assert!(j.contains("\"resident_flows_max\": 20"));
-        assert!(j.contains("\"cells_per_sec_per_core\": 2000"));
+        assert!(j.contains("\"cells_per_sec\": 2000"));
         assert!(j.contains("\"fct_p50_us\": 12.500"));
         assert!(j.contains("\"fct_p99_us\": null"));
         assert!(j.contains("\"digest\": \"000000000000abcd\""));

@@ -8,10 +8,9 @@
 //! number that says whether a refactor moved toward it.
 //!
 //! Besides the usual CSV, the harness emits
-//! `results/BENCH_sim_throughput.json` with the measured points and the
-//! one ratio taken inside a single run on a single host: sharded vs
-//! serial Protocol. Comparing commits is `benchmark/run.sh --compare`'s
-//! job, not this artifact's.
+//! `results/BENCH_sim_throughput.json` with the measured points.
+//! Comparing commits is `benchmark/run.sh --compare`'s job, not this
+//! artifact's.
 
 use crate::pool::Sweep;
 use crate::scale::Scale;
@@ -25,24 +24,19 @@ pub const MODES: [(CcMode, &str); 3] = [
     (CcMode::Greedy, "greedy"),
 ];
 
-/// One (mode, shards, scale) throughput measurement.
+/// One (mode, scale) throughput measurement.
 #[derive(Debug, Clone)]
 pub struct ThroughputPoint {
     pub mode: &'static str,
-    /// Slot-engine worker shards the run used (1 = serial engine).
-    pub shards: usize,
     pub nodes: u32,
     pub flows: u64,
     pub cells: u64,
     pub epochs: u64,
     pub wall_secs: f64,
     /// Per-plane wall breakdown (`RunMetrics::{tx,deliver,merge}_secs`,
-    /// recorded with `plane_timing` on) of the one parallel phase per
-    /// slot and its serial epilogue. `deliver_secs` is the slowest
-    /// shard's receive half per slot, `tx_secs` the rest of the phase's
-    /// wall time (the send halves plus, on the sharded leg, the barrier
-    /// wait), `merge_secs` the serial merges. At one shard the first two
-    /// are exactly the receive and send calls.
+    /// recorded with `plane_timing` on) of each slot after its epoch
+    /// boundary: `deliver_secs` the receive pass, `tx_secs` the
+    /// transmit pass, `merge_secs` the slot's epilogue.
     pub tx_secs: f64,
     pub deliver_secs: f64,
     pub merge_secs: f64,
@@ -53,8 +47,8 @@ pub struct ThroughputPoint {
     pub admit_secs: f64,
     pub inject_secs: f64,
     pub cc_secs: f64,
-    /// Delivered-cell run digest: sharded points must match their serial
-    /// sibling bit-for-bit (`ci.sh bench-smoke` compares them).
+    /// Delivered-cell run digest: equal at any `--jobs` (`ci.sh
+    /// bench-smoke` compares the committed artifact's).
     pub digest: u64,
 }
 
@@ -89,16 +83,8 @@ pub fn flow_count(scale: Scale) -> u64 {
 
 /// One mode's audited-off release-path run; regenerates its workload.
 /// Load 0.5: moderate occupancy, the run drains, and the cell mix
-/// exercises both the relay and direct paths. `shards` is the
-/// slot-engine worker count (1 = serial; Ideal mode runs serial
-/// regardless, so its sharded point measures the fallback).
-pub fn run_mode(
-    scale: Scale,
-    seed: u64,
-    mode: CcMode,
-    name: &'static str,
-    shards: usize,
-) -> ThroughputPoint {
+/// exercises both the relay and direct paths.
+pub fn run_mode(scale: Scale, seed: u64, mode: CcMode, name: &'static str) -> ThroughputPoint {
     let net = scale.network();
     let mut spec = scale.workload(0.5, seed);
     spec.flows = flow_count(scale);
@@ -106,7 +92,6 @@ pub fn run_mode(
     let cfg = scale
         .sim_config(net.clone(), &wl, seed)
         .with_mode(mode)
-        .with_shards(shards)
         // Throughput measures the release path: audit off explicitly so
         // debug-build smoke tests measure the same configuration CI
         // release runs do.
@@ -117,7 +102,6 @@ pub fn run_mode(
     let m = SiriusSim::new(cfg).run(&wl);
     ThroughputPoint {
         mode: name,
-        shards,
         nodes: net.nodes as u32,
         flows: wl.len() as u64,
         cells: m.cells_delivered,
@@ -140,13 +124,12 @@ pub fn run_mode(
 /// inflate each other's wall clock, so the longitudinal series (the
 /// paper-scale best-of-3 in `BENCH_sim_throughput.json`) is always
 /// measured at `jobs = 1`; the `sim_throughput` registry entry enforces that.
-pub fn run(scale: Scale, seed: u64, jobs: usize, shards: usize) -> Vec<ThroughputPoint> {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<ThroughputPoint> {
     let mut sweep = Sweep::new();
     for &(mode, name) in &MODES {
-        sweep.push(
-            format!("sim_throughput mode={name} shards={shards}"),
-            move || run_mode(scale, seed, mode, name, shards),
-        );
+        sweep.push(format!("sim_throughput mode={name}"), move || {
+            run_mode(scale, seed, mode, name)
+        });
     }
     sweep.run(jobs)
 }
@@ -156,16 +139,10 @@ pub fn run(scale: Scale, seed: u64, jobs: usize, shards: usize) -> Vec<Throughpu
 /// is), so the minimum wall time per mode is the closest observation of
 /// the engine's true cost. The simulated run is identical every repeat
 /// (same seed), so only the clock varies.
-pub fn run_best(
-    scale: Scale,
-    seed: u64,
-    repeats: u32,
-    jobs: usize,
-    shards: usize,
-) -> Vec<ThroughputPoint> {
-    let mut best = run(scale, seed, jobs, shards);
+pub fn run_best(scale: Scale, seed: u64, repeats: u32, jobs: usize) -> Vec<ThroughputPoint> {
+    let mut best = run(scale, seed, jobs);
     for _ in 1..repeats {
-        for (b, p) in best.iter_mut().zip(run(scale, seed, jobs, shards)) {
+        for (b, p) in best.iter_mut().zip(run(scale, seed, jobs)) {
             if p.wall_secs < b.wall_secs {
                 *b = p;
             }
@@ -179,7 +156,6 @@ pub fn table(points: &[ThroughputPoint]) -> Table {
         "simulator throughput (wall-clock)",
         &[
             "mode",
-            "shards",
             "nodes",
             "flows",
             "cells",
@@ -199,7 +175,6 @@ pub fn table(points: &[ThroughputPoint]) -> Table {
     for p in points {
         t.row(vec![
             p.mode.to_string(),
-            p.shards.to_string(),
             p.nodes.to_string(),
             p.flows.to_string(),
             p.cells.to_string(),
@@ -220,10 +195,7 @@ pub fn table(points: &[ThroughputPoint]) -> Table {
 }
 
 /// Hand-rolled JSON (the workspace is offline — no serde): the measured
-/// points and the sharded-vs-serial Protocol ratio when both shard
-/// counts were measured. `host_parallelism` makes the artifact
-/// self-describing: a sharded run on a 1-core container is honest about
-/// why it shows no speedup.
+/// points, with the `host_parallelism` they were taken on.
 pub fn to_json(points: &[ThroughputPoint], scale: Scale) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"sim_throughput\",\n");
@@ -234,32 +206,15 @@ pub fn to_json(points: &[ThroughputPoint], scale: Scale) -> String {
             .map(|n| n.get())
             .unwrap_or(1)
     ));
-    let serial_protocol = points
-        .iter()
-        .find(|p| p.mode == "protocol" && p.shards == 1);
-    let sharded_protocol = points.iter().find(|p| p.mode == "protocol" && p.shards > 1);
-    let sharded_speedup = match (serial_protocol, sharded_protocol) {
-        (Some(serial), Some(sharded)) if serial.cells_per_sec() > 0.0 => {
-            Some(sharded.cells_per_sec() / serial.cells_per_sec())
-        }
-        _ => None,
-    };
-    match sharded_speedup {
-        Some(s) => out.push_str(&format!(
-            "  \"protocol_sharded_speedup_vs_serial\": {s:.3},\n"
-        )),
-        None => out.push_str("  \"protocol_sharded_speedup_vs_serial\": null,\n"),
-    }
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"shards\": {}, \"nodes\": {}, \"flows\": {}, \
+            "    {{\"mode\": \"{}\", \"nodes\": {}, \"flows\": {}, \
              \"cells\": {}, \"epochs\": {}, \"wall_secs\": {:.4}, \"tx_secs\": {:.4}, \
              \"deliver_secs\": {:.4}, \"merge_secs\": {:.4}, \"admit_secs\": {:.4}, \
              \"inject_secs\": {:.4}, \"cc_secs\": {:.4}, \"cells_per_sec\": {:.0}, \
              \"epochs_per_sec\": {:.0}, \"digest\": \"{:016x}\"}}{}\n",
             p.mode,
-            p.shards,
             p.nodes,
             p.flows,
             p.cells,
@@ -296,10 +251,9 @@ mod tests {
 
     #[test]
     fn smoke_runs_all_modes_and_counts_work() {
-        let pts = run(Scale::Smoke, 3, 1, 1);
+        let pts = run(Scale::Smoke, 3, 1);
         assert_eq!(pts.len(), 3);
         for p in &pts {
-            assert_eq!(p.shards, 1);
             assert!(p.cells > 0, "{}: no cells delivered", p.mode);
             assert!(p.epochs > 0, "{}: no epochs simulated", p.mode);
             assert!(p.wall_secs > 0.0, "{}: wall clock did not advance", p.mode);
@@ -331,24 +285,10 @@ mod tests {
         assert_eq!(table(&pts).len(), 3);
     }
 
-    /// The shards axis: a sharded run retires the same work with the same
-    /// digest as its serial sibling (the full matrix lives in
-    /// `tests/determinism.rs`; this pins the harness plumbing).
-    #[test]
-    fn sharded_point_matches_serial_digest() {
-        let serial = run_mode(Scale::Smoke, 3, CcMode::Protocol, "protocol", 1);
-        let sharded = run_mode(Scale::Smoke, 3, CcMode::Protocol, "protocol", 2);
-        assert_eq!(sharded.shards, 2);
-        assert_eq!(serial.digest, sharded.digest, "sharded digest diverged");
-        assert_eq!(serial.cells, sharded.cells);
-        assert_eq!(serial.epochs, sharded.epochs);
-    }
-
     #[test]
     fn json_is_well_formed_enough() {
-        let mk = |shards: usize, wall: f64| ThroughputPoint {
+        let mk = |wall: f64| ThroughputPoint {
             mode: "protocol",
-            shards,
             nodes: 16,
             flows: 10,
             cells: 1000,
@@ -362,7 +302,7 @@ mod tests {
             cc_secs: wall * 0.0625,
             digest: 0xabcd,
         };
-        let pts = vec![mk(1, 0.5), mk(2, 0.25)];
+        let pts = vec![mk(0.5)];
         let j = to_json(&pts, Scale::Smoke);
         assert!(j.contains("\"bench\": \"sim_throughput\""));
         assert!(j.contains("\"cells_per_sec\": 2000"));
@@ -372,11 +312,9 @@ mod tests {
         assert!(j.contains("\"cc_secs\": 0.0312"));
         assert!(j.contains("\"scale\": \"Smoke\""));
         assert!(j.contains("\"host_parallelism\":"));
-        assert!(j.contains("\"shards\": 2"));
         assert!(j.contains("\"digest\": \"000000000000abcd\""));
-        // The only ratio is the one measured inside this run.
+        // Points only: comparing commits is the benchmark's job.
         assert!(!j.contains("baseline"));
-        assert!(j.contains("\"protocol_sharded_speedup_vs_serial\": 2.000"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -200,8 +200,7 @@ fn fig12(cli: &Cli) -> i32 {
 }
 
 /// Fig. 13: FCT and goodput vs mean flow size. Its wall clock is a few
-/// long runs rather than sweep width; `SIRIUS_SHARDS` splits each run
-/// across slot-engine workers, as it does for every experiment.
+/// long runs rather than sweep width.
 fn fig13(cli: &Cli) -> i32 {
     let points = xp::fig13::run(cli.scale, 0.5, 1, cli.jobs);
     xp::fig13::table(&points).emit("fig13");
@@ -276,16 +275,13 @@ fn relay_burst(cli: &Cli) -> i32 {
 }
 
 /// Simulator throughput. `--full` is paper_sim scale, `--smoke` the
-/// harness self-test size; `--shards N` records a serial (`shards = 1`)
-/// baseline *and* the sharded leg in the same artifact, digest-compared.
+/// harness self-test size.
 fn sim_throughput(cli: &Cli) -> i32 {
     let scale = cli.scale;
     // Paper scale is the acceptance measurement: best-of-3 to shed
     // one-sided OS noise, and always a single sweep job — concurrent
     // modes contend for cores and would inflate each other's wall clock,
-    // corrupting the longitudinal series. (`--shards` is intra-run
-    // parallelism and is exactly what this measurement is for.) The
-    // smaller scales are smoke checks of the harness path, where
+    // corrupting the longitudinal series. The smaller scales are smoke checks of the harness path, where
     // `--jobs` parallelism is exercised.
     let (repeats, jobs) = if scale == Scale::Paper {
         if cli.jobs > 1 {
@@ -295,45 +291,24 @@ fn sim_throughput(cli: &Cli) -> i32 {
     } else {
         (1, cli.jobs)
     };
-    let shards = cli.shards.unwrap_or(1);
-    eprintln!("=== simulator throughput, {scale:?} scale, --jobs {jobs}, --shards {shards} ===");
-    // Serial baseline first; with --shards N > 1 the sharded leg rides in
-    // the same artifact so the serial-vs-sharded ratio (and the digest
-    // equality CI checks) need no cross-file correlation.
-    let mut pts = xp::sim_throughput::run_best(scale, 1, repeats, jobs, 1);
-    if shards > 1 {
-        pts.extend(xp::sim_throughput::run_best(
-            scale, 1, repeats, jobs, shards,
-        ));
-        for mode in ["protocol", "greedy"] {
-            let serial = pts.iter().find(|p| p.mode == mode && p.shards == 1);
-            let sharded = pts.iter().find(|p| p.mode == mode && p.shards > 1);
-            if let (Some(a), Some(b)) = (serial, sharded) {
-                assert_eq!(
-                    a.digest, b.digest,
-                    "{mode}: sharded digest diverged from serial"
-                );
-            }
-        }
-    }
+    eprintln!("=== simulator throughput, {scale:?} scale, --jobs {jobs} ===");
+    let pts = xp::sim_throughput::run_best(scale, 1, repeats, jobs);
     xp::sim_throughput::table(&pts).emit("sim_throughput");
     xp::sim_throughput::emit_json(&pts, scale);
     0
 }
 
 /// The scale-out series. `--smoke` is the CI gate size, `--full` the
-/// 4096-node / 2M-flow series, `--shards N` intra-run slot-engine
-/// parallelism (digest-identical to serial). Fails when resident flow
-/// state exceeds its bound.
+/// 4096-node / 2M-flow series. Fails when resident flow state exceeds
+/// its bound.
 fn scale_series(cli: &Cli) -> i32 {
     let scale = cli.scale;
     // The largest points hold the full per-node deployment state per
     // concurrent sweep job, so --jobs is capped (and the cap also keeps
     // the per-point VmHWM readings honest).
     let jobs = cli.jobs_capped(xp::scale_series::jobs_cap(scale));
-    let shards = cli.shards.unwrap_or(1);
-    eprintln!("=== scale-out series, {scale:?} scale, --jobs {jobs}, --shards {shards} ===");
-    let pts = xp::scale_series::run(scale, 1, jobs, shards);
+    eprintln!("=== scale-out series, {scale:?} scale, --jobs {jobs} ===");
+    let pts = xp::scale_series::run(scale, 1, jobs);
     let gates = xp::scale_series::gates(&pts);
     xp::scale_series::table(&pts).emit("scale_series");
     xp::scale_series::emit_json(&pts, scale, jobs);

@@ -1,27 +1,19 @@
-//! Parallel-equals-serial determinism, at both parallelism layers:
+//! Parallel-equals-serial determinism, and the run-shape equivalences
+//! the engine promises:
 //!
 //! * **Across runs** (the sweep executor): a representative full sweep
 //!   (Fig. 9: 4 systems × 5 loads, the paper's headline figure) must
 //!   produce byte-identical CSVs and identical per-run digests whether
 //!   it runs on 1 worker or 4.
-//! * **Within a run** (the phased slot driver): one simulation split
-//!   across shards — one phase per slot in which each shard receives
-//!   and then transmits on its own node range, then the due-order
-//!   arrival merge and the shard-order TX merge — must retire the
-//!   exact one-shard delivered-cell sequence: byte-identical digest,
-//!   equal `RunMetrics` counters, and equal FCT percentiles for shards ∈
-//!   {1, 2, 4} × {Protocol, Ideal} × {fault-free, classic faults,
-//!   correlated+Byzantine} materialized, and shards {1, 2, 4} ×
-//!   {fault-free, classic faults, correlated+Byzantine} streaming
-//!   (Protocol). The two entry points differ by eviction alone, so one
-//!   row pins streamed ≡ materialized on everything eviction cannot
-//!   touch: delivered bytes, cells, epochs, incomplete flows and the
-//!   whole `FaultReport`, under each script. Where the one
-//!   driver clamps itself to a single shard (Ideal mode) the rows pin
-//!   that `with_shards` is behavior-inert; audited runs shard like any
-//!   other, and their audit ledgers must match too. (Golden digests
-//!   pin one-shard behavior separately, unblessed, in
-//!   `tests/golden_digests.rs`; one row here pins lazy admission in
+//! * **One table** ([`runs_agree_across_audit_entry_point_and_jobs`]):
+//!   for Protocol, Ideal and Greedy under the correlated+Byzantine
+//!   script, through both entry points, an audited run is the
+//!   unaudited run with a clean audit, the streaming run agrees with the
+//!   slice run on everything eviction cannot touch, and every run — and
+//!   every scale-series point — is identical at `--jobs 1` and
+//!   `--jobs 2`: digest, `RunMetrics` counters, FCT percentiles and the
+//!   audit ledger. (Golden digests pin behavior separately, unblessed,
+//!   in `tests/golden_digests.rs`; one row here pins lazy admission in
 //!   `run` against a digest recorded before the slice path was folded
 //!   into the stream path.)
 //!
@@ -32,7 +24,7 @@
 
 use sirius_bench::experiments::fig9;
 use sirius_bench::experiments::scale_series::{self, ScaleGeom};
-use sirius_bench::Scale;
+use sirius_bench::{Scale, Sweep};
 use sirius_sim::{CcMode, FaultEvent, FaultInjector, RunMetrics, SiriusSim};
 
 #[test]
@@ -69,7 +61,7 @@ fn fig9_sweep_is_byte_identical_serial_vs_parallel() {
     assert_eq!(gp_s.to_csv(), gp_p.to_csv(), "fig9b CSV diverged");
 }
 
-/// A fault script covering every draw path the sharded engine must keep
+/// A fault script covering every fault draw path the engine must keep
 /// deterministic: grey erasure (per-node RNG streams), mistune
 /// corruption (pre-pass scratch), a crash + recovery (failure plane,
 /// detector credit), and control loss (epoch-boundary serial stream).
@@ -130,36 +122,26 @@ fn correlated_byz_script(seed: u64) -> FaultInjector {
 /// A seeded fault-script constructor, or `None` for a fault-free run.
 type Script = Option<fn(u64) -> FaultInjector>;
 
-fn run_with_shards(mode: CcMode, shards: usize, script: Script) -> RunMetrics {
-    run_smoke(mode, shards, script, false)
-}
-
-fn run_smoke(mode: CcMode, shards: usize, script: Script, audit: bool) -> RunMetrics {
-    let (sim, wl) = smoke_sim(mode, shards, script, audit);
+fn run_smoke(mode: CcMode, script: Script, audit: bool) -> RunMetrics {
+    let (sim, wl) = smoke_sim(mode, script, audit);
     sim.run(&wl)
 }
 
-/// The same run through the streaming entry point (Protocol).
-fn stream_smoke(shards: usize, script: Script, audit: bool) -> RunMetrics {
-    let (sim, _) = smoke_sim(CcMode::Protocol, shards, script, audit);
+/// The same run through the streaming entry point.
+fn stream_smoke(mode: CcMode, script: Script, audit: bool) -> RunMetrics {
+    let (sim, _) = smoke_sim(mode, script, audit);
     sim.run_streaming(Scale::Smoke.workload(0.6, 11).stream())
 }
 
 /// The Smoke-scale simulator (load 0.6, seed 11) with `script` attached,
 /// and the workload its drain window was sized for.
-fn smoke_sim(
-    mode: CcMode,
-    shards: usize,
-    script: Script,
-    audit: bool,
-) -> (SiriusSim, Vec<sirius_workload::Flow>) {
+fn smoke_sim(mode: CcMode, script: Script, audit: bool) -> (SiriusSim, Vec<sirius_workload::Flow>) {
     let scale = Scale::Smoke;
     let net = scale.network();
     let wl = scale.workload(0.6, 11).generate();
     let cfg = scale
         .sim_config(net, &wl, 11)
         .with_mode(mode)
-        .with_shards(shards)
         .with_audit(audit);
     let mut sim = SiriusSim::new(cfg);
     if let Some(script) = script {
@@ -210,112 +192,6 @@ fn behavior_of(m: &RunMetrics) -> impl std::fmt::Debug + PartialEq {
     )
 }
 
-/// The acceptance matrix: sharded runs are byte-identical to one-shard
-/// runs across shard counts, CC modes, and fault scripts. Ideal mode
-/// runs on one shard whatever the config says (shared back-pressure
-/// state), so its rows pin that `with_shards` is behavior-inert there.
-#[test]
-fn sharded_runs_are_byte_identical_to_serial() {
-    let scripts: [(&str, Script); 3] = [
-        ("none", None),
-        ("classic", Some(fault_script)),
-        ("correlated+byz", Some(correlated_byz_script)),
-    ];
-    for mode in [CcMode::Protocol, CcMode::Ideal] {
-        for (name, script) in scripts {
-            let serial = run_with_shards(mode, 1, script);
-            assert_ne!(serial.digest, 0, "serial digest vacuous");
-            if name == "classic" {
-                let f = serial.fault.as_ref().expect("fault report missing");
-                assert!(
-                    f.cells_lost_grey + f.cells_lost_mistune + f.cells_lost_crash > 0,
-                    "{mode:?}: fault script drew no losses; the matrix is vacuous"
-                );
-            }
-            if name == "correlated+byz" {
-                let f = serial.fault.as_ref().expect("fault report missing");
-                assert!(
-                    f.cells_forged > 0 && f.column_omissions > 0,
-                    "{mode:?}: correlated+byz arm fired nothing; the matrix is vacuous"
-                );
-            }
-            for shards in [2usize, 4] {
-                let sharded = run_with_shards(mode, shards, script);
-                assert_eq!(
-                    behavior_of(&serial),
-                    behavior_of(&sharded),
-                    "behavior diverged: mode={mode:?} shards={shards} script={name}"
-                );
-                // The headline latency stats must be byte-equal too:
-                // they derive from per-flow completion times folded in
-                // the ordered epilogue, not from the digest.
-                for p in [50.0, 99.0] {
-                    assert_eq!(
-                        serial.fct_percentile(p, u64::MAX),
-                        sharded.fct_percentile(p, u64::MAX),
-                        "FCT p{p} diverged: mode={mode:?} shards={shards} script={name}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Audited runs shard: every probe fires on the main thread from the
-/// serial merges, so `with_shards(n)` under audit is the `with_shards(1)`
-/// run — same digest and counters, a clean audit, and the identical audit
-/// ledger — and all equal the unaudited run, since probes are
-/// digest-neutral. Streaming arms cover the eviction probes, which the
-/// deliver merge replays in due order across shards.
-#[test]
-fn audited_sharded_runs_match_serial() {
-    let scripts: [(&str, Script); 2] = [
-        ("classic", Some(fault_script)),
-        ("correlated+byz", Some(correlated_byz_script)),
-    ];
-    for (name, script) in scripts {
-        for streaming in [false, true] {
-            let run = |shards, audit| {
-                if streaming {
-                    stream_smoke(shards, script, audit)
-                } else {
-                    run_smoke(CcMode::Protocol, shards, script, audit)
-                }
-            };
-            let one = run(1, true);
-            for shards in [1usize, 2, 4] {
-                let m = if shards == 1 {
-                    &one
-                } else {
-                    &run(shards, true)
-                };
-                let report = m.audit.as_ref().expect("audit report missing");
-                assert!(report.epochs_checked > 0, "audit never ran");
-                assert!(
-                    report.is_clean(),
-                    "streaming={streaming} shards={shards} script={name}: {:?}",
-                    report.violations
-                );
-                assert_eq!(
-                    behavior_of(&one),
-                    behavior_of(m),
-                    "audited run moved: streaming={streaming} shards={shards} script={name}"
-                );
-                assert_eq!(
-                    format!("{:?}", one.audit),
-                    format!("{:?}", m.audit),
-                    "audit ledgers diverged: streaming={streaming} shards={shards} script={name}"
-                );
-            }
-            assert_eq!(
-                behavior_of(&one),
-                behavior_of(&run(4, false)),
-                "audit probes moved the run: streaming={streaming} script={name}"
-            );
-        }
-    }
-}
-
 /// `run(&workload)` admits the slab lazily, one flow per arrival, through
 /// the same source `run_streaming` uses — admission order is the only
 /// thing standing between it and the digest the bulk-populated slab
@@ -331,15 +207,9 @@ fn lazily_admitted_run_matches_the_bulk_populated_digest() {
         epochs_of_arrivals >= 3,
         "arrivals span {epochs_of_arrivals} epochs; admission is not lazy enough to test"
     );
-    for shards in [1usize, 2] {
-        let m = run_with_shards(CcMode::Protocol, shards, None);
-        assert_eq!(m.flows.len(), wl.len(), "a flow went unreported");
-        assert_eq!(
-            m.digest, PRE_CHANGE_SMOKE_DIGEST,
-            "shards={shards}: got {:#018x}",
-            m.digest
-        );
-    }
+    let m = run_smoke(CcMode::Protocol, None, false);
+    assert_eq!(m.flows.len(), wl.len(), "a flow went unreported");
+    assert_eq!(m.digest, PRE_CHANGE_SMOKE_DIGEST, "got {:#018x}", m.digest);
 }
 
 /// Digest of `Scale::Smoke` load 0.6 seed 11, Protocol, fault-free, as
@@ -393,69 +263,6 @@ fn streaming_digest_matches_materialized_workload() {
     }
 }
 
-/// The deliver-sharded streaming arm: receiver-range relay under
-/// streaming admission — where completed-flow eviction and the FCT
-/// histogram fold ride the due-order arrival merge — must
-/// match the serial streaming run exactly, including the histogram
-/// percentiles the scale series reports as `fct_p50_us`/`fct_p99_us`;
-/// fault-free at a scale-series geometry, and under both fault scripts
-/// at the scale they were written for.
-#[test]
-fn streaming_sharded_matches_serial_including_fct_percentiles() {
-    let geom = ScaleGeom {
-        nodes: 64,
-        grating: 16,
-        flows: 1_000,
-    };
-    let net = scale_series::point_network(geom);
-    let spec = scale_series::point_workload(geom, &net, 5);
-    let span = spec.mean_interarrival() * spec.flows;
-    let mut cfg = sirius_sim::SiriusSimConfig::new(net)
-        .with_seed(5)
-        .with_audit(false);
-    cfg.drain_timeout = sirius_core::units::Duration::from_us(200).max(span / 2);
-    let scale_point = |shards: usize| {
-        SiriusSim::new(cfg.clone().with_shards(shards)).run_streaming(spec.stream())
-    };
-    let arms: [(&str, &dyn Fn(usize) -> RunMetrics); 3] = [
-        ("fault-free n=64", &scale_point),
-        ("classic", &|shards| {
-            stream_smoke(shards, Some(fault_script), false)
-        }),
-        ("correlated+byz", &|shards| {
-            stream_smoke(shards, Some(correlated_byz_script), false)
-        }),
-    ];
-    let hist_pcts = |m: &RunMetrics| {
-        let h = m
-            .fct_hist
-            .as_ref()
-            .expect("streaming run lost its FCT histogram");
-        (h.percentile_ps(50.0), h.percentile_ps(99.0))
-    };
-    for (name, run) in arms {
-        let serial = run(1);
-        assert_ne!(serial.digest, 0, "{name}: serial digest vacuous");
-        assert!(
-            hist_pcts(&serial).0.is_some(),
-            "{name}: serial FCT p50 vacuous"
-        );
-        for shards in [2usize, 4] {
-            let sharded = run(shards);
-            assert_eq!(
-                behavior_of(&serial),
-                behavior_of(&sharded),
-                "{name}: streaming behavior diverged at shards={shards}"
-            );
-            assert_eq!(
-                hist_pcts(&serial),
-                hist_pcts(&sharded),
-                "{name}: FCT percentiles diverged at shards={shards}"
-            );
-        }
-    }
-}
-
 /// `run` and `run_streaming` differ by eviction and nothing else, fault
 /// scripts included: a recycled flow id aliases nothing (a slot is reused
 /// only after its flow's last cell was delivered; forged cells carry an
@@ -470,16 +277,8 @@ fn streamed_fault_runs_agree_with_the_slice_run() {
         ("correlated+byz", Some(correlated_byz_script)),
     ];
     for (name, script) in scripts {
-        let slice = run_with_shards(CcMode::Protocol, 1, script);
-        let streamed = stream_smoke(1, script, false);
-        let counters = |m: &RunMetrics| {
-            (
-                m.delivered_bytes,
-                m.cells_delivered,
-                m.epochs_simulated,
-                m.incomplete_flows,
-            )
-        };
+        let slice = run_smoke(CcMode::Protocol, script, false);
+        let streamed = stream_smoke(CcMode::Protocol, script, false);
         assert_eq!(counters(&slice), counters(&streamed), "script={name}");
         assert!(slice.fault.is_some(), "script={name}: no fault report");
         assert_eq!(
@@ -490,36 +289,150 @@ fn streamed_fault_runs_agree_with_the_slice_run() {
     }
 }
 
-/// The scale series over the {shards} × {jobs} grid: every combination
-/// must produce the same per-point digests and simulated behavior as
-/// the serial, single-worker reference.
+/// What eviction cannot touch: delivered work, simulated span and what
+/// was left over.
+fn counters(m: &RunMetrics) -> (u64, u64, u64, u64) {
+    (
+        m.delivered_bytes,
+        m.cells_delivered,
+        m.epochs_simulated,
+        m.incomplete_flows,
+    )
+}
+
+/// FCT percentiles as each entry point reports them: from the flow
+/// records of a slice run, from the histogram of a streaming one.
+fn latency_of(m: &RunMetrics) -> impl std::fmt::Debug + PartialEq {
+    (
+        [50.0, 99.0].map(|p| m.fct_percentile(p, u64::MAX)),
+        m.fct_hist
+            .as_ref()
+            .map(|h| [50.0, 99.0].map(|p| h.percentile_ps(p))),
+    )
+}
+
+/// The equivalence table: CC mode × entry point × audit, every run under
+/// the correlated+Byzantine script (its forge draws ride per-node
+/// streams, its correlated domains drive column repair and reroute),
+/// the whole table swept at `--jobs 1` and at `--jobs 2`.
+///
+/// * audited ≡ unaudited: same behavior, and a clean audit — probes are
+///   digest-neutral;
+/// * streaming ≡ slice on everything eviction cannot touch, fault
+///   report included;
+/// * `--jobs 1` ≡ `--jobs 2`: behavior, FCT percentiles and audit
+///   ledger of every run, and every scale-series point (digest,
+///   counters, resident peak and histogram percentiles).
 #[test]
-fn scale_series_is_identical_across_shards_and_jobs() {
-    let geoms = scale_geoms();
-    let reference = scale_series::run_points(&geoms, 5, 1, 1);
-    assert_eq!(reference.len(), geoms.len());
-    for p in &reference {
-        assert_ne!(p.digest, 0, "n={}: digest vacuous", p.nodes);
-        assert!(p.completed > 0, "n={}: nothing completed", p.nodes);
-    }
-    for shards in [1usize, 2] {
-        for jobs in [1usize, 2] {
-            if (shards, jobs) == (1, 1) {
-                continue;
-            }
-            let pts = scale_series::run_points(&geoms, 5, jobs, shards);
-            for (r, p) in reference.iter().zip(&pts) {
-                assert_eq!(
-                    (r.nodes, r.flows, r.cells, r.epochs, r.completed, r.digest),
-                    (p.nodes, p.flows, p.cells, p.epochs, p.completed, p.digest),
-                    "scale point diverged at shards={shards} jobs={jobs}"
-                );
-                assert_eq!(
-                    r.resident_flows_max, p.resident_flows_max,
-                    "resident peak diverged at shards={shards} jobs={jobs}"
-                );
-            }
+fn runs_agree_across_audit_entry_point_and_jobs() {
+    let modes = [CcMode::Protocol, CcMode::Ideal, CcMode::Greedy];
+    // (mode, streaming, audit), in table order.
+    let rows: Vec<(CcMode, bool, bool)> = modes
+        .iter()
+        .flat_map(|&m| {
+            [
+                (m, false, false),
+                (m, false, true),
+                (m, true, false),
+                (m, true, true),
+            ]
+        })
+        .collect();
+    let table = |jobs: usize| {
+        let mut sweep = Sweep::new();
+        for &(mode, streaming, audit) in &rows {
+            let label = format!("{mode:?} streaming={streaming} audit={audit}");
+            sweep.push(label, move || {
+                let script = Some(correlated_byz_script as fn(u64) -> FaultInjector);
+                if streaming {
+                    stream_smoke(mode, script, audit)
+                } else {
+                    run_smoke(mode, script, audit)
+                }
+            });
         }
+        sweep.run(jobs)
+    };
+    let (one, two) = (table(1), table(2));
+    for ((row, a), b) in rows.iter().zip(&one).zip(&two) {
+        assert_eq!(
+            behavior_of(a),
+            behavior_of(b),
+            "{row:?}: --jobs 2 moved the run"
+        );
+        assert_eq!(
+            latency_of(a),
+            latency_of(b),
+            "{row:?}: --jobs 2 moved the FCTs"
+        );
+        assert_eq!(
+            format!("{:?}", a.audit),
+            format!("{:?}", b.audit),
+            "{row:?}: --jobs 2 moved the audit ledger"
+        );
+    }
+    for (chunk, mode) in one.chunks(4).zip(modes) {
+        let [slice, slice_audited, streamed, streamed_audited] = chunk else {
+            unreachable!("four rows per mode")
+        };
+        let f = slice.fault.as_ref().expect("fault report missing");
+        assert!(
+            f.cells_forged > 0 && f.column_omissions > 0,
+            "{mode:?}: the script fired nothing; the table is vacuous"
+        );
+        assert_ne!(slice.digest, 0, "{mode:?}: digest vacuous");
+        for (plain, audited, entry) in [
+            (slice, slice_audited, "slice"),
+            (streamed, streamed_audited, "streaming"),
+        ] {
+            let report = audited.audit.as_ref().expect("audit report missing");
+            assert!(
+                report.epochs_checked > 0,
+                "{mode:?} {entry}: audit never ran"
+            );
+            assert!(
+                report.is_clean(),
+                "{mode:?} {entry}: {:?}",
+                report.violations
+            );
+            assert_eq!(
+                behavior_of(plain),
+                behavior_of(audited),
+                "{mode:?} {entry}: audit probes moved the run"
+            );
+            assert_eq!(latency_of(plain), latency_of(audited), "{mode:?} {entry}");
+        }
+        assert_eq!(
+            counters(slice),
+            counters(streamed),
+            "{mode:?}: streaming diverged"
+        );
+        assert_eq!(
+            format!("{:?}", slice.fault),
+            format!("{:?}", streamed.fault),
+            "{mode:?}: streamed fault report diverged"
+        );
+    }
+
+    let geoms = scale_geoms();
+    let reference = scale_series::run_points(&geoms, 5, 1);
+    let parallel = scale_series::run_points(&geoms, 5, 2);
+    assert_eq!(reference.len(), geoms.len());
+    for (r, p) in reference.iter().zip(&parallel) {
+        assert_ne!(r.digest, 0, "n={}: digest vacuous", r.nodes);
+        assert!(r.completed > 0, "n={}: nothing completed", r.nodes);
+        assert!(r.fct_p50_us.is_some(), "n={}: FCT p50 vacuous", r.nodes);
+        assert_eq!(
+            (r.nodes, r.flows, r.cells, r.epochs, r.completed, r.digest),
+            (p.nodes, p.flows, p.cells, p.epochs, p.completed, p.digest),
+            "scale point diverged at --jobs 2"
+        );
+        assert_eq!(
+            (r.resident_flows_max, r.fct_p50_us, r.fct_p99_us),
+            (p.resident_flows_max, p.fct_p50_us, p.fct_p99_us),
+            "n={}: resident peak or FCTs diverged at --jobs 2",
+            r.nodes
+        );
     }
 }
 
@@ -537,7 +450,7 @@ fn resident_flow_state_stays_bounded_as_flows_grow() {
         flows: 5_000,
         ..base
     };
-    let pts = scale_series::run_points(&[base, long], 5, 1, 1);
+    let pts = scale_series::run_points(&[base, long], 5, 1);
     let (p1, p2) = (&pts[0], &pts[1]);
     assert!(p2.completed > 0);
     assert!(

@@ -18,19 +18,8 @@
 //! (a handle lives in exactly one queue between `insert` and `remove`).
 //! Debug builds track freed slots and panic on use-after-free or
 //! double-free.
-//!
-//! Because arenas are strictly per-node owned plain data (no interior
-//! mutability, no shared allocation), a `&mut [SiriusNode]` range can be
-//! handed to another thread wholesale — the sharded slot engine relies
-//! on `CellArena: Send` to partition nodes across workers.
 
 use crate::cell::Cell;
-
-/// The sharded slot engine moves whole per-node arenas across threads.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<CellArena>()
-};
 
 /// "No handle": an empty queue's ends, the last link of a chain.
 const NIL: u32 = u32::MAX;

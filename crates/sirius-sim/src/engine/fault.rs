@@ -9,8 +9,8 @@
 //! crashes and reboots and turns detector silence into staged schedule
 //! repair.
 //!
-//! Runs with an empty script never arm this plane: the slot phases see
-//! it as `None`, and the boundary — whose only observable effects
+//! Runs with an empty script never arm this plane: the slot passes run
+//! their unarmed arm, and the boundary — whose only observable effects
 //! (crashes, detector ticks, staged updates, report entries) all require
 //! scripted faults to exist — never runs.
 

@@ -6,17 +6,13 @@
 //! monomorphize two copies of the run loop: the audited copy runs with
 //! the [`crate::audit::Audit`] itself as the observer, and the release
 //! copy ([`NullObserver`]) compiles every probe down to nothing. Both
-//! copies run the one TX body and the one deliver body, at any shard
-//! count.
+//! copies run the one TX body and the one deliver body.
 //!
-//! **Observation order contract:** probes fire only on the main thread —
-//! at the epoch boundary and in the serial merges that follow each
-//! slot's parallel phase, never inside a range function. The phase
-//! records what a probe needs in its per-shard outputs, and the merges
-//! replay it: every arrival probe (deliveries, evictions, blackholes,
-//! dropped counterfeits) in due order first, then the TX-side probes in
-//! the serial (node, uplink) order — the same sequence at any shard
-//! count.
+//! **Observation order:** probes fire where their events happen — at the
+//! epoch boundary, then every arrival probe (deliveries, evictions,
+//! blackholes, dropped counterfeits) in due order during the receive
+//! pass, then the TX-side probes in (node, uplink) order during the
+//! transmit pass.
 
 use crate::audit::LossCause;
 use sirius_core::cell::{Cell, FlowId};

@@ -47,8 +47,7 @@
 //! * **Byzantine data plane** ([`FaultEvent::Byzantine`]) — a compromised
 //!   node forges cell headers (wrong src/dst/flow), replays stale grants
 //!   and inflates its request counts. Forgery draws come from the node's
-//!   own per-node RNG stream so scripts stay shard-partition-independent;
-//!   the RX-side filter (see `engine::deliver`) bounds the damage per
+//!   own per-node RNG stream; the RX-side filter (see `engine::deliver`) bounds the damage per
 //!   epoch, then quarantines the liar.
 //!
 //! Fault randomness is decoupled from the simulator's protocol RNG
@@ -58,10 +57,10 @@
 //! bit-identical. Per-slot grey-erasure draws additionally come from
 //! **per-node streams** ([`FaultInjector::node_streams`]): each sender
 //! consumes only its own stream, so the draw sequence a node sees is a
-//! function of the script and seed alone — independent of how the slot
-//! engine partitions nodes across shards ([`crate::SiriusSimConfig`]'s
-//! `shards`). Epoch-boundary draws (control loss) stay on the injector's
-//! own serial stream ([`FaultInjector::draw`]).
+//! function of the script, the seed and that node's own slots — the
+//! draw order every faulted golden digest pins. Epoch-boundary draws
+//! (control loss) stay on the injector's own stream
+//! ([`FaultInjector::draw`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -445,8 +444,7 @@ impl FaultInjector {
     /// One independent RNG stream per node for the per-slot grey-erasure
     /// and Byzantine-forgery draws. A sender's stream advances only when
     /// *it* draws, so the sequence each node consumes does not depend on
-    /// the node partition the slot engine runs with — sharded and serial
-    /// runs make the identical draws.
+    /// what any other node draws.
     pub fn node_streams(&self, n: usize) -> Vec<SmallRng> {
         (0..n as u64)
             .map(|i| {

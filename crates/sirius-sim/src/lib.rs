@@ -29,9 +29,9 @@
 //! assert_eq!(metrics.incomplete_flows, 0);
 //! ```
 
-// Compiler-enforced budget: the only `allow` is on `engine::pool` (the
-// broadcast's closure-lifetime erasure).
-#![deny(unsafe_code)]
+// Compiler-enforced budget: no `unsafe` anywhere, and no `allow` can
+// reopen it.
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub(crate) mod engine;

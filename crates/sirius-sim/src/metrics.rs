@@ -306,28 +306,25 @@ pub struct RunMetrics {
     pub cells_delivered: u64,
     /// Schedule epochs the run simulated (slot count / slots per epoch).
     pub epochs_simulated: u64,
-    /// Wall-clock seconds in the send half of the slot loop's parallel
-    /// phase: the phase's wall time minus [`deliver_secs`], so it
-    /// includes the barrier wait on sharded runs (at one shard it is
-    /// exactly the transmit calls). Per-plane breakdown is recorded only
+    /// Wall-clock seconds in the slot's transmit pass (with the mistune
+    /// pre-pass of a faulted run). Per-plane breakdown is recorded only
     /// when [`crate::SiriusSimConfig::plane_timing`] is on; 0.0
-    /// otherwise. The three planes do not sum to [`wall_secs`]: epoch
-    /// boundaries (admission, CC rounds) and loop bookkeeping are
-    /// untimed.
+    /// otherwise. The three planes tile each slot after its epoch
+    /// boundary, so they do not sum to [`wall_secs`]: epoch boundaries
+    /// (admission, CC rounds) are timed by the fields below, and loop
+    /// bookkeeping is untimed.
     ///
     /// [`deliver_secs`]: RunMetrics::deliver_secs
     /// [`wall_secs`]: RunMetrics::wall_secs
     pub tx_secs: f64,
-    /// Wall-clock seconds in the receive half of the parallel phase:
-    /// relay into the receivers' node state. Each shard clocks its own
-    /// receive half, and each slot adds the slowest shard's. See
-    /// [`tx_secs`].
+    /// Wall-clock seconds in the slot's receive pass: every arrival's
+    /// full effect in due order (relay, reorder, digest, completion,
+    /// eviction, fault counters). See [`tx_secs`].
     ///
     /// [`tx_secs`]: RunMetrics::tx_secs
     pub deliver_secs: f64,
-    /// Wall-clock seconds in the serial merges: every other arrival effect
-    /// in due order (reorder, digest, eviction, fault counters) and the
-    /// TX-output merge. See [`tx_secs`].
+    /// Wall-clock seconds in the slot's epilogue: the corruption-scratch
+    /// reset of a faulted run, near zero otherwise. See [`tx_secs`].
     ///
     /// [`tx_secs`]: RunMetrics::tx_secs
     pub merge_secs: f64,

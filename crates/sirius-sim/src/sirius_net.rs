@@ -26,8 +26,8 @@
 //!
 //! This module holds configuration, construction and the epoch-boundary
 //! congestion-control round; the per-slot hot loop lives in
-//! `crate::engine` (crate-private): one phased driver over a generic
-//! worker pool, with the invariant audit behind a zero-cost observer.
+//! `crate::engine` (crate-private): one serial slot driver, with the
+//! invariant audit behind a zero-cost observer.
 
 use crate::audit::{Audit, AuditReport, RunDigest};
 use crate::engine::{split, DeliverPlane, DetectPlane, FaultPlane, NullObserver, SlotObserver};
@@ -48,7 +48,6 @@ use sirius_core::units::{Duration, Time};
 use sirius_core::vlb::Vlb;
 use sirius_workload::Flow;
 use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 /// Congestion-control mode for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +84,6 @@ pub struct SiriusSimConfig {
     /// Relay-vs-VOQ arbitration burst (see
     /// [`sirius_core::node::SiriusNode::set_relay_burst`]).
     pub relay_burst: u8,
-    /// Worker shards for the slot engine (`1` = serial, the default).
-    /// Sharded runs are digest-identical to serial (see `crate::engine`),
-    /// audited or not; Ideal mode uses one shard regardless.
-    /// Defaults to `SIRIUS_SHARDS` when that is set to an integer ≥ 1.
-    pub shards: usize,
     /// Record per-plane wall-clock breakdown (the `*_secs` fields of
     /// [`crate::RunMetrics`]). Off by default: the clock reads cost real
     /// time on the hot path, and the breakdown is a bench-harness
@@ -107,7 +101,6 @@ impl SiriusSimConfig {
             audit: cfg!(debug_assertions),
             fault: FaultConfig::default(),
             relay_burst: sirius_core::node::RELAY_BURST,
-            shards: env_default_shards(),
             plane_timing: false,
         }
     }
@@ -137,11 +130,13 @@ impl SiriusSimConfig {
         self.relay_burst = burst;
         self
     }
-    /// Shard the slot engine's per-slot phases across `shards` threads
-    /// (see [`SiriusSimConfig::shards`]). `1` spawns nothing.
-    pub fn with_shards(mut self, shards: usize) -> SiriusSimConfig {
+    /// Inert: checks `shards >= 1` and changes nothing, because the slot
+    /// engine is serial. Only the repo benchmark (`benchmark/`) calls it;
+    /// it goes when a benchmark-only change retires the `paper_sharded`
+    /// workload.
+    #[doc(hidden)]
+    pub fn with_shards(self, shards: usize) -> SiriusSimConfig {
         assert!(shards >= 1, "shards must be >= 1");
-        self.shards = shards;
         self
     }
     /// Record the per-plane wall-clock breakdown (see
@@ -150,24 +145,6 @@ impl SiriusSimConfig {
         self.plane_timing = on;
         self
     }
-}
-
-/// Default shard count when [`SiriusSimConfig::with_shards`] is not
-/// called: `SIRIUS_SHARDS` if set to an integer ≥ 1, else 1 (serial).
-/// The parse is cached and a malformed value warns exactly once per
-/// process (same contract as `SIRIUS_JOBS` in the bench harness).
-fn env_default_shards() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var("SIRIUS_SHARDS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("warning: ignoring SIRIUS_SHARDS={v:?} (want an integer >= 1)");
-                1
-            }
-        },
-        Err(_) => 1,
-    })
 }
 
 /// Per-flow simulation state.
@@ -183,8 +160,8 @@ pub(crate) struct FlowSt {
     pub(crate) cells_injected: u32,
     pub(crate) delivered: u64,
     pub(crate) completion: Option<Time>,
-    /// Receiver-side reordering (§4.2): written only by the deliver
-    /// merge, in due order.
+    /// Receiver-side reordering (§4.2): written only by the receive
+    /// pass, in due order.
     pub(crate) reorder: FlowReorder,
 }
 
@@ -409,7 +386,8 @@ pub struct SiriusSim {
     pub(crate) audit: Option<Audit>,
     /// Per-node grey-erasure RNG streams (empty until a fault script is
     /// armed at the start of the run); node `i`'s draw sequence depends
-    /// only on the seed and `i`, never on the shard partition.
+    /// only on the seed, `i` and its own slots, in the order the faulted
+    /// golden digests pin.
     pub(crate) fault_rngs: Vec<SmallRng>,
     /// Per-plane wall-clock accumulators (populated only when
     /// [`SiriusSimConfig::plane_timing`] is on).
@@ -420,9 +398,8 @@ pub struct SiriusSim {
     /// off: every flow stays resident and is reported.
     pub(crate) evict_completed: bool,
     /// Digest accumulator over evicted flows' terminal (delivered,
-    /// completion) pairs, in eviction order. Eviction happens only in
-    /// serial phases (epoch boundary, ring drain), so sharded and serial
-    /// streaming runs fold identically.
+    /// completion) pairs, in eviction order: the epoch boundary's
+    /// intra-rack completions, then the receive pass's, in due order.
     pub(crate) stream_fold: RunDigest,
     /// O(1)-memory FCT histogram folded alongside [`SiriusSim::stream_fold`]
     /// at eviction time. Metrics-only: it never feeds the run digest, so
@@ -571,7 +548,7 @@ impl SiriusSim {
     /// flows are exactly the memory this path exists to avoid.
     ///
     /// Eviction is the only difference from [`SiriusSim::run`]: fault
-    /// scripts, the audit and sharding all apply, and
+    /// scripts and the audit both apply, and
     /// [`RunMetrics::fault`] is populated exactly as there. A recycled id
     /// cannot alias anything — a slot is reused only after its flow's
     /// last cell was delivered, and forged cells carry an id no slab
@@ -816,8 +793,7 @@ impl SiriusSim {
         //    no waiting cell when granted) — capacity stolen from honest
         //    requesters — and is bounded per epoch by `extra_requests`.
         //    Draws come from the liar's own fault stream, after any TX
-        //    forge draws of the preceding epoch, so the sequence stays
-        //    shard-partition-independent.
+        //    forge draws of the preceding epoch.
         if self.faults.active.any_byz() {
             let n = self.nodes.len() as u32;
             for bi in 0..self.faults.active.byz_nodes.len() {

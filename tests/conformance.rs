@@ -223,43 +223,40 @@ fn an_armed_script_in_which_nothing_fires_equals_the_unarmed_run() {
     let net = SiriusConfig::scaled(64, 8);
     let wl = paper_workload(&net, 0.3, 2000, 17);
     for mode in [CcMode::Protocol, CcMode::Ideal, CcMode::Greedy] {
-        for shards in [1usize, 2] {
-            for audit in [false, true] {
-                let run = |armed: bool| {
-                    let cfg = SiriusSimConfig::new(net.clone())
-                        .with_mode(mode)
-                        .with_seed(3)
-                        .with_shards(shards)
-                        .with_audit(audit);
-                    let sim = SiriusSim::new(cfg);
-                    if armed {
-                        sim.with_faults(FaultInjector::new(1).crash(NodeId(0), 1_000_000))
-                    } else {
-                        sim
-                    }
-                    .run(&wl)
-                };
-                let (plain, armed) = (run(false), run(true));
-                let case = format!("{mode:?} shards={shards} audit={audit}");
-                assert_eq!(plain.incomplete_flows, 0, "{case}: flows stuck");
-                assert_eq!(plain.digest, armed.digest, "{case}: digest moved");
-                assert_eq!(plain.cells_delivered, armed.cells_delivered, "{case}");
-                let records = |m: &RunMetrics| {
-                    m.flows
-                        .iter()
-                        .map(|f| (f.bytes, f.arrival, f.completion, f.delivered))
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(records(&plain), records(&armed), "{case}: flows");
-                assert_eq!(plain.cc, armed.cc, "{case}: CC stats");
-                assert!(plain.fault.is_none(), "{case}: unarmed run has a report");
-                let report = armed.fault.as_ref().expect("armed run lost its report");
-                assert_eq!(report.suspicion_events, 0, "{case}: false suspicion");
-                for m in [&plain, &armed] {
-                    assert_eq!(m.audit.is_some(), audit, "{case}");
-                    if let Some(a) = &m.audit {
-                        assert!(a.is_clean(), "{case}: {:?}", a.violations.first());
-                    }
+        for audit in [false, true] {
+            let run = |armed: bool| {
+                let cfg = SiriusSimConfig::new(net.clone())
+                    .with_mode(mode)
+                    .with_seed(3)
+                    .with_audit(audit);
+                let sim = SiriusSim::new(cfg);
+                if armed {
+                    sim.with_faults(FaultInjector::new(1).crash(NodeId(0), 1_000_000))
+                } else {
+                    sim
+                }
+                .run(&wl)
+            };
+            let (plain, armed) = (run(false), run(true));
+            let case = format!("{mode:?} audit={audit}");
+            assert_eq!(plain.incomplete_flows, 0, "{case}: flows stuck");
+            assert_eq!(plain.digest, armed.digest, "{case}: digest moved");
+            assert_eq!(plain.cells_delivered, armed.cells_delivered, "{case}");
+            let records = |m: &RunMetrics| {
+                m.flows
+                    .iter()
+                    .map(|f| (f.bytes, f.arrival, f.completion, f.delivered))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(records(&plain), records(&armed), "{case}: flows");
+            assert_eq!(plain.cc, armed.cc, "{case}: CC stats");
+            assert!(plain.fault.is_none(), "{case}: unarmed run has a report");
+            let report = armed.fault.as_ref().expect("armed run lost its report");
+            assert_eq!(report.suspicion_events, 0, "{case}: false suspicion");
+            for m in [&plain, &armed] {
+                assert_eq!(m.audit.is_some(), audit, "{case}");
+                if let Some(a) = &m.audit {
+                    assert!(a.is_clean(), "{case}: {:?}", a.violations.first());
                 }
             }
         }

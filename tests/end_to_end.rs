@@ -192,14 +192,13 @@ fn permutation_and_incast_patterns_complete() {
 }
 
 #[test]
-fn malformed_workload_unwinds_instead_of_hanging_at_any_shard_count() {
+fn malformed_workload_unwinds_instead_of_hanging() {
     // A flow naming a server outside the deployment is rejected at its
-    // admission — mid-run, inside the slot loop, with the shard workers
-    // parked at their barrier. The unwind must release them: each run
-    // goes on a helper thread and has to report its panic in bounded
-    // time, at every shard count and through both entry points — the
-    // streaming one also with a fault script armed (a crash at epoch 0
-    // puts the run on the faulty TX body before the bad flow arrives).
+    // admission — mid-run, inside the slot loop. Each run goes on a
+    // helper thread and has to report its panic in bounded time, through
+    // both entry points — the streaming one also with a fault script
+    // armed (a crash at epoch 0 puts the run on the armed TX arm before
+    // the bad flow arrives).
     use std::sync::mpsc;
     let flows = vec![
         Flow {
@@ -217,43 +216,38 @@ fn malformed_workload_unwinds_instead_of_hanging_at_any_shard_count() {
             arrival: Time::ZERO + Duration::from_us(10),
         },
     ];
-    for shards in [1usize, 2, 4] {
-        for (streaming, faulty) in [(true, false), (false, false), (true, true)] {
-            let flows = flows.clone();
-            let (tx, rx) = mpsc::channel();
-            std::thread::spawn(move || {
-                let cfg = SiriusSimConfig::new(net()).with_shards(shards);
-                let mut sim = SiriusSim::new(cfg);
-                if faulty {
-                    sim.set_faults(FaultInjector::new(1).crash(NodeId(7), 0));
+    for (streaming, faulty) in [(true, false), (false, false), (true, true)] {
+        let flows = flows.clone();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = SiriusSimConfig::new(net());
+            let mut sim = SiriusSim::new(cfg);
+            if faulty {
+                sim.set_faults(FaultInjector::new(1).crash(NodeId(7), 0));
+            }
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if streaming {
+                    sim.run_streaming(flows.into_iter())
+                } else {
+                    sim.run(&flows)
                 }
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if streaming {
-                        sim.run_streaming(flows.into_iter())
-                    } else {
-                        sim.run(&flows)
-                    }
-                }));
-                let _ = tx.send(outcome.map(|m| m.digest));
+            }));
+            let _ = tx.send(outcome.map(|m| m.digest));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| {
+                panic!("streaming={streaming} faulty={faulty}: the run hung on its own panic")
             });
-            let outcome = rx
-                .recv_timeout(std::time::Duration::from_secs(60))
-                .unwrap_or_else(|_| {
-                    panic!(
-                        "shards={shards} streaming={streaming} faulty={faulty}: \
-                         the run hung on its own panic"
-                    )
-                });
-            let payload = outcome.expect_err("an out-of-range server was accepted");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            assert!(
-                msg.contains("outside the deployment"),
-                "shards={shards} streaming={streaming} faulty={faulty}: unexpected panic {msg:?}"
-            );
-        }
+        let payload = outcome.expect_err("an out-of-range server was accepted");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            msg.contains("outside the deployment"),
+            "streaming={streaming} faulty={faulty}: unexpected panic {msg:?}"
+        );
     }
 }

@@ -28,9 +28,8 @@
 //! Byzantine-only script (no link faults, so the relay-type schedule
 //! check runs), and Ideal under a mistuned laser, a grey link and a
 //! Byzantine node together (first hops destroyed in flight, and
-//! counterfeits that must not count as landed first hops). Ideal is
-//! clamped to one shard, so nothing else compares its fault handling
-//! against a fixed reference.
+//! counterfeits that must not count as landed first hops). Nothing else
+//! compares Ideal's fault handling against a fixed reference.
 //!
 //! A third file, `tests/golden/esn.digests`, pins the §7 fluid baseline:
 //! ESN (Ideal) and ESN-OSUB (Ideal) at two loads, each with enough flows
