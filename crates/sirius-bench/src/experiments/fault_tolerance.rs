@@ -23,7 +23,7 @@ use crate::pool::Sweep;
 use crate::scale::Scale;
 use crate::table::{f, Table};
 use sirius_core::config::SiriusConfig;
-use sirius_core::fault::FaultConfig;
+use sirius_core::fault::SILENCE_THRESHOLD;
 use sirius_core::topology::NodeId;
 use sirius_core::units::{Duration, Rate, Time};
 use sirius_optics::ber::Modulation;
@@ -110,7 +110,7 @@ impl Survivor {
 
 /// The §4.5 silence bound every detection latency must respect.
 pub fn silence_bound() -> u64 {
-    FaultConfig::default().silence_threshold + 1
+    SILENCE_THRESHOLD + 1
 }
 
 /// One scripted crash and what the silence detectors made of it.

@@ -9,60 +9,56 @@
 //! failures that only show up on specific paths.
 //!
 //! This module implements that detector: per-peer "last heard" epochs and
-//! a configurable silence threshold. What routing does about a suspicion
-//! — the staged omission every node applies at the same epoch — lives in
-//! [`crate::repair`]; which nodes are actually down is the simulator's
-//! scripted ground truth, which routing never reads.
+//! a fixed silence threshold ([`SILENCE_THRESHOLD`]). What routing does
+//! about a suspicion — the staged omission every node applies at the same
+//! epoch — lives in [`crate::repair`]; which nodes are actually down is
+//! the simulator's scripted ground truth, which routing never reads.
 
 use crate::topology::NodeId;
 
-/// Configuration of the failure detector.
+/// Consecutive silent epochs on a scheduled slot before a peer is
+/// declared failed. The schedule guarantees one opportunity per epoch, so
+/// this directly bounds detection latency in epochs: 3 epochs ~ 5 us at
+/// paper scale, "interconnection of rack-pairs every few microseconds
+/// allows for low overhead yet fast failure detection" (§4.5).
+pub const SILENCE_THRESHOLD: u64 = 3;
+
+/// Number of *distinct nodes* that must be simultaneously suspect on the
+/// same uplink column before the diagnosis flips from independent
+/// transceiver failures to a correlated shared-component fault (a dead
+/// laser-bank chip or AWGR grating band): the repair then stays
+/// column-granular fleet-wide instead of escalating node by node. Two
+/// independent transceivers sharing a column is plausible bad luck;
+/// three is a shared component.
+pub const CORRELATION_THRESHOLD: usize = 3;
+
+/// Per-epoch forged-cell suspicion count at which a node's data plane is
+/// declared Byzantine and the node is quarantined (whole-node exclusion).
+/// Mirrors the §4.4 slew clamp: damage per epoch is bounded by the
+/// threshold, then the liar is evicted. Six is low enough that a liar
+/// steals at most a handful of slots per epoch, high enough that a single
+/// corrupted header never evicts a node.
+pub const BYZ_QUARANTINE_THRESHOLD: u64 = 6;
+
+/// Configuration of fault repair.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultConfig {
-    /// Consecutive silent epochs on a scheduled slot before a peer is
-    /// declared failed. The schedule guarantees one opportunity per epoch,
-    /// so this directly bounds detection latency in epochs.
-    pub silence_threshold: u64,
     /// Fraction of a node's TX columns that must be simultaneously
     /// suspected before link-granular repair escalates to whole-node
     /// exclusion (the §4.5 rule). `0.0` disables column repair entirely —
     /// any suspected column evicts the node, reproducing the paper's
     /// node-granular behavior for comparison.
     pub column_escalation_fraction: f64,
-    /// Number of *distinct nodes* that must be simultaneously suspect on
-    /// the same uplink column before the diagnosis flips from independent
-    /// transceiver failures to a correlated shared-component fault (a dead
-    /// laser-bank chip or AWGR grating band): the repair then stays
-    /// column-granular fleet-wide instead of escalating node by node.
-    pub correlation_threshold: usize,
-    /// Per-epoch forged-cell suspicion count at which a node's data plane
-    /// is declared Byzantine and the node is quarantined (whole-node
-    /// exclusion). Mirrors the §4.4 slew clamp: damage per epoch is
-    /// bounded by the threshold, then the liar is evicted.
-    pub byz_quarantine_threshold: u64,
 }
 
 impl Default for FaultConfig {
     fn default() -> Self {
-        // 3 epochs ~ 5 us at paper scale: "interconnection of rack-pairs
-        // every few microseconds allows for low overhead yet fast failure
-        // detection" (§4.5).
-        //
         // Escalation at half the columns: below that, each bad column is
         // omitted individually at 1/(N·U) capacity cost; at or above it,
         // the transceiver bank is likely sick as a whole and §4.5
         // whole-node exclusion applies.
-        // Correlation at 3 nodes: two independent transceivers sharing a
-        // column is plausible bad luck; three is a shared component.
-        //
-        // Byzantine quarantine at 6 forged cells per epoch: low enough
-        // that a liar steals at most a handful of slots per epoch, high
-        // enough that a single corrupted header never evicts a node.
         FaultConfig {
-            silence_threshold: 3,
             column_escalation_fraction: 0.5,
-            correlation_threshold: 3,
-            byz_quarantine_threshold: 6,
         }
     }
 }
@@ -80,7 +76,6 @@ impl FaultConfig {
 /// Per-node failure detector driven by scheduled-slot receptions.
 #[derive(Debug)]
 pub struct FailureDetector {
-    cfg: FaultConfig,
     /// Last epoch we heard anything (data or idle keepalive) from each peer.
     last_heard: Vec<u64>,
     /// Peers currently suspected failed.
@@ -88,9 +83,8 @@ pub struct FailureDetector {
 }
 
 impl FailureDetector {
-    pub fn new(n: usize, cfg: FaultConfig) -> FailureDetector {
+    pub fn new(n: usize) -> FailureDetector {
         FailureDetector {
-            cfg,
             last_heard: vec![0; n],
             suspected: vec![false; n],
         }
@@ -106,7 +100,7 @@ impl FailureDetector {
     pub fn tick(&mut self, epoch: u64) -> Vec<NodeId> {
         let mut newly = Vec::new();
         for (i, &lh) in self.last_heard.iter().enumerate() {
-            if !self.suspected[i] && epoch.saturating_sub(lh) >= self.cfg.silence_threshold {
+            if !self.suspected[i] && epoch.saturating_sub(lh) >= SILENCE_THRESHOLD {
                 self.suspected[i] = true;
                 newly.push(NodeId(i as u32));
             }
@@ -142,7 +136,6 @@ impl FailureDetector {
 /// column while others stay live isolates the bad transceiver.
 #[derive(Debug)]
 pub struct LinkDetector {
-    cfg: FaultConfig,
     uplinks: usize,
     /// last_heard[peer * uplinks + column].
     last_heard: Vec<u64>,
@@ -150,9 +143,8 @@ pub struct LinkDetector {
 }
 
 impl LinkDetector {
-    pub fn new(n: usize, uplinks: usize, cfg: FaultConfig) -> LinkDetector {
+    pub fn new(n: usize, uplinks: usize) -> LinkDetector {
         LinkDetector {
-            cfg,
             uplinks,
             last_heard: vec![0; n * uplinks],
             suspected: vec![false; n * uplinks],
@@ -177,7 +169,7 @@ impl LinkDetector {
             for col in 0..self.uplinks {
                 let i = peer * self.uplinks + col;
                 if !self.suspected[i]
-                    && epoch.saturating_sub(self.last_heard[i]) >= self.cfg.silence_threshold
+                    && epoch.saturating_sub(self.last_heard[i]) >= SILENCE_THRESHOLD
                 {
                     self.suspected[i] = true;
                     newly.push((NodeId(peer as u32), col));
@@ -212,7 +204,7 @@ impl LinkDetector {
     /// the cross-node correlation signal: independent transceiver
     /// failures scatter across columns, while a shared laser-bank chip or
     /// AWGR grating band silences the *same* column on many nodes at
-    /// once. Compared against [`FaultConfig::correlation_threshold`] at
+    /// once. Compared against [`CORRELATION_THRESHOLD`] at
     /// the fault boundary (O(N), boundary-only).
     pub fn column_suspected_nodes(&self, column: usize) -> usize {
         debug_assert!(column < self.uplinks);
@@ -241,13 +233,7 @@ mod tests {
 
     #[test]
     fn detector_fires_after_threshold() {
-        let mut fd = FailureDetector::new(
-            4,
-            FaultConfig {
-                silence_threshold: 3,
-                ..FaultConfig::default()
-            },
-        );
+        let mut fd = FailureDetector::new(4);
         for e in 0..3 {
             for p in 0..4 {
                 fd.heard_from(NodeId(p), e);
@@ -272,13 +258,7 @@ mod tests {
 
     #[test]
     fn detector_clears_on_recovery() {
-        let mut fd = FailureDetector::new(
-            2,
-            FaultConfig {
-                silence_threshold: 2,
-                ..FaultConfig::default()
-            },
-        );
+        let mut fd = FailureDetector::new(2);
         fd.tick(5);
         assert!(fd.is_suspected(NodeId(1)));
         fd.heard_from(NodeId(1), 6);
@@ -287,20 +267,14 @@ mod tests {
 
     #[test]
     fn detector_reset_grants_a_grace_period() {
-        let mut fd = FailureDetector::new(
-            3,
-            FaultConfig {
-                silence_threshold: 2,
-                ..FaultConfig::default()
-            },
-        );
+        let mut fd = FailureDetector::new(3);
         // A rebooted node's counters all predate the outage...
         assert_eq!(fd.tick(10).len(), 3);
         // ...so it resets to the reboot epoch and re-earns suspicions.
         fd.reset(20);
-        assert!(fd.tick(21).is_empty());
+        assert!(fd.tick(20 + SILENCE_THRESHOLD - 1).is_empty());
         assert_eq!(fd.last_heard(NodeId(0)), 20);
-        assert_eq!(fd.tick(22).len(), 3);
+        assert_eq!(fd.tick(20 + SILENCE_THRESHOLD).len(), 3);
     }
 
     #[test]
@@ -308,14 +282,7 @@ mod tests {
         // Peer 2's column 1 transceiver dies; its other columns keep
         // talking. The link detector pins the failure to (2, 1) and
         // classifies peer 2 as grey, not dead.
-        let mut ld = LinkDetector::new(
-            4,
-            3,
-            FaultConfig {
-                silence_threshold: 3,
-                ..FaultConfig::default()
-            },
-        );
+        let mut ld = LinkDetector::new(4, 3);
         for e in 0..10u64 {
             for p in 0..4u32 {
                 for c in 0..3usize {
@@ -340,14 +307,7 @@ mod tests {
 
     #[test]
     fn total_silence_is_not_grey() {
-        let mut ld = LinkDetector::new(
-            2,
-            2,
-            FaultConfig {
-                silence_threshold: 1,
-                ..FaultConfig::default()
-            },
-        );
+        let mut ld = LinkDetector::new(2, 2);
         ld.tick(5); // peer 1 never heard at all
         assert!(ld.is_suspected(NodeId(1), 0) && ld.is_suspected(NodeId(1), 1));
         assert!(!ld.is_grey(NodeId(1)), "fully dead, not grey");
@@ -355,14 +315,7 @@ mod tests {
 
     #[test]
     fn grey_link_recovers() {
-        let mut ld = LinkDetector::new(
-            2,
-            2,
-            FaultConfig {
-                silence_threshold: 2,
-                ..FaultConfig::default()
-            },
-        );
+        let mut ld = LinkDetector::new(2, 2);
         ld.tick(4);
         assert!(ld.is_suspected(NodeId(0), 0));
         ld.heard_from(NodeId(0), 0, 5);
@@ -373,15 +326,9 @@ mod tests {
     fn column_correlation_counts_distinct_nodes() {
         // Nodes 0, 2 and 3 all go silent on column 1 (a shared bank chip);
         // node 1 additionally loses column 0 (an unrelated transceiver).
-        let mut ld = LinkDetector::new(
-            4,
-            3,
-            FaultConfig {
-                silence_threshold: 1,
-                ..FaultConfig::default()
-            },
-        );
-        for e in 0..4u64 {
+        let mut ld = LinkDetector::new(4, 3);
+        // Last heard at epoch 1: suspected once the silence threshold runs out.
+        for e in 0..=1 + SILENCE_THRESHOLD {
             for p in 0..4u32 {
                 for c in 0..3usize {
                     let bank_dead = c == 1 && p != 1 && e >= 2;
@@ -396,8 +343,7 @@ mod tests {
         assert_eq!(ld.column_suspected_nodes(1), 3);
         assert_eq!(ld.column_suspected_nodes(0), 1);
         assert_eq!(ld.column_suspected_nodes(2), 0);
-        let cfg = FaultConfig::default();
-        assert!(ld.column_suspected_nodes(1) >= cfg.correlation_threshold);
-        assert!(ld.column_suspected_nodes(0) < cfg.correlation_threshold);
+        assert!(ld.column_suspected_nodes(1) >= CORRELATION_THRESHOLD);
+        assert!(ld.column_suspected_nodes(0) < CORRELATION_THRESHOLD);
     }
 }

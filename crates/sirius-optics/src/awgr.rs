@@ -22,10 +22,6 @@ impl Awgr {
         Awgr { ports }
     }
 
-    pub fn ports(&self) -> u16 {
-        self.ports
-    }
-
     /// Cyclic wavelength routing: input `p`, wavelength-index `w` exits on
     /// output `(p + w) mod ports`.
     pub fn route(&self, input: u16, wavelength: u16) -> u16 {

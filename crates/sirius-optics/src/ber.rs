@@ -20,26 +20,8 @@ pub enum Modulation {
     Pam4_50,
 }
 
-impl Modulation {
-    pub fn bits_per_symbol(self) -> u32 {
-        match self {
-            Modulation::Nrz25 => 1,
-            Modulation::Pam4_50 => 2,
-        }
-    }
-    pub fn line_rate_gbps(self) -> u32 {
-        match self {
-            Modulation::Nrz25 => 25,
-            Modulation::Pam4_50 => 50,
-        }
-    }
-}
-
 /// Pre-FEC BER threshold of KP4 RS(544,514), the FEC of 50G PAM-4 lanes.
 pub const KP4_FEC_THRESHOLD: f64 = 2.2e-4;
-/// Post-FEC target the paper demonstrates ("BER < 1e-12 ... for more than
-/// 24 hours").
-pub const ERROR_FREE_BER: f64 = 1e-12;
 
 /// A receiver model: BER as a function of received power.
 #[derive(Debug, Clone, Copy)]
@@ -116,7 +98,7 @@ impl Receiver {
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26-style rational
 /// approximation; |error| < 1.5e-7, ample for waterfall curves).
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }
@@ -187,13 +169,5 @@ mod tests {
             let s = ch.sensitivity_dbm(KP4_FEC_THRESHOLD);
             assert!((s - (-8.0 + pen)).abs() < 0.1);
         }
-    }
-
-    #[test]
-    fn modulation_properties() {
-        assert_eq!(Modulation::Pam4_50.bits_per_symbol(), 2);
-        assert_eq!(Modulation::Pam4_50.line_rate_gbps(), 50);
-        assert_eq!(Modulation::Nrz25.bits_per_symbol(), 1);
-        assert_eq!(Modulation::Nrz25.line_rate_gbps(), 25);
     }
 }

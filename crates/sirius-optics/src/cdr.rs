@@ -1,4 +1,4 @@
-//! Burst-mode clock-and-data recovery with phase and amplitude caching
+//! Burst-mode clock-and-data recovery with phase caching
 //! (§4.5, §A.1, and the Nature Electronics companion paper \[21\]).
 //!
 //! Every timeslot establishes a brand-new optical connection, so the
@@ -8,166 +8,31 @@
 //! -synchronized (§4.4), so the phase between any sender/receiver pair is
 //! *stable*, and (ii) the cyclic schedule reconnects every pair every
 //! epoch, so a cached phase is refreshed before it can drift away.
-//! The receiver simply loads the cached phase when the slot opens —
-//! sub-nanosecond "locking" — and nudges the cache with each burst.
-//! Amplitude caching plays the same trick for per-sender optical power so
-//! no slow AGC is needed.
+//! The receiver loads the cached phase when the slot opens, so "locking"
+//! takes under a nanosecond; that lock time is the CDR's share of the
+//! 3.84 ns reconfiguration budget (`transceiver`).
 
 use sirius_core::units::Duration;
-
-/// Outcome of a burst arrival at the receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockOutcome {
-    /// Time from slot start until the receiver samples data correctly.
-    pub lock_time: Duration,
-    /// Whether the cache was usable (false = cold acquisition).
-    pub cached: bool,
-}
 
 /// Configuration of the burst-mode receiver.
 #[derive(Debug, Clone, Copy)]
 pub struct CdrConfig {
-    /// Cold acquisition time without a valid cache entry (standard
-    /// transceiver CDR: microseconds; §4.5).
-    pub cold_lock: Duration,
     /// Lock time with a fresh cache entry ("<625 ps", \[20\]).
     pub cached_lock: Duration,
-    /// Residual phase drift between two *synchronized* nodes, in
-    /// picoseconds of phase per microsecond of elapsed time (bounded by
-    /// the +-5 ps sync accuracy over an epoch).
-    pub drift_ps_per_us: f64,
-    /// Phase error beyond which the cached value cannot be used, ps
-    /// (fraction of the symbol UI; 40 ps symbols at 25 GBaud).
-    pub max_phase_error_ps: f64,
 }
 
 impl CdrConfig {
     /// The Sirius v2 receiver.
     pub fn paper() -> CdrConfig {
         CdrConfig {
-            cold_lock: Duration::from_us(2),
             cached_lock: Duration::from_ps(625),
-            drift_ps_per_us: 1.0,
-            max_phase_error_ps: 10.0, // quarter of a 40 ps UI
         }
-    }
-}
-
-/// Per-sender phase/amplitude cache at one receiver port.
-#[derive(Debug)]
-pub struct PhaseCache {
-    cfg: CdrConfig,
-    /// Last refresh time per sender, ps since start (None = never seen).
-    last_update: Vec<Option<u64>>,
-    cold_locks: u64,
-    cached_locks: u64,
-}
-
-impl PhaseCache {
-    pub fn new(cfg: CdrConfig, senders: usize) -> PhaseCache {
-        PhaseCache {
-            cfg,
-            last_update: vec![None; senders],
-            cold_locks: 0,
-            cached_locks: 0,
-        }
-    }
-
-    /// A burst from `sender` begins at `now_ps`. Returns the lock outcome
-    /// and refreshes the cache entry.
-    pub fn on_burst(&mut self, sender: usize, now_ps: u64) -> LockOutcome {
-        let outcome = match self.last_update[sender] {
-            Some(prev) => {
-                let age_us = (now_ps - prev) as f64 / 1e6;
-                let err_ps = age_us * self.cfg.drift_ps_per_us;
-                if err_ps <= self.cfg.max_phase_error_ps {
-                    self.cached_locks += 1;
-                    LockOutcome {
-                        lock_time: self.cfg.cached_lock,
-                        cached: true,
-                    }
-                } else {
-                    self.cold_locks += 1;
-                    LockOutcome {
-                        lock_time: self.cfg.cold_lock,
-                        cached: false,
-                    }
-                }
-            }
-            None => {
-                self.cold_locks += 1;
-                LockOutcome {
-                    lock_time: self.cfg.cold_lock,
-                    cached: false,
-                }
-            }
-        };
-        self.last_update[sender] = Some(now_ps);
-        outcome
-    }
-
-    /// Longest cache age that still locks from cache.
-    pub fn max_useful_age(&self) -> Duration {
-        Duration::from_us((self.cfg.max_phase_error_ps / self.cfg.drift_ps_per_us) as u64)
-    }
-
-    pub fn cold_locks(&self) -> u64 {
-        self.cold_locks
-    }
-    pub fn cached_locks(&self) -> u64 {
-        self.cached_locks
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_burst_is_cold_then_cached() {
-        let mut pc = PhaseCache::new(CdrConfig::paper(), 4);
-        let first = pc.on_burst(2, 0);
-        assert!(!first.cached);
-        assert_eq!(first.lock_time, Duration::from_us(2));
-        // One epoch (1.6 us) later: cached, sub-ns.
-        let second = pc.on_burst(2, 1_600_000);
-        assert!(second.cached);
-        assert_eq!(second.lock_time, Duration::from_ps(625));
-    }
-
-    #[test]
-    fn cyclic_schedule_keeps_cache_fresh() {
-        // Refreshing every 1.6 us epoch keeps phase error ~1.6 ps, far
-        // below the 10 ps bound — the property §4.5 relies on.
-        let mut pc = PhaseCache::new(CdrConfig::paper(), 1);
-        pc.on_burst(0, 0);
-        let mut now = 0u64;
-        for _ in 0..10_000 {
-            now += 1_600_000;
-            assert!(pc.on_burst(0, now).cached);
-        }
-        assert_eq!(pc.cold_locks(), 1);
-        assert_eq!(pc.cached_locks(), 10_000);
-    }
-
-    #[test]
-    fn stale_cache_forces_cold_lock() {
-        let mut pc = PhaseCache::new(CdrConfig::paper(), 1);
-        pc.on_burst(0, 0);
-        // 10 ps bound / 1 ps/us -> stale after 10 us.
-        assert_eq!(pc.max_useful_age(), Duration::from_us(10));
-        let out = pc.on_burst(0, 11_000_000);
-        assert!(!out.cached);
-        // And the refresh re-arms the cache.
-        assert!(pc.on_burst(0, 12_000_000).cached);
-    }
-
-    #[test]
-    fn caches_are_per_sender() {
-        let mut pc = PhaseCache::new(CdrConfig::paper(), 3);
-        pc.on_burst(0, 0);
-        assert!(!pc.on_burst(1, 100).cached, "sender 1 never seen before");
-    }
 
     #[test]
     fn cached_lock_is_sub_nanosecond() {

@@ -3,12 +3,9 @@
 //!
 //! The prototype demonstrates BER < 1e-12 *after* FEC at -8 dBm. Ethernet
 //! 50G PAM-4 lanes use RS(544,514) over GF(2^10) ("KP4", corrects t = 15
-//! symbol errors per frame); 25G NRZ lanes use RS(528,514) ("KR4",
-//! t = 7). This module computes the exact post-FEC frame/bit error rates
-//! from the pre-FEC BER via the binomial tail, which is where the
-//! "FEC threshold" lines of Fig. 8d come from.
-
-use crate::ber::erfc;
+//! symbol errors per frame). This module computes the exact post-FEC
+//! frame/bit error rates from the pre-FEC BER via the binomial tail, which
+//! is where the "FEC threshold" lines of Fig. 8d come from.
 
 /// A Reed-Solomon code RS(n, k) over `m`-bit symbols.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,22 +24,11 @@ pub const KP4: ReedSolomon = ReedSolomon {
     k: 514,
     m: 10,
 };
-/// KR4: RS(528,514,10) — the FEC of 25G NRZ lanes.
-pub const KR4: ReedSolomon = ReedSolomon {
-    n: 528,
-    k: 514,
-    m: 10,
-};
 
 impl ReedSolomon {
     /// Symbol-correction capability `t = (n-k)/2`.
     pub fn t(&self) -> u32 {
         (self.n - self.k) / 2
-    }
-
-    /// Rate overhead (extra bandwidth the code costs).
-    pub fn overhead(&self) -> f64 {
-        self.n as f64 / self.k as f64 - 1.0
     }
 
     /// Probability a symbol is received in error given pre-FEC BER
@@ -125,11 +111,6 @@ fn ln_choose(n: u32, k: u32) -> f64 {
     acc
 }
 
-/// Gaussian Q-function helper: BER for a given Q factor (NRZ).
-pub fn ber_from_q(q: f64) -> f64 {
-    0.5 * erfc(q / std::f64::consts::SQRT_2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,9 +135,6 @@ mod tests {
     #[test]
     fn code_parameters() {
         assert_eq!(KP4.t(), 15);
-        assert_eq!(KR4.t(), 7);
-        assert!((KP4.overhead() - 0.0584).abs() < 0.001);
-        assert!(KR4.overhead() < KP4.overhead());
     }
 
     #[test]
@@ -168,14 +146,6 @@ mod tests {
             (1e-4..5e-4).contains(&thr),
             "KP4 threshold = {thr:e} (expected ~2.2e-4)"
         );
-    }
-
-    #[test]
-    fn kr4_threshold_is_tighter() {
-        let kp4 = KP4.threshold(1e-15);
-        let kr4 = KR4.threshold(1e-15);
-        assert!(kr4 < kp4, "KR4 {kr4:e} should be below KP4 {kp4:e}");
-        assert!(kr4 > 1e-6);
     }
 
     #[test]
@@ -217,12 +187,5 @@ mod tests {
         assert!((ln_choose(5, 2) - 10f64.ln()).abs() < 1e-12);
         assert!((ln_choose(10, 0)).abs() < 1e-12);
         assert!((ln_choose(544, 16) - 69.89).abs() < 0.1);
-    }
-
-    #[test]
-    fn ber_from_q_reference() {
-        // Q = 7 is the classic 1e-12 point.
-        let b = ber_from_q(7.0);
-        assert!((1e-13..1e-11).contains(&b), "{b:e}");
     }
 }

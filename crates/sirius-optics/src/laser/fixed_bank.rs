@@ -68,10 +68,6 @@ impl FixedLaserBank {
         }
         None
     }
-
-    pub fn chips(&self) -> &[SoaChip] {
-        &self.chips
-    }
 }
 
 impl TunableSource for FixedLaserBank {
@@ -141,7 +137,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let b = FixedLaserBank::new(&mut rng, 112, 19);
         assert_eq!(b.wavelengths(), 112);
-        assert_eq!(b.chips().len(), 6);
+        assert_eq!(b.chips.len(), 6);
         // Cross-chip switching is still sub-ns.
         assert!(b.tuning_latency(0, 111).unwrap() < Duration::from_ns(1));
     }

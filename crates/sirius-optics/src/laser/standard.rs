@@ -56,10 +56,6 @@ impl DsdbrLaser {
         DsdbrLaser::new(112, DriveMode::Dampened)
     }
 
-    pub fn mode(&self) -> DriveMode {
-        self.mode
-    }
-
     fn max_span(&self) -> f64 {
         (self.channels - 1) as f64
     }

@@ -47,11 +47,9 @@ impl TunableLaserBank {
         TunableLaserBank::new(DsdbrLaser::paper_prototype(), 2, 1, Duration::from_ps(912))
     }
 
+    /// Working lasers plus spares.
     pub fn total_lasers(&self) -> usize {
         self.working + self.spares
-    }
-    pub fn coupler_loss_db(&self) -> f64 {
-        self.coupler_loss_db
     }
 
     /// Minimum working lasers needed to hide a worst-case settle of

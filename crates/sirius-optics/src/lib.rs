@@ -30,28 +30,21 @@
 
 #![forbid(unsafe_code)]
 
-pub mod agc;
 pub mod awgr;
 pub mod ber;
 pub mod cdr;
-pub mod equalizer;
 pub mod fec;
 pub mod laser;
 pub mod link_budget;
-pub mod modulator;
-pub mod noise;
 pub mod soa;
-pub mod spectrum;
 pub mod transceiver;
 pub mod wavelength;
 
 pub use awgr::Awgr;
-pub use ber::{Modulation, Receiver, ERROR_FREE_BER, KP4_FEC_THRESHOLD};
-pub use cdr::{CdrConfig, LockOutcome, PhaseCache};
-pub use equalizer::{EqualizerCache, Ffe};
+pub use ber::{Modulation, Receiver, KP4_FEC_THRESHOLD};
+pub use cdr::CdrConfig;
 pub use laser::{CombLaser, DsdbrLaser, FixedLaserBank, TunableLaserBank, TunableSource};
 pub use link_budget::LinkBudget;
-pub use noise::OsnrBudget;
 pub use soa::{Soa, SoaChip};
 pub use transceiver::Transceiver;
 pub use wavelength::Grid;

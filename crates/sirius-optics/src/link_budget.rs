@@ -29,10 +29,6 @@ pub struct LinkBudget {
 pub fn dbm_to_mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)
 }
-/// Convert mW to dBm.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    10.0 * mw.log10()
-}
 
 impl LinkBudget {
     /// The testbed budget of §4.5.
@@ -51,20 +47,9 @@ impl LinkBudget {
         self.rx_sensitivity_dbm + self.grating_loss_db + self.coupling_loss_db + self.margin_db
     }
 
-    /// Power arriving at the receiver if the transmitter launches
-    /// `tx_dbm`, dBm.
-    pub fn received_dbm(&self, tx_dbm: f64) -> f64 {
-        tx_dbm - self.coupling_loss_db - self.grating_loss_db
-    }
-
     /// Does the budget close with the full laser behind one transceiver?
     pub fn closes(&self) -> bool {
         self.laser_dbm >= self.required_tx_dbm()
-    }
-
-    /// Headroom above the requirement, dB.
-    pub fn headroom_db(&self) -> f64 {
-        self.laser_dbm - self.required_tx_dbm()
     }
 
     /// How many transceivers one laser can feed. Computed in linear power
@@ -94,7 +79,6 @@ mod tests {
         let b = LinkBudget::paper();
         assert!((b.required_tx_dbm() - 7.0).abs() < 1e-9);
         assert!(b.closes());
-        assert!((b.headroom_db() - 9.0).abs() < 1e-9);
     }
 
     #[test]
@@ -130,19 +114,8 @@ mod tests {
     }
 
     #[test]
-    fn received_power_at_paper_operating_point() {
-        // A transceiver launching the required 7 dBm delivers exactly the
-        // sensitivity floor plus margin.
-        let b = LinkBudget::paper();
-        let rx = b.received_dbm(b.required_tx_dbm());
-        assert!((rx - (-6.0)).abs() < 1e-9); // -8 dBm floor + 2 dB margin
-    }
-
-    #[test]
-    fn dbm_mw_roundtrip() {
-        for dbm in [-8.0, 0.0, 7.0, 16.0] {
-            assert!((mw_to_dbm(dbm_to_mw(dbm)) - dbm).abs() < 1e-9);
-        }
+    fn dbm_to_mw_at_paper_levels() {
+        // 16 dBm laser = 40 mW; -8 dBm receiver floor = 0.16 mW.
         assert!((dbm_to_mw(16.0) - 39.81).abs() < 0.01);
         assert!((dbm_to_mw(-8.0) - 0.1585).abs() < 0.001);
     }

@@ -15,7 +15,7 @@
 use crate::ber::{Modulation, Receiver};
 use crate::cdr::CdrConfig;
 use crate::laser::TunableSource;
-use sirius_core::units::{Duration, Rate};
+use sirius_core::units::Duration;
 
 /// One directional transceiver: a tunable source plus a burst receiver.
 pub struct Transceiver<S: TunableSource> {
@@ -43,14 +43,6 @@ impl<S: TunableSource> Transceiver<S> {
     /// Guardband overhead at a given slot duration.
     pub fn guardband_overhead(&self, slot: Duration) -> f64 {
         self.reconfiguration_time().as_ps() as f64 / slot.as_ps() as f64
-    }
-
-    /// Effective goodput rate of a channel after guardband and cell
-    /// framing overheads.
-    pub fn effective_rate(&self, slot: Duration, payload_bytes: u32) -> Rate {
-        let bits = payload_bytes as u64 * 8;
-        let bps = bits as f64 / slot.as_secs_f64();
-        Rate::from_bps(bps as u64)
     }
 }
 
@@ -141,16 +133,5 @@ mod tests {
         let ratio =
             v1t.reconfiguration_time().as_ps() as f64 / v2t.reconfiguration_time().as_ps() as f64;
         assert!(ratio > 20.0, "only {ratio}x faster");
-    }
-
-    #[test]
-    fn effective_rate_accounts_for_overheads() {
-        let t = v2::transceiver(&mut SmallRng::seed_from_u64(5));
-        // Paper slot: 562 B cell, 540 B payload, ~100 ns slot at 50 Gbps.
-        let slot = Duration::from_ps(99_920);
-        let eff = t.effective_rate(slot, 540);
-        // 540*8 bits / 99.92 ns = 43.2 Gbps of goodput on a 50 Gbps line.
-        let gbps = eff.as_gbps_f64();
-        assert!((gbps - 43.2).abs() < 0.1, "effective = {gbps} Gbps");
     }
 }

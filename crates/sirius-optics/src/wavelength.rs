@@ -20,17 +20,6 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// The C-band grid of the paper's DSDBR laser: 112 channels at 50 GHz.
-    /// Anchored so the grid spans ~1548-1570 nm, bracketing the wavelengths
-    /// quoted in Fig. 8b (1550.116-1559.389 nm).
-    pub fn c_band_112() -> Grid {
-        Grid {
-            channels: 112,
-            spacing_ghz: 50.0,
-            base_thz: 190.95, // ~1570 nm end; higher channels = shorter wavelength
-        }
-    }
-
     /// The 19-channel grid of the custom InP chip (§6, limited by chip
     /// area).
     pub fn chip_19() -> Grid {
@@ -51,48 +40,11 @@ impl Grid {
     pub fn wavelength_nm(&self, ch: u16) -> f64 {
         C_M_PER_S / (self.frequency_thz(ch) * 1e12) * 1e9
     }
-
-    /// Channel span (|i - j|) between two channels.
-    pub fn span(&self, a: u16, b: u16) -> u16 {
-        a.abs_diff(b)
-    }
-
-    /// Total ordered tuning pairs on this grid (the paper quotes "all
-    /// 12,432 pairs of wavelengths" for 112 channels).
-    pub fn ordered_pairs(&self) -> u32 {
-        self.channels as u32 * (self.channels as u32 - 1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dsdbr_grid_matches_paper_pair_count() {
-        let g = Grid::c_band_112();
-        assert_eq!(g.ordered_pairs(), 12_432);
-    }
-
-    #[test]
-    fn grid_spans_the_fig8b_wavelengths() {
-        // Fig. 8b switches between 1550.116 nm and 1559.389 nm — both must
-        // lie inside the 112-channel grid.
-        let g = Grid::c_band_112();
-        let lo = g.wavelength_nm(g.channels - 1);
-        let hi = g.wavelength_nm(0);
-        assert!(lo < 1550.116 && hi > 1559.389, "grid [{lo}, {hi}] nm");
-    }
-
-    #[test]
-    fn adjacent_channels_are_0_4nm_apart() {
-        // 50 GHz at ~1552 nm is ~0.4 nm, matching Fig. 8b's "adjacent"
-        // pair 1552.524 / 1552.926 nm.
-        let g = Grid::c_band_112();
-        let mid = g.channels / 2;
-        let d = (g.wavelength_nm(mid) - g.wavelength_nm(mid + 1)).abs();
-        assert!((d - 0.4).abs() < 0.02, "spacing {d} nm");
-    }
 
     #[test]
     fn frequency_monotone_wavelength_antitone() {

@@ -62,18 +62,18 @@ pub fn ideal(generation: usize) -> f64 {
     2f64.powi(generation as i32)
 }
 
-/// Shortfall of a metric against ideal scaling at each generation.
-pub fn shortfall(metric: impl Fn(&CmosNode) -> f64) -> Vec<f64> {
-    fig2b()
-        .iter()
-        .enumerate()
-        .map(|(g, n)| metric(n) / ideal(g))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Achieved/ideal ratio of `metric` at each generation.
+    fn shortfall(metric: impl Fn(&CmosNode) -> f64) -> Vec<f64> {
+        fig2b()
+            .iter()
+            .enumerate()
+            .map(|(g, n)| metric(n) / ideal(g))
+            .collect()
+    }
 
     #[test]
     fn scaling_diverges_from_ideal() {

@@ -18,7 +18,6 @@
 
 pub mod catalog;
 pub mod cmos;
-pub mod copackaged;
 pub mod cost;
 pub mod power;
 pub mod scale_tax;

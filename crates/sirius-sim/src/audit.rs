@@ -47,6 +47,7 @@
 
 use crate::engine::SlotObserver;
 use sirius_core::cell::{Cell, FlowId};
+use sirius_core::fault::SILENCE_THRESHOLD;
 use sirius_core::node::SiriusNode;
 use sirius_core::topology::NodeId;
 use std::collections::{BTreeSet, HashMap};
@@ -165,8 +166,6 @@ pub struct Audit {
     shadow: HashMap<FlowId, FlowShadow>,
     /// Declared fault windows (attribution base for losses/suspicions).
     windows: Vec<FaultWindow>,
-    /// Detector silence threshold (suspicion-justification slack).
-    silence_threshold: u64,
     /// TX columns the repair layer has dropped from the schedule, indexed
     /// `node * uplinks + uplink`. Kept as an independent shadow of
     /// `AdjustedSchedule` so data sends onto an omitted column are caught
@@ -198,7 +197,6 @@ impl Audit {
             violations: Vec::new(),
             shadow: HashMap::new(),
             windows: Vec::new(),
-            silence_threshold: sirius_core::fault::FaultConfig::default().silence_threshold,
             tx_omitted: vec![false; n * uplinks],
         }
     }
@@ -213,12 +211,6 @@ impl Audit {
             from,
             until,
         });
-    }
-
-    /// Set the detector's silence threshold, used as justification slack
-    /// when checking suspicions against windows.
-    pub fn set_silence_threshold(&mut self, threshold: u64) {
-        self.silence_threshold = threshold;
     }
 
     fn covered(&self, cause: LossCause, node: NodeId, epoch: u64) -> bool {
@@ -318,7 +310,7 @@ impl SlotObserver for Audit {
 
     /// The silence detector suspected `node` at `epoch`. Justified only if
     /// some declared window on that node was active within the detector's
-    /// lookback (`silence_threshold + 1` epochs past the window's end);
+    /// lookback ([`SILENCE_THRESHOLD`]` + 1` epochs past the window's end);
     /// otherwise it is a false positive — a healthy node starved of
     /// keepalives, which §4.5's always-on slots make structurally
     /// impossible.
@@ -330,7 +322,7 @@ impl SlotObserver for Audit {
     /// slot, so an innocent node genuinely goes silent on the fabric. The
     /// victim is schedule-dependent, so the window cannot name it.
     fn note_suspicion(&mut self, epoch: u64, node: NodeId) {
-        let slack = self.silence_threshold + 1;
+        let slack = SILENCE_THRESHOLD + 1;
         let justified = self.windows.iter().any(|w| {
             (w.node == node || w.cause == LossCause::Mistune)
                 && w.from <= epoch
@@ -600,7 +592,6 @@ mod tests {
     #[test]
     fn suspicion_justification_and_false_positives() {
         let mut a = Audit::new(4, 2, 4, false);
-        a.set_silence_threshold(3);
         a.declare_window(LossCause::Crash, NodeId(1), 10, u64::MAX);
         a.declare_window(LossCause::Grey, NodeId(2), 10, 20);
         a.declare_window(LossCause::Mistune, NodeId(0), 40, 50);

@@ -14,7 +14,7 @@
 //! script whose events never fire still feeds it every slot, and the
 //! run is otherwise identical to the unarmed one.
 
-use sirius_core::fault::{FailureDetector, FaultConfig, LinkDetector};
+use sirius_core::fault::{FailureDetector, LinkDetector};
 use sirius_core::topology::NodeId;
 
 pub(crate) struct DetectPlane {
@@ -44,10 +44,10 @@ impl DetectPlane {
     /// Build the detectors a fault script feeds: one per node, plus the
     /// per-column detector when the script can produce partial-node
     /// faults (`uplinks` is then the column count).
-    pub fn arm(&mut self, fault: FaultConfig, uplinks: Option<usize>) {
+    pub fn arm(&mut self, uplinks: Option<usize>) {
         let n = self.last_heard_any.len();
-        self.detectors = (0..n).map(|_| FailureDetector::new(n, fault)).collect();
-        self.link_det = uplinks.map(|u| LinkDetector::new(n, u, fault));
+        self.detectors = (0..n).map(|_| FailureDetector::new(n)).collect();
+        self.link_det = uplinks.map(|u| LinkDetector::new(n, u));
     }
 
     /// Credit one heard reception: `sender` was heard by `receiver` on

@@ -22,6 +22,7 @@ use crate::sirius_net::SiriusSim;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use sirius_core::cell::{Cell, FlowId};
+use sirius_core::fault::{BYZ_QUARANTINE_THRESHOLD, CORRELATION_THRESHOLD};
 use sirius_core::repair::AdjustedSchedule;
 use sirius_core::schedule::{Schedule, SlotInEpoch};
 use sirius_core::topology::{NodeId, ServerId, UplinkId};
@@ -195,7 +196,6 @@ impl SiriusSim {
         let n = self.nodes.len();
         self.fault_rngs = injector.node_streams(n);
         self.detect.arm(
-            self.cfg.fault,
             injector
                 .has_link_faults()
                 .then(|| self.sched.base().uplinks()),
@@ -208,7 +208,6 @@ impl SiriusSim {
         let Some(audit) = self.audit.as_mut() else {
             return;
         };
-        audit.set_silence_threshold(self.cfg.fault.silence_threshold);
         let events = injector.events();
         for e in events {
             match *e {
@@ -353,7 +352,7 @@ impl SiriusSim {
             } else {
                 0
             };
-            let correlated = corr_nodes >= self.cfg.fault.correlation_threshold;
+            let correlated = corr_nodes >= CORRELATION_THRESHOLD;
             let domains = &mut self.faults.report.correlated_domains;
             if correlated && !domains.iter().any(|d| d.uplink == col as u16) {
                 domains.push(CorrelatedDomainRecord {
@@ -426,7 +425,6 @@ impl SiriusSim {
         //    is what makes the threshold a per-epoch damage bound (the
         //    §4.4 slew-clamp shape: lie a little, tolerated; lie past the
         //    clamp, evicted).
-        let byz_thresh = self.cfg.fault.byz_quarantine_threshold;
         let FaultPlane { byz, report, .. } = &mut self.faults;
         if let Some(bz) = byz {
             for p in 0..n {
@@ -435,7 +433,9 @@ impl SiriusSim {
                     report.max_forged_per_epoch = s;
                 }
                 let node = NodeId(p as u32);
-                if s >= byz_thresh && !report.byz_quarantined.iter().any(|r| r.node == node) {
+                if s >= BYZ_QUARANTINE_THRESHOLD
+                    && !report.byz_quarantined.iter().any(|r| r.node == node)
+                {
                     report.byz_quarantined.push(ByzantineRecord {
                         node,
                         quarantined_at: epoch,

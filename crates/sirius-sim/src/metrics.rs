@@ -85,7 +85,7 @@ pub struct CorrelatedDomainRecord {
 }
 
 /// One node quarantined by the RX-side Byzantine filter: its per-epoch
-/// forged-cell count crossed `FaultConfig::byz_quarantine_threshold` at
+/// forged-cell count crossed `sirius_core::fault::BYZ_QUARANTINE_THRESHOLD` at
 /// `quarantined_at` and whole-node exclusion was staged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ByzantineRecord {

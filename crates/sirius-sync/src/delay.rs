@@ -14,7 +14,7 @@
 //! configurable timestamp noise and average over repeated epochs.
 
 use rand::Rng;
-use sirius_core::units::{Duration, FIBER_PS_PER_METER};
+use sirius_core::units::Duration;
 
 /// One node's calibration state.
 #[derive(Debug, Clone)]
@@ -101,16 +101,12 @@ pub fn arrival_misalignment(true_delays: &[Duration], offsets: &[Duration]) -> V
     arrivals.iter().map(|&a| a - target).collect()
 }
 
-/// Convenience: delay of `meters` of fiber.
-pub fn fiber(meters: u64) -> Duration {
-    Duration::from_ps(meters * FIBER_PS_PER_METER)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use sirius_core::units::fiber_delay as fiber;
 
     #[test]
     fn noiseless_estimate_is_exact() {

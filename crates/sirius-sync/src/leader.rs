@@ -58,12 +58,6 @@ impl LeaderSchedule {
         }
         None
     }
-
-    /// Max consecutive epochs a node can be without a *live* reference
-    /// when one leader dies (its remaining turn).
-    pub fn max_leaderless_epochs(&self) -> u64 {
-        self.rotation_epochs
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +91,9 @@ mod tests {
         // "sufficient to prevent any noticeable clock drift" (a 20 ppm
         // clock drifts only 0.128 ps in that window).
         let ls = LeaderSchedule::paper(128);
-        let window_us = ls.max_leaderless_epochs() as f64 * 1.6;
+        // A dead leader leaves nodes without a live reference for at most
+        // its remaining turn.
+        let window_us = ls.rotation_epochs as f64 * 1.6;
         let drift_ps = 20.0 * window_us;
         assert!(drift_ps < 1000.0, "drift {drift_ps} ps");
     }

@@ -33,11 +33,6 @@ pub struct BurstySpec {
 }
 
 impl BurstySpec {
-    /// Duty cycle: fraction of time sources are ON.
-    pub fn duty_cycle(&self) -> f64 {
-        1.0 / self.burstiness
-    }
-
     /// Generate flows. The network-wide ON/OFF state is modulated
     /// globally (synchronized bursts — the worst case for the fabric).
     pub fn generate(&self) -> Vec<Flow> {
@@ -169,11 +164,5 @@ mod tests {
         for f in &flows {
             assert_ne!(f.src_server, f.dst_server);
         }
-    }
-
-    #[test]
-    fn duty_cycle_definition() {
-        assert_eq!(spec(4.0).duty_cycle(), 0.25);
-        assert_eq!(spec(1.0).duty_cycle(), 1.0);
     }
 }

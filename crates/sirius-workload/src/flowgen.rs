@@ -88,11 +88,6 @@ impl WorkloadSpec {
             pattern: self.pattern.clone(),
         }
     }
-
-    /// Total bytes a generated workload is expected to carry (mean).
-    pub fn expected_bytes(&self) -> f64 {
-        self.sizes.effective_mean() * self.flows as f64
-    }
 }
 
 /// Lazy flow generator: yields the exact `generate()` sequence (same

@@ -3,8 +3,7 @@
 //!
 //! The paper reports, from two days of a production cloud service in March
 //! 2019: "over 34% of the packets comprise less than 128 bytes while 97.8%
-//! of the packets are 576 bytes or less", and cites Facebook's in-memory
-//! cache at "over 91% of packets 576 bytes or less". The raw traces are
+//! of the packets are 576 bytes or less". The raw traces are
 //! proprietary; this module substitutes a mixture distribution constrained
 //! to reproduce exactly those quantiles (the only properties the paper's
 //! argument uses), so burstiness-sensitive experiments exercise the same
@@ -29,14 +28,6 @@ impl PacketSizes {
         }
     }
 
-    /// Facebook in-memory cache shape: 91% <= 576 B (with a heavier small
-    /// packet mode typical of get/set responses).
-    pub fn memcached() -> PacketSizes {
-        PacketSizes {
-            buckets: vec![(64, 127, 0.50), (128, 576, 0.91), (577, 1500, 1.0)],
-        }
-    }
-
     /// Sample one packet size in bytes.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let u: f64 = rng.gen();
@@ -49,22 +40,6 @@ impl PacketSizes {
             prev = cum;
         }
         self.buckets.last().unwrap().1
-    }
-
-    /// Empirical CDF value at `bytes` (exact, from the analytic mixture).
-    pub fn cdf(&self, bytes: u32) -> f64 {
-        let mut prev_cum = 0.0;
-        for &(lo, hi, cum) in &self.buckets {
-            if bytes < lo {
-                return prev_cum;
-            }
-            if bytes <= hi {
-                let frac = (bytes - lo) as f64 / (hi - lo) as f64;
-                return prev_cum + (cum - prev_cum) * frac;
-            }
-            prev_cum = cum;
-        }
-        1.0
     }
 
     /// Mean packet size of the mixture.
@@ -87,24 +62,8 @@ mod tests {
 
     #[test]
     fn production_quantiles_match_paper() {
-        let p = PacketSizes::production_cloud();
-        // "Over 34% of the packets comprise less than 128 bytes".
-        assert!((p.cdf(127) - 0.34).abs() < 1e-9);
-        // "97.8% of the packets are 576 bytes or less".
-        assert!((p.cdf(576) - 0.978).abs() < 1e-9);
-        assert_eq!(p.cdf(1500), 1.0);
-    }
-
-    #[test]
-    fn memcached_quantiles_match_paper() {
-        let p = PacketSizes::memcached();
-        // "Over 91% of the packets generated by Facebook's in-memory cache
-        // are 576 bytes or less".
-        assert!((p.cdf(576) - 0.91).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empirical_samples_match_cdf() {
+        // "Over 34% of the packets comprise less than 128 bytes while 97.8%
+        // of the packets are 576 bytes or less".
         let p = PacketSizes::production_cloud();
         let mut rng = SmallRng::seed_from_u64(1);
         let n = 200_000;

@@ -33,16 +33,6 @@ impl Pareto {
         }
     }
 
-    /// Construct from shape and scale (minimum value).
-    pub fn with_scale(shape: f64, scale: f64) -> Pareto {
-        assert!(shape > 0.0 && scale > 0.0);
-        Pareto {
-            shape,
-            scale,
-            cap: f64::INFINITY,
-        }
-    }
-
     /// The paper's default workload: shape 1.05, mean 100 KB.
     pub fn paper_default() -> Pareto {
         Pareto::with_mean(1.05, 100_000.0)
@@ -54,13 +44,6 @@ impl Pareto {
         assert!(cap >= self.scale);
         self.cap = cap;
         self
-    }
-
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 
     /// Median of the (untruncated) distribution: `xm * 2^(1/a)`.
@@ -101,7 +84,7 @@ mod tests {
     #[test]
     fn paper_parameters() {
         let p = Pareto::paper_default();
-        assert!((p.scale() - 4761.9).abs() < 1.0, "xm = {}", p.scale());
+        assert!((p.scale - 4761.9).abs() < 1.0, "xm = {}", p.scale);
         assert!((p.effective_mean() - 100_000.0).abs() < 1e-6);
         // Median ~ 9.2 KB: "majority of flows are small".
         assert!(
@@ -138,12 +121,45 @@ mod tests {
     }
 
     #[test]
+    fn ccdf_tail_index_matches_shape() {
+        // Below the cap, P(X > x) = (xm / x)^a, so the sampled CCDF is a
+        // straight line of slope -a on log-log axes. Fit it by least
+        // squares at 25 log-spaced sizes from 2 xm to 1e7 B: a decade
+        // below the §7 workload's 1e8 B cap, where about 130 of the 400 k
+        // samples still exceed the last size.
+        let p = Pareto::paper_default().truncated(1e8);
+        let mut rng = SmallRng::seed_from_u64(4);
+        let mut samples: Vec<u64> = (0..400_000).map(|_| p.sample(&mut rng)).collect();
+        samples.sort_unstable();
+        let n = samples.len() as f64;
+        let (lo, hi) = ((2.0 * p.scale).ln(), 1e7f64.ln());
+        let points: Vec<(f64, f64)> = (0..25)
+            .map(|k| {
+                let ln_x = lo + (hi - lo) * k as f64 / 24.0;
+                let above = samples.len() - samples.partition_point(|&s| (s as f64) <= ln_x.exp());
+                (ln_x, (above as f64 / n).ln())
+            })
+            .collect();
+        let mx = points.iter().map(|q| q.0).sum::<f64>() / points.len() as f64;
+        let my = points.iter().map(|q| q.1).sum::<f64>() / points.len() as f64;
+        let sxy: f64 = points.iter().map(|q| (q.0 - mx) * (q.1 - my)).sum();
+        let sxx: f64 = points.iter().map(|q| (q.0 - mx).powi(2)).sum();
+        let slope = sxy / sxx;
+        // Tolerance: 0.05, about 5% of the shape.
+        assert!(
+            (slope + p.shape).abs() < 0.05,
+            "CCDF slope {slope:.3}, expected {:.3}",
+            -p.shape
+        );
+    }
+
+    #[test]
     fn samples_respect_bounds() {
         let p = Pareto::paper_default().truncated(1e6);
         let mut rng = SmallRng::seed_from_u64(2);
         for _ in 0..10_000 {
             let s = p.sample(&mut rng);
-            assert!(s as f64 >= p.scale().floor());
+            assert!(s as f64 >= p.scale.floor());
             assert!(s <= 1_000_000);
         }
     }
@@ -168,7 +184,7 @@ mod tests {
         let p = Pareto::paper_default();
         let t = p.truncated(1e6);
         assert!(t.effective_mean() < p.effective_mean());
-        assert!(t.effective_mean() > p.scale());
+        assert!(t.effective_mean() > p.scale);
     }
 
     #[test]

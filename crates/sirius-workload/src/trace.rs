@@ -1,4 +1,4 @@
-//! Flow-trace serialization: record a generated workload to a CSV file and
+//! Flow-trace serialization: record a generated workload as CSV text and
 //! replay it later.
 //!
 //! The paper's workloads are synthesized from published distributions, but
@@ -14,13 +14,10 @@
 use crate::flowgen::Flow;
 use sirius_core::units::Time;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Errors from trace parsing.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TraceError {
-    /// I/O failure (message text).
-    Io(String),
     /// Malformed line (1-based line number, description).
     Parse(usize, String),
     /// Arrivals must be non-decreasing.
@@ -30,7 +27,6 @@ pub enum TraceError {
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceError::Parse(line, e) => write!(f, "trace line {line}: {e}"),
             TraceError::Unsorted(line) => {
                 write!(f, "trace line {line}: arrivals must be non-decreasing")
@@ -109,17 +105,6 @@ fn parse<T: std::str::FromStr>(s: &str, idx: usize) -> Result<T, TraceError> {
         .map_err(|_| TraceError::Parse(idx + 1, format!("bad number {s:?}")))
 }
 
-/// Write a trace file.
-pub fn save(flows: &[Flow], path: &Path) -> Result<(), TraceError> {
-    std::fs::write(path, to_csv(flows)).map_err(|e| TraceError::Io(e.to_string()))
-}
-
-/// Read a trace file.
-pub fn load(path: &Path) -> Result<Vec<Flow>, TraceError> {
-    let text = std::fs::read_to_string(path).map_err(|e| TraceError::Io(e.to_string()))?;
-    from_csv(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,15 +131,6 @@ mod tests {
         let flows = sample_flows();
         let parsed = from_csv(&to_csv(&flows)).unwrap();
         assert_eq!(flows, parsed);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let flows = sample_flows();
-        let path = std::env::temp_dir().join("sirius_trace_test.csv");
-        save(&flows, &path).unwrap();
-        assert_eq!(load(&path).unwrap(), flows);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

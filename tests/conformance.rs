@@ -130,7 +130,7 @@ fn failure_detection_is_emergent_at_paper_scale() {
     let fr = m.fault.expect("fault report missing");
     let rec = &fr.failures[0];
     assert_eq!(rec.node, victim);
-    let threshold = sirius::core::fault::FaultConfig::default().silence_threshold;
+    let threshold = sirius::core::fault::SILENCE_THRESHOLD;
     let lat = rec.detection_epochs().expect("crash never suspected");
     assert!(
         lat <= threshold + 1,

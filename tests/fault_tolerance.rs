@@ -3,7 +3,7 @@
 //! detection pipeline.
 //!
 //! * Detection latency: silence on scheduled slots is noticed within
-//!   `silence_threshold + 1` epochs — "a few microseconds" at the paper's
+//!   `SILENCE_THRESHOLD + 1` epochs — "a few microseconds" at the paper's
 //!   1.6 us epoch.
 //! * Graceful degradation: with `k` of `N` nodes down, post-failure
 //!   goodput tracks `AdjustedSchedule::capacity_factor = 1 - k/N` within
@@ -18,7 +18,7 @@
 //! * Fault scripts perturb nothing they shouldn't: double runs stay
 //!   bit-identical.
 
-use sirius::core::fault::FaultConfig;
+use sirius::core::fault::SILENCE_THRESHOLD;
 use sirius::core::topology::NodeId;
 use sirius::core::units::{Duration, Rate, Time};
 use sirius::core::SiriusConfig;
@@ -128,7 +128,7 @@ fn goodput_tracks_capacity_factor_for_1_4_16_failed_nodes() {
 #[test]
 fn detection_latency_is_bounded_for_staggered_crashes() {
     // Four crashes at different epochs; every one must be suspected
-    // within silence_threshold + 1 epochs of its ground-truth death and
+    // within SILENCE_THRESHOLD + 1 epochs of its ground-truth death and
     // excluded exactly one update epoch later.
     let net = fabric_limited_net();
     let wl = survivor_workload(&net, 48, 1500, 43, Time::ZERO); // nodes 0..24
@@ -141,7 +141,7 @@ fn detection_latency_is_bounded_for_staggered_crashes() {
     cfg.drain_timeout = Duration::from_us(300);
     let m = SiriusSim::new(cfg).with_faults(inj).run(&wl);
     let fr = m.fault.unwrap();
-    let threshold = FaultConfig::default().silence_threshold;
+    let threshold = SILENCE_THRESHOLD;
     assert_eq!(fr.failures.len(), 4);
     for rec in &fr.failures {
         let lat = rec
@@ -243,7 +243,7 @@ fn bank_drift_detection_lags_the_ramp_but_lands_inside_the_window() {
     // *together*, with a drop probability that ramps with the power.
     //
     // The detection-latency claim under test: a drifting bank cannot be
-    // caught at crash speed (`silence_threshold + 1`) because the early
+    // caught at crash speed (`SILENCE_THRESHOLD + 1`) because the early
     // ramp still delivers almost every slot — suspicion necessarily
     // trails the ground-truth onset — but the per-column detector must
     // still localize the columns well before the window closes, never
@@ -288,7 +288,7 @@ fn bank_drift_detection_lags_the_ramp_but_lands_inside_the_window() {
         .filter(|r| blast.contains(&r.node) && r.uplink == 2)
         .collect();
     assert!(!suspected.is_empty(), "drift was never localized");
-    let threshold = FaultConfig::default().silence_threshold;
+    let threshold = SILENCE_THRESHOLD;
     for rec in &suspected {
         let lat = rec.first_suspected - from;
         // Detection latency: slower than any fail-stop detection can be
@@ -328,7 +328,7 @@ fn bank_drift_detection_lags_the_ramp_but_lands_inside_the_window() {
 #[test]
 fn single_column_repair_detects_omits_and_readmits_on_schedule() {
     // A fully dead TX column (erasure probability 1.0) over a bounded
-    // window, timed exactly: suspicion within `silence_threshold + 1`
+    // window, timed exactly: suspicion within `SILENCE_THRESHOLD + 1`
     // epochs of the window opening, omission one update epoch later, and
     // readmission within a few epochs of the window healing — the same
     // latency bounds the node-granular pipeline proves for crashes, now
@@ -342,7 +342,7 @@ fn single_column_repair_detects_omits_and_readmits_on_schedule() {
     cfg.drain_timeout = Duration::from_us(300);
     let m = SiriusSim::new(cfg).with_faults(inj).run(&wl);
     let fr = m.fault.unwrap();
-    let thr = FaultConfig::default().silence_threshold;
+    let thr = SILENCE_THRESHOLD;
 
     assert_eq!(fr.exclusions, 0);
     assert_eq!(fr.column_omissions, 1);
@@ -539,7 +539,7 @@ fn correlated_bank_failure_is_one_domain_not_k_exclusions() {
     // Correlated diagnosis: one domain per uplink column, each spanning
     // the four blast nodes, detected within the silence bound.
     let fl = link.fault.as_ref().unwrap();
-    let thr = FaultConfig::default().silence_threshold;
+    let thr = SILENCE_THRESHOLD;
     assert_eq!(
         fl.correlated_domains.len(),
         2,
