@@ -5,9 +5,9 @@
 //! [`Fifo`] — a `{head, tail}` pair of `u32` handles — threaded through
 //! one shared per-node arena by a per-slot `next` link, instead of a
 //! deque owning its own heap buffer. A node keeps one queue per peer for
-//! each of its three roles, so the per-queue header is what an idle
-//! node's footprint is made of: 8 bytes here against a 32-byte
-//! `VecDeque` header each. Moving a cell between queues — the grant
+//! each of its three roles, in the per-peer records of the pairs it
+//! uses, so the header is most of a record: 8 bytes here against a
+//! 32-byte `VecDeque` header each. Moving a cell between queues — the grant
 //! path, the reclaim path, relay rerouting — relinks 4-byte handles
 //! instead of copying a 32-byte cell, and a steady-state run performs
 //! zero queue-side heap traffic once the arena reaches its high-water

@@ -28,8 +28,9 @@
 //! grant delivery across the network lives in the simulator, which delivers
 //! them with one-epoch latency exactly as piggybacking would.
 
-use crate::arena::{Arena, Fifo};
+use crate::arena::Arena;
 use crate::bits;
+use crate::peers::{Peer, Peers};
 use crate::topology::NodeId;
 use rand::Rng;
 
@@ -77,26 +78,24 @@ impl CcStats {
 
 /// Per-node state of the congestion-control protocol.
 ///
-/// Indices are destination node ids (`0..n`). What is held *per
-/// destination* is two counters and one queue header; everything whose
-/// size depends on the protocol's activity — the epoch's requests, the
-/// lapse epochs of outstanding grants — lives in per-node buffers that
-/// grow with traffic, so an idle intermediate costs the same few bytes
+/// Destinations are node ids (`0..n`). What is held per destination —
+/// the queued and outstanding counts and the lapse queue of the
+/// outstanding grants — lives in the node's per-peer records
+/// (`crate::peers`), which exist only for pairs holding something;
+/// everything else that grows with the protocol's activity (the
+/// epoch's requests, the lapse epochs) lives in per-node buffers. Only
+/// the `listed` set is `n` bits, so an idle intermediate costs a bit
 /// per peer at any `Q`.
 #[derive(Debug)]
 pub struct CongestionState {
     node: NodeId,
     q: u32,
     grant_timeout_epochs: u64,
-    /// As an intermediate: cells currently queued here per destination.
-    queued: Vec<u32>,
-    /// As an intermediate: grants issued (in Ideal mode, first hops
-    /// launched) whose cell has not yet arrived.
-    outstanding: Vec<u32>,
-    /// Expiry bookkeeping for outstanding grants: per destination, the
-    /// epochs at which its outstanding grants lapse, oldest first
-    /// (`outstanding[d]` long), threaded through `lapses`.
-    expiry: Vec<Fifo>,
+    /// The node's per-peer records: this state's counters and lapse
+    /// queues, and [`SiriusNode`](crate::node::SiriusNode)'s queue
+    /// headers for the same peers, one record per pair.
+    pub(crate) peers: Peers,
+    /// The lapse epochs of every record's outstanding grants.
     lapses: Arena<u64>,
     /// Destinations that may have outstanding grants, so the expiry walk
     /// visits these instead of all `n`. A destination is listed at most
@@ -136,9 +135,7 @@ impl CongestionState {
             node,
             q: q as u32,
             grant_timeout_epochs,
-            queued: vec![0; n],
-            outstanding: vec![0; n],
-            expiry: vec![Fifo::EMPTY; n],
+            peers: Peers::new(n),
             lapses: Arena::new(),
             granted: Vec::new(),
             listed: vec![0; bits::words(n)],
@@ -162,11 +159,11 @@ impl CongestionState {
     }
     /// Cells queued here (as intermediate) for destination `d`.
     pub fn queued(&self, d: NodeId) -> u32 {
-        self.queued[d.0 as usize]
+        self.peers.get(d.0).queued
     }
     /// Outstanding (unexpired, unconsumed) grants for destination `d`.
     pub fn outstanding(&self, d: NodeId) -> u32 {
-        self.outstanding[d.0 as usize]
+        self.peers.get(d.0).outstanding
     }
 
     /// The §4.3 admission test: may this intermediate take one more cell
@@ -175,8 +172,8 @@ impl CongestionState {
     /// with instant knowledge of the intermediate's counters.
     #[inline]
     pub fn has_room(&self, d: NodeId) -> bool {
-        let d = d.0 as usize;
-        self.queued[d] + self.outstanding[d] < self.q
+        let peer = self.peers.get(d.0);
+        peer.queued + peer.outstanding < self.q
     }
 
     /// Ideal mode: a first hop for `d` was launched toward this
@@ -185,7 +182,7 @@ impl CongestionState {
     /// cell arrives, and it counts in no [`CcStats`] field.
     #[inline]
     pub fn reserve(&mut self, d: NodeId) {
-        self.outstanding[d.0 as usize] += 1;
+        self.peers.entry(d.0).outstanding += 1;
     }
 
     /// Ideal mode: a first hop reserved by [`reserve`](Self::reserve)
@@ -193,22 +190,12 @@ impl CongestionState {
     /// holds no reservation any more.
     #[inline]
     pub fn landed(&mut self, d: NodeId) {
-        let d = d.0 as usize;
-        debug_assert!(self.outstanding[d] > 0, "a first hop landed unreserved");
-        self.outstanding[d] -= 1;
-    }
-
-    /// Drop the oldest outstanding grant of `d` (the caller gates on
-    /// `outstanding[d] > 0`).
-    #[inline]
-    fn expiry_pop_front(&mut self, d: usize) {
-        let h = self
-            .lapses
-            .pop_front(&mut self.expiry[d])
-            .expect("an outstanding grant has a lapse entry");
-        self.lapses.remove(h);
-        self.outstanding[d] -= 1;
-        self.holding -= self.expiry[d].is_empty() as u32;
+        let peer = self
+            .peers
+            .get_mut(d.0)
+            .expect("a first hop landed unreserved");
+        debug_assert!(peer.outstanding > 0, "a first hop landed unreserved");
+        peer.outstanding -= 1;
     }
 
     /// Epoch boundary: expire stale grants and rotate the request inbox so
@@ -231,21 +218,26 @@ impl CongestionState {
         let mut next_lapse = u64::MAX;
         let mut k = 0;
         while k < self.granted.len() {
-            let d = self.granted[k] as usize;
-            while let Some(h) = self.expiry[d].front() {
-                let lapse = *self.lapses.get(h);
-                if lapse > epoch {
-                    next_lapse = next_lapse.min(lapse);
-                    break;
+            let d = self.granted[k];
+            // A destination without a record holds nothing to expire.
+            let mut holds = false;
+            if let Some(peer) = self.peers.get_mut(d) {
+                while let Some(h) = peer.expiry.front() {
+                    let lapse = *self.lapses.get(h);
+                    if lapse > epoch {
+                        next_lapse = next_lapse.min(lapse);
+                        break;
+                    }
+                    drop_oldest_grant(peer, &mut self.lapses, &mut self.holding);
+                    self.stats.grants_expired += 1;
                 }
-                self.expiry_pop_front(d);
-                self.stats.grants_expired += 1;
+                holds = !peer.expiry.is_empty();
             }
-            if self.expiry[d].is_empty() {
-                self.granted.swap_remove(k);
-                bits::clear(&mut self.listed, d);
-            } else {
+            if holds {
                 k += 1;
+            } else {
+                self.granted.swap_remove(k);
+                bits::clear(&mut self.listed, d as usize);
             }
         }
         self.next_lapse = next_lapse;
@@ -294,28 +286,28 @@ impl CongestionState {
         let lapse = epoch + self.grant_timeout_epochs;
         for &(d, start, len) in &groups {
             let run = &mut order[start as usize..(start + len) as usize];
-            let d = d as usize;
             let mut live = run.len();
-            if !eligible(NodeId(d as u32)) {
+            if !eligible(NodeId(d)) {
                 self.stats.requests_denied += live as u64;
                 continue;
             }
+            let peer = self.peers.entry(d);
             // Random service order: each pick is swap-removed from the run.
-            while live > 0 && self.has_room(NodeId(d as u32)) {
+            while live > 0 && peer.queued + peer.outstanding < self.q {
                 let k = rng.gen_range(0..live);
                 let pick = NodeId(run[k]);
                 live -= 1;
                 run[k] = run[live];
-                self.holding += self.expiry[d].is_empty() as u32;
+                self.holding += peer.expiry.is_empty() as u32;
                 let h = self.lapses.insert(lapse);
-                self.lapses.push_back(&mut self.expiry[d], h);
-                self.outstanding[d] += 1;
-                if !bits::get(&self.listed, d) {
-                    bits::set(&mut self.listed, d);
-                    self.granted.push(d as u32);
+                self.lapses.push_back(&mut peer.expiry, h);
+                peer.outstanding += 1;
+                if !bits::get(&self.listed, d as usize) {
+                    bits::set(&mut self.listed, d as usize);
+                    self.granted.push(d);
                 }
                 self.stats.grants_issued += 1;
-                grants.push((pick, NodeId(d as u32)));
+                grants.push((pick, NodeId(d)));
             }
             self.stats.requests_denied += live as u64;
         }
@@ -382,17 +374,7 @@ impl CongestionState {
     /// was delayed past the loss-backstop timeout), the arrival is counted
     /// as untracked rather than corrupting the accounting.
     pub fn relay_arrived(&mut self, d: NodeId) {
-        let d = d.0 as usize;
-        if self.outstanding[d] > 0 {
-            // Consume the oldest grant.
-            self.expiry_pop_front(d);
-        } else {
-            self.stats.untracked_arrivals += 1;
-        }
-        self.queued[d] += 1;
-        if self.queued[d] > self.q {
-            self.stats.bound_exceeded += 1;
-        }
+        self.arrival(d, true);
     }
 
     /// A relay cell for destination `d` joined the queue here. The queue
@@ -400,7 +382,28 @@ impl CongestionState {
     /// [`relay_arrived`](Self::relay_arrived) is the protocol's alone.
     #[inline]
     pub fn relay_queued(&mut self, d: NodeId) {
-        self.queued[d.0 as usize] += 1;
+        self.arrival(d, false);
+    }
+
+    /// A relay cell for `d` joins the queue here, consuming its grant
+    /// when `tracked` (see [`relay_arrived`](Self::relay_arrived)).
+    /// Returns `d`'s record, for the node to queue the cell in.
+    #[inline]
+    pub(crate) fn arrival(&mut self, d: NodeId, tracked: bool) -> &mut Peer {
+        let peer = self.peers.entry(d.0);
+        if tracked {
+            if peer.outstanding > 0 {
+                // Consume the oldest grant.
+                drop_oldest_grant(peer, &mut self.lapses, &mut self.holding);
+            } else {
+                self.stats.untracked_arrivals += 1;
+            }
+            if peer.queued >= self.q {
+                self.stats.bound_exceeded += 1;
+            }
+        }
+        peer.queued += 1;
+        peer
     }
 
     /// The source declined a grant for destination `d` (it had no waiting
@@ -408,25 +411,29 @@ impl CongestionState {
     /// first). The reservation is released immediately; the decline is
     /// piggybacked on the next scheduled cell in the real system.
     pub fn grant_declined(&mut self, d: NodeId) {
-        let d = d.0 as usize;
-        if self.outstanding[d] > 0 {
+        let Some(peer) = self.peers.get_mut(d.0) else {
+            return;
+        };
+        if peer.outstanding > 0 {
             // The declined grant is the most recently issued one.
             let h = self
                 .lapses
-                .pop_back(&mut self.expiry[d])
+                .pop_back(&mut peer.expiry)
                 .expect("an outstanding grant has a lapse entry");
             self.lapses.remove(h);
-            self.outstanding[d] -= 1;
-            self.holding -= self.expiry[d].is_empty() as u32;
+            peer.outstanding -= 1;
+            self.holding -= peer.expiry.is_empty() as u32;
             self.stats.grants_declined += 1;
         }
     }
 
     /// A relay cell for destination `d` was transmitted onward.
     pub fn relay_departed(&mut self, d: NodeId) {
-        let d = d.0 as usize;
-        debug_assert!(self.queued[d] > 0);
-        self.queued[d] -= 1;
+        let peer = self
+            .peers
+            .get_mut(d.0)
+            .expect("a departing relay cell was queued");
+        peer.depart();
     }
 
     /// Bookkeeping hooks for the source side (stats only; the LOCAL and VOQ
@@ -450,19 +457,29 @@ impl CongestionState {
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.queued.capacity()
-            + self.outstanding.capacity()
-            + self.granted.capacity()
+        (self.granted.capacity()
             + self.table.capacity()
             + self.group_of.capacity()
             + self.order.capacity())
             * 4
-            + self.expiry.capacity() * size_of::<Fifo>()
+            + self.peers.heap_bytes()
             + self.lapses.heap_bytes()
             + self.listed.capacity() * 8
             + (self.inbox.capacity() + self.pending.capacity()) * size_of::<(NodeId, NodeId)>()
             + self.groups.capacity() * size_of::<(u32, u32, u32)>()
     }
+}
+
+/// Drop `peer`'s oldest outstanding grant (the caller gates on
+/// `outstanding > 0`).
+#[inline]
+fn drop_oldest_grant(peer: &mut Peer, lapses: &mut Arena<u64>, holding: &mut u32) {
+    let h = lapses
+        .pop_front(&mut peer.expiry)
+        .expect("an outstanding grant has a lapse entry");
+    lapses.remove(h);
+    peer.outstanding -= 1;
+    *holding -= peer.expiry.is_empty() as u32;
 }
 
 /// Per-epoch request generator for the source side.
@@ -1058,14 +1075,23 @@ mod tests {
         /// interleave (one recurs after another's request), which only
         /// grouping by destination serves correctly.
         fn run(ops: Vec<u32>, q: usize, timeout: u64, seed: u64) -> Result<u32, TestCaseError> {
-            const N: usize = 70;
+            // Past the peer table's first 8 records: its probes, sweeps
+            // and growth run under the counters.
+            const N: usize = 200;
             let mut flat = CongestionState::new(NodeId(0), N, q, timeout);
             let mut dense = Dense::new(N, q, timeout);
             let (mut rng_flat, mut rng_dense) =
                 (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-            // Few destinations, so requests pile up per destination and
-            // the bound, the ring wrap and the lapse all come into play.
-            let dest = |x: u8| [0, 1, 2, 63, 64, 69][x as usize % 6];
+            // Mostly a few destinations, so requests pile up per
+            // destination and the bound, the ring wrap and the lapse all
+            // come into play; one operand in four spreads over the range.
+            let dest = |x: u8| {
+                if x % 4 == 3 {
+                    x as u32 * 197 % N as u32
+                } else {
+                    [0, 1, 2, 63, 64, 199][x as usize % 6]
+                }
+            };
             let mut epoch = 0;
             let mut interleaved = 0;
             for &packed in &ops {

@@ -49,6 +49,7 @@ pub mod congestion;
 pub mod deployment;
 pub mod fault;
 pub mod node;
+mod peers;
 pub mod reorder;
 pub mod repair;
 pub mod schedule;
