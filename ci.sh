@@ -143,13 +143,15 @@ stage_docs() {
   # numbers (null = not recorded), and name a PR after the line before.
   # Only the newest line's `commit` may be null (a commit cannot name its
   # own hash; the next PR back-fills it); every other line's is the full
-  # 40-hex-digit hash.
+  # 40-hex-digit hash. A workload may also carry `peak_rss_mb_parent` /
+  # `peak_rss_mb_change` (alternated-pair medians, MiB): finite and > 0.
   python3 - results/BENCH_trajectory.jsonl <<'PY'
 import json, math, re, sys
 
 path = sys.argv[1]
 top = {"pr", "commit", "parent", "host_parallelism", "pairs", "workloads", "moved"}
 per = {"wall_s_parent", "wall_s_change", "iqr_parent", "better_of_n", "digest_identical"}
+rss = ("peak_rss_mb_parent", "peak_rss_mb_change")
 
 
 def fail(n, msg):
@@ -191,6 +193,11 @@ for n, text in enumerate(lines, 1):
         if not (isinstance(b, list) and len(b) == 2 and isinstance(b[1], int)
                 and b[1] > 0 and (b[0] is None or 0 <= b[0] <= b[1])):
             fail(n, f"{name}: better_of_n must be [wins or null, pairs > 0]")
+        for key in rss:
+            v = w.get(key)
+            if key in w and not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                 and math.isfinite(v) and v > 0):
+                fail(n, f"{name}: {key} must be a finite number > 0, not {v!r}")
 print(f"{path}: {len(lines)} lines, schema and finiteness OK")
 PY
 

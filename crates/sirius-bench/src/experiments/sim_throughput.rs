@@ -47,6 +47,12 @@ pub struct ThroughputPoint {
     pub admit_secs: f64,
     pub inject_secs: f64,
     pub cc_secs: f64,
+    /// Peak LOCAL cells and peak LOCAL runs at any one node
+    /// (`RunMetrics::peak_node_local_{cells,runs}`): their ratio is how
+    /// many cells one LOCAL record stands for. Deterministic, like the
+    /// digest.
+    pub peak_local_cells: u64,
+    pub peak_local_runs: u64,
     /// Delivered-cell run digest: equal at any `--jobs` (`ci.sh
     /// bench-smoke` compares the committed artifact's).
     pub digest: u64,
@@ -113,6 +119,8 @@ pub fn run_mode(scale: Scale, seed: u64, mode: CcMode, name: &'static str) -> Th
         admit_secs: m.admit_secs,
         inject_secs: m.inject_secs,
         cc_secs: m.cc_secs,
+        peak_local_cells: m.peak_node_local_cells,
+        peak_local_runs: m.peak_node_local_runs,
         digest: m.digest,
     }
 }
@@ -169,6 +177,8 @@ pub fn table(points: &[ThroughputPoint]) -> Table {
             "cc_s",
             "cells_per_s",
             "epochs_per_s",
+            "peak_local_cells",
+            "peak_local_runs",
             "digest",
         ],
     );
@@ -188,6 +198,8 @@ pub fn table(points: &[ThroughputPoint]) -> Table {
             f(p.cc_secs, 3),
             f(p.cells_per_sec(), 0),
             f(p.epochs_per_sec(), 0),
+            p.peak_local_cells.to_string(),
+            p.peak_local_runs.to_string(),
             format!("{:016x}", p.digest),
         ]);
     }
@@ -213,7 +225,8 @@ pub fn to_json(points: &[ThroughputPoint], scale: Scale) -> String {
              \"cells\": {}, \"epochs\": {}, \"wall_secs\": {:.4}, \"tx_secs\": {:.4}, \
              \"deliver_secs\": {:.4}, \"merge_secs\": {:.4}, \"admit_secs\": {:.4}, \
              \"inject_secs\": {:.4}, \"cc_secs\": {:.4}, \"cells_per_sec\": {:.0}, \
-             \"epochs_per_sec\": {:.0}, \"digest\": \"{:016x}\"}}{}\n",
+             \"epochs_per_sec\": {:.0}, \"peak_local_cells\": {}, \
+             \"peak_local_runs\": {}, \"digest\": \"{:016x}\"}}{}\n",
             p.mode,
             p.nodes,
             p.flows,
@@ -228,6 +241,8 @@ pub fn to_json(points: &[ThroughputPoint], scale: Scale) -> String {
             p.cc_secs,
             p.cells_per_sec(),
             p.epochs_per_sec(),
+            p.peak_local_cells,
+            p.peak_local_runs,
             p.digest,
             if i + 1 == points.len() { "" } else { "," }
         ));
@@ -259,6 +274,9 @@ mod tests {
             assert!(p.wall_secs > 0.0, "{}: wall clock did not advance", p.mode);
             assert!(p.cells_per_sec() > 0.0);
             assert!(p.epochs_per_sec() > 0.0);
+            // A run record stands for at least one LOCAL cell.
+            assert!(p.peak_local_runs > 0, "{}: LOCAL never held a run", p.mode);
+            assert!(p.peak_local_runs <= p.peak_local_cells, "{}", p.mode);
             // Plane timing is always on in the harness: both the TX and
             // the deliver leg must carry a non-zero reading even on a
             // 1-core host (the planes run, just not in parallel).
@@ -300,6 +318,8 @@ mod tests {
             admit_secs: 0.0,
             inject_secs: 0.0,
             cc_secs: wall * 0.0625,
+            peak_local_cells: 530,
+            peak_local_runs: 10,
             digest: 0xabcd,
         };
         let pts = vec![mk(0.5)];
@@ -312,6 +332,7 @@ mod tests {
         assert!(j.contains("\"cc_secs\": 0.0312"));
         assert!(j.contains("\"scale\": \"Smoke\""));
         assert!(j.contains("\"host_parallelism\":"));
+        assert!(j.contains("\"peak_local_cells\": 530, \"peak_local_runs\": 10"));
         assert!(j.contains("\"digest\": \"000000000000abcd\""));
         // Points only: comparing commits is the benchmark's job.
         assert!(!j.contains("baseline"));

@@ -162,6 +162,7 @@ fn behavior_of(m: &RunMetrics) -> impl std::fmt::Debug + PartialEq {
         m.span,
         m.peak_node_fabric_cells,
         m.peak_node_local_cells,
+        m.peak_node_local_runs,
         m.peak_reorder_flow_bytes,
         m.flows
             .iter()

@@ -1,17 +1,17 @@
 //! A slab arena with a free list and intrusive FIFO links, for [`Cell`]s
 //! ([`CellArena`]) and any other small `Copy` record a node queues per peer.
 //!
-//! Every queue in [`crate::node::SiriusNode`] (LOCAL, VOQ, relay) is a
-//! [`Fifo`] — a `{head, tail}` pair of `u32` handles — threaded through
-//! one shared per-node arena by a per-slot `next` link, instead of a
-//! deque owning its own heap buffer. A node keeps one queue per peer for
-//! each of its three roles, in the per-peer records of the pairs it
-//! uses, so the header is most of a record: 8 bytes here against a
-//! 32-byte `VecDeque` header each. Moving a cell between queues — the grant
-//! path, the reclaim path, relay rerouting — relinks 4-byte handles
-//! instead of copying a 32-byte cell, and a steady-state run performs
-//! zero queue-side heap traffic once the arena reaches its high-water
-//! mark: freed slots are recycled LIFO through the free list, which is
+//! Every queue in [`crate::node::SiriusNode`] is a [`Fifo`] — a
+//! `{head, tail}` pair of `u32` handles — threaded through a per-node
+//! arena by a per-slot `next` link, instead of a deque owning its own
+//! heap buffer: the VOQs and relay queues through the node's cell arena,
+//! one slot per cell, and the LOCAL queues through its run arena, one
+//! slot per run of one flow's consecutive cells. A node keeps one queue
+//! per peer for each of its three roles, in the per-peer records of the
+//! pairs it uses, so the header is most of a record: 8 bytes here
+//! against a 32-byte `VecDeque` header each. A steady-state run performs
+//! zero queue-side heap traffic once the arenas reach their high-water
+//! marks: freed slots are recycled LIFO through the free list, which is
 //! threaded through the same links.
 //!
 //! Handles are plain indices; validity is the owning queue's discipline
@@ -48,6 +48,12 @@ impl Fifo {
     #[inline]
     pub fn front(&self) -> Option<u32> {
         (self.head != NIL).then_some(self.head)
+    }
+
+    /// The newest handle, if any.
+    #[inline]
+    pub fn back(&self) -> Option<u32> {
+        (self.tail != NIL).then_some(self.tail)
     }
 }
 
@@ -119,6 +125,14 @@ impl<T: Copy> Arena<T> {
         #[cfg(debug_assertions)]
         debug_assert!(!self.freed[h as usize], "arena: read of freed slot {h}");
         &self.slots[h as usize]
+    }
+
+    /// Modify the value behind a live handle in place.
+    #[inline]
+    pub fn get_mut(&mut self, h: u32) -> &mut T {
+        #[cfg(debug_assertions)]
+        debug_assert!(!self.freed[h as usize], "arena: write of freed slot {h}");
+        &mut self.slots[h as usize]
     }
 
     /// Take the value out and free its slot. The handle must already be

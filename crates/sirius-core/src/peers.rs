@@ -67,7 +67,8 @@ pub(crate) struct Peer {
     /// Lapse epochs of the outstanding grants, oldest first, threaded
     /// through the CC state's lapse arena.
     pub(crate) expiry: Fifo,
-    /// LOCAL cells for this destination, oldest first.
+    /// LOCAL cells for this destination, oldest first, as runs of one
+    /// flow's consecutive cells threaded through the node's run arena.
     pub(crate) local: Fifo,
     /// Position of this destination in the node's non-empty LOCAL list,
     /// where its cell count sits.

@@ -355,6 +355,7 @@ fn metrics(
         span,
         peak_node_fabric_cells: 0,
         peak_node_local_cells: 0,
+        peak_node_local_runs: 0,
         peak_reorder_flow_bytes: 0,
         cell_bytes: 0,
         incomplete_flows: incomplete,

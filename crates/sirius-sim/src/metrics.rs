@@ -270,6 +270,10 @@ pub struct RunMetrics {
     pub peak_node_fabric_cells: u64,
     /// Peak LOCAL cells at any single node.
     pub peak_node_local_cells: u64,
+    /// Peak LOCAL runs (stored records of one flow's consecutive cells)
+    /// at any single node: `peak_node_local_cells` over this is how many
+    /// cells a LOCAL record stands for.
+    pub peak_node_local_runs: u64,
     /// Peak reorder-buffer bytes for any single flow.
     pub peak_reorder_flow_bytes: u64,
     /// High-water mark of simultaneously resident flow state: the flow
@@ -512,6 +516,7 @@ mod tests {
             span: Duration::ZERO,
             peak_node_fabric_cells: 0,
             peak_node_local_cells: 0,
+            peak_node_local_runs: 0,
             peak_reorder_flow_bytes: 0,
             resident_flows_max: 4,
             cell_bytes: 562,
@@ -546,6 +551,7 @@ mod tests {
             span: Duration::from_ms(1),
             peak_node_fabric_cells: 10,
             peak_node_local_cells: 0,
+            peak_node_local_runs: 0,
             peak_reorder_flow_bytes: 0,
             resident_flows_max: 0,
             cell_bytes: 562,

@@ -912,6 +912,12 @@ impl SiriusSim {
                 .map(|n| n.peak_local_cells())
                 .max()
                 .unwrap_or(0),
+            peak_node_local_runs: self
+                .nodes
+                .iter()
+                .map(|n| n.peak_local_runs())
+                .max()
+                .unwrap_or(0),
             peak_reorder_flow_bytes: self.delivery.peak_reorder_flow_bytes,
             resident_flows_max: self.flows.resident_peak(),
             cell_bytes: self.cfg.network.cell_bytes,

@@ -94,6 +94,7 @@ fn double_run_is_bit_identical_in_every_mode() {
         assert_eq!(a.span, b.span);
         assert_eq!(a.peak_node_fabric_cells, b.peak_node_fabric_cells);
         assert_eq!(a.peak_node_local_cells, b.peak_node_local_cells);
+        assert_eq!(a.peak_node_local_runs, b.peak_node_local_runs);
         assert_eq!(a.peak_reorder_flow_bytes, b.peak_reorder_flow_bytes);
         let fa: Vec<_> = a
             .flows
